@@ -91,7 +91,8 @@ def build_parser() -> _Parser:
                      help="explicit y_perp (comma-separated, with "
                           "--y-perp-mode explicit)")
     sub.add_argument("--y-free", type=_vector, default=None,
-                     help="free homogeneous parameter y of the transient case")
+                     help="free homogeneous parameter y of the transient "
+                          "case (default y*)")
 
     sub = commands.add_parser("lemmas", help="identity residual report")
     _add_model_flags(sub)

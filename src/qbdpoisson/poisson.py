@@ -12,11 +12,10 @@ the homogeneous family and sigma_r is the particular solution
               - sum_{j=1}^{nu-1} K V0^j F W g_{j+r}.
 
 The boundary equation pins x through a finite Poisson equation in
-P* = B + A1 G.  For a transient chain I - P* is nonsingular and y is free;
-for a positive recurrent chain x is determined up to alpha * 1 via the group
-inverse of I - P*, and y = y* + y_perp with y* = -sum_k V1^k E W g_k and
-y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g.
-"""
+P* = B + A1 G.  For a transient chain I - P* is nonsingular and y is free
+(default y*); for a recurrent chain x is determined up to alpha * 1 via the
+group inverse of I - P*, and y = y* + y_perp with y* = -sum_k V1^k E W g_k
+and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 
 from __future__ import annotations
 
@@ -32,6 +31,7 @@ from .exceptions import (ClassificationError, InfeasibleConstraintError,
 from .model import QbdModel, RhsSpec
 from .qme import Classification, Normalization
 from .spectral import SpectralSplit
+from .triple import ResolventData
 from .verify import ResidualReport
 
 DEFAULT_RESIDUAL_TOL = 1e-7
@@ -45,7 +45,8 @@ class SolveOptions:
     """Knobs of the solution pipeline.
 
     ``y_free`` is the free homogeneous parameter of the transient case
-    (length p, default zero, which gives the bounded representative).
+    (length p, default y*, which gives the bounded representative: V1^{-r}
+    then multiplies a zero deviation y - y*).
     ``y_perp_mode`` selects the recurrent-case hyperplane solution:
     ``minimal_norm`` (default), ``zero``, or ``explicit`` with ``y_perp``
     supplied.  ``R_max`` defaults to N + 10.
@@ -98,10 +99,11 @@ class PoissonSolution:
 
     ``alpha`` is the free additive constant of the recurrent case (None for
     transient chains, where x is fully determined).  ``sigma1`` is the
-    particular-solution block entering the boundary equation; on the
-    null-recurrent path it belongs to the shifted difference equation.  For
-    :func:`solve_nonsingular_a1` the parameter ``y`` multiplies W R^{-r}
-    instead of L V1^{-r}.
+    particular-solution block entering the boundary equation.  All paths
+    feed one pipeline, each with its own difference equation: on the
+    null-recurrent path the shifted one, which ``sigma1`` and ``y`` belong
+    to; on the :func:`solve_nonsingular_a1` path ``y`` multiplies W R^{-r}
+    instead of L V1^{-r}, and ``sigma1`` is zero only up to rounding.
     """
 
     classification: Classification
@@ -145,11 +147,6 @@ def group_inverse(Pstar: Array, *, stochastic_tol: float = 1e-10) -> GroupInvers
     return GroupInverseData(Pstar=Pstar, sharp=sharp, pi_star=None, recurrent=False)
 
 
-def _w_times_rhs(W: Array, g: RhsSpec) -> Array:
-    """Stacked products W g_k for k = 0 ... N, shape (N+1, m)."""
-    return g.blocks @ W.T
-
-
 def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,
                   r: int) -> Array:
     """Particular-solution block sigma_r, in the regrouped form
@@ -163,7 +160,8 @@ def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,
     if r < 0:
         raise ValueError(f"level index must be nonnegative, got {r}")
     m = G.shape[0]
-    return _u_sequence(np.zeros(m), np.zeros(split.p), G, split, W, g, r)[r]
+    return _u_sequence(np.zeros(m), -compute_y_star(split, W, g), G, split, W,
+                       g, r)[r]
 
 
 def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
@@ -191,15 +189,17 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     y = np.asarray(y, dtype=float)
     if y.shape != (split.p,):
         raise ValueError(f"y must have length p = {split.p}, got shape {y.shape}")
-    return _u_sequence(x, y, G, split, W, g, R_max)
+    return _u_sequence(x, y - compute_y_star(split, W, g), G, split, W, g,
+                       R_max)
 
 
-def _u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
-                g: RhsSpec, R_max: int) -> Array:
+def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
+                W: Array, g: RhsSpec, R_max: int) -> Array:
+    """Levels 0 ... R_max for parameters x and the deviation dev = y - y*."""
     m = G.shape[0]
     p = split.p
     N = g.N
-    Wg = _w_times_rhs(W, g)
+    Wg = g.blocks @ W.T                       # rows W g_k, k = 0 ... N
     EWg = Wg @ split.E.T                      # rows E W g_k
     FWg = Wg @ split.F.T                      # rows F W g_k
 
@@ -209,11 +209,10 @@ def _u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
     for r in range(N - 1, -1, -1):
         tails[r] = split.V1 @ (EWg[r + 1] + tails[r + 1])
 
-    dev = y - compute_y_star(split, W, g)     # multiplied by V1^{-r} below
     out = np.empty((R_max + 1, m))
     xr = x.astype(float).copy()
     down = np.zeros(m)                        # sum_{j=0}^{r-1} G^j W g_{r-j}
-    t = dev.copy()
+    t = dev.copy()                            # V1^{-r} (y - y*)
     for r in range(R_max + 1):
         if r > 0:
             xr = G @ xr
@@ -232,7 +231,7 @@ def _u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
 
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
     """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g)."""
-    Wg = _w_times_rhs(W, g)
+    Wg = g.blocks @ W.T
     acc = np.zeros(split.p)
     v1_pow = np.eye(split.p)
     for k in range(1, g.N + 1):
@@ -292,6 +291,63 @@ def _solve_hyperplane(direction: Array, target: float, g_scale: float,
     return (target / nrm2) * direction
 
 
+def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
+                  opt: SolveOptions, G: Array, Ghat: Array,
+                  split: SpectralSplit, wdata: ResolventData,
+                  Q: Array | None = None) -> PoissonSolution:
+    """Boundary solve, level evaluation and residual check shared by all paths.
+
+    (G, Ghat, split, wdata) describe the difference equation being solved;
+    the rank-one shift ``Q`` of the null-recurrent path turns the boundary
+    block into B + A1 Q and maps levels back by u_k = ut_k + Q sum_{i<k} ut_i.
+    P* = B + A1 G always uses the G of the original chain.
+    """
+    m = model.m
+    eye = np.eye(m)
+    W = wdata.W
+    cls = sols.classification
+    y_star = compute_y_star(split, W, g)
+
+    if cls is Classification.TRANSIENT:
+        y = y_star
+        if opt.y_free is not None:
+            y = np.asarray(opt.y_free, dtype=float)
+            if y.shape != (split.p,):
+                raise ValueError(f"y_free must have length p = {split.p}, "
+                                 f"got shape {y.shape}")
+    else:
+        # the constraint is scale invariant in pi_0
+        mode = (Normalization.PROBABILITY
+                if cls is Classification.POSITIVE_RECURRENT
+                else Normalization.UNIT_SUM)
+        st = qme.stationary(model, sols, mode)
+        pig = pi_dot_g(st.pi0, sols.R, g)
+        direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
+        y = y_star + _solve_hyperplane(direction, pig, norm_inf(g.blocks), opt)
+
+    # sigma_1 is the level-1 block at x = 0, y = 0, i.e. deviation -y*
+    sigma1 = _u_sequence(np.zeros(m), -y_star, G, split, W, g, 1)[1]
+    B = model.B if Q is None else model.B + model.A1 @ Q
+    rhs = ((B - eye) @ Ghat + model.A1) @ (
+        sigma1 + split.L @ np.linalg.solve(split.V1, y)) + g.block(0)
+    Pstar = model.B + model.A1 @ sols.G
+    if cls is Classification.TRANSIENT:
+        x = np.linalg.solve(eye - Pstar, rhs)
+        alpha = None
+    else:
+        x = group_inverse(Pstar).sharp @ rhs + opt.alpha * np.ones(m)
+        alpha = opt.alpha
+
+    R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
+    u = evaluate_u_sequence(x, y, G, split, W, g, R_max)
+    if Q is not None:
+        u[1:] += np.cumsum(u[:-1], axis=0) @ Q.T
+    report = verify.residuals(model, g, u, tol=opt.residual_tol)
+    return PoissonSolution(classification=cls, x=x, y=y, y_star=y_star,
+                           alpha=alpha, sigma1=sigma1, R_max=R_max, u=u,
+                           diagnostics=report)
+
+
 def solve_poisson(model: QbdModel, g: RhsSpec,
                   options: SolveOptions | None = None) -> PoissonSolution:
     """General solution of the Poisson equation (I - P) u = g.
@@ -309,47 +365,16 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
 
     split = spectral.split(sols.Ghat, eps_zero=opt.eps_zero)
     wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    W = wdata.W
-    m = model.m
-    eye = np.eye(m)
-    Pstar = model.B + model.A1 @ sols.G
-    sigma1 = compute_sigma(sols.G, split, W, g, 1)
-    y_star = compute_y_star(split, W, g)
-
-    if sols.classification is Classification.TRANSIENT:
-        if opt.y_free is None:
-            y = np.zeros(split.p)
-        else:
-            y = np.asarray(opt.y_free, dtype=float)
-            if y.shape != (split.p,):
-                raise ValueError(f"y_free must have length p = {split.p}, "
-                                 f"got shape {y.shape}")
-        rhs = ((model.B - eye) @ sols.Ghat + model.A1) @ (
-            sigma1 + split.L @ _v1_inv_apply(split, y)) + g.block(0)
-        x = np.linalg.solve(eye - Pstar, rhs)
-        alpha = None
-    else:
-        st = qme.stationary(model, sols, Normalization.PROBABILITY)
-        pig = pi_dot_g(st.pi0, sols.R, g)
-        direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
-        y_perp = _solve_hyperplane(direction, pig, norm_inf(g.blocks), opt)
-        y = y_star + y_perp
-        rhs = ((model.B - eye) @ sols.Ghat + model.A1) @ (
-            sigma1 + split.L @ _v1_inv_apply(split, y)) + g.block(0)
-        gi = group_inverse(Pstar)
-        x = gi.sharp @ rhs + opt.alpha * np.ones(m)
-        alpha = opt.alpha
-
-    R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
-    u = evaluate_u_sequence(x, y, sols.G, split, W, g, R_max)
-    report = verify.residuals(model, g, u, tol=opt.residual_tol)
-    return PoissonSolution(classification=sols.classification, x=x, y=y,
-                           y_star=y_star, alpha=alpha, sigma1=sigma1,
-                           R_max=R_max, u=u, diagnostics=report)
+    return _solve_family(model, sols, g, opt, sols.G, sols.Ghat, split, wdata)
 
 
-def _v1_inv_apply(split: SpectralSplit, y: Array) -> Array:
-    return np.linalg.solve(split.V1, y) if split.p else y
+def _corollary_split(wdata: ResolventData, R: Array) -> SpectralSplit:
+    """Split M = W, V1 = R of Ghat, exact because W R = Ghat W: y multiplies
+    W R^{-r}, y* = -sum_k R^k g_k and the hyperplane direction is pi_0."""
+    m = R.shape[0]
+    return SpectralSplit(M=wdata.W, V1=R, V0=np.zeros((0, 0)), L=wdata.W,
+                         K=np.zeros((m, 0)), E=wdata.W_inv, F=np.zeros((0, m)),
+                         p=m, nu=1, eps_zero=0.0)
 
 
 def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
@@ -358,9 +383,9 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
 
     u_r = G^r x + W R^{-r} y - sum_{k=1}^{r} (G^{r-k} W - W R^{k-r}) g_k,
     with the boundary handled as in :func:`solve_poisson` but with y an
-    m-vector multiplying W R^{-r} (so here p = m and no splitting is needed).
-    The output differs from :func:`solve_poisson` by a homogeneous solution
-    only.
+    m-vector multiplying W R^{-r} (so here p = m and no Schur split is
+    needed).  The output differs from :func:`solve_poisson` by a homogeneous
+    solution only.
     """
     opt = options or SolveOptions()
     if condition_number(model.A1) > 1e12:
@@ -371,61 +396,5 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
         raise ClassificationError(
             "nonsingular-A1 path requires a chain that is not null recurrent")
     wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    W = wdata.W
-    m = model.m
-    eye = np.eye(m)
-    Pstar = model.B + model.A1 @ sols.G
-
-    # y* and the constraint take the R-parametrized form
-    y_star = np.zeros(m)
-    r_pow = np.eye(m)
-    for k in range(1, g.N + 1):
-        r_pow = r_pow @ sols.R
-        y_star -= r_pow @ g.block(k)
-
-    if sols.classification is Classification.TRANSIENT:
-        if opt.y_free is None:
-            y = np.zeros(m)
-        else:
-            y = np.asarray(opt.y_free, dtype=float)
-            if y.shape != (m,):
-                raise ValueError(f"y_free must have length m = {m}, "
-                                 f"got shape {y.shape}")
-        rhs = (model.B - eye) @ W @ y + model.A1 @ W @ np.linalg.solve(sols.R, y) \
-            + g.block(0)
-        x = np.linalg.solve(eye - Pstar, rhs)
-        alpha = None
-    else:
-        st = qme.stationary(model, sols, Normalization.PROBABILITY)
-        pig = pi_dot_g(st.pi0, sols.R, g)
-        y_perp = _solve_hyperplane(st.pi0.copy(), pig, norm_inf(g.blocks), opt)
-        y = y_star + y_perp
-        rhs = (model.B - eye) @ W @ y + model.A1 @ W @ np.linalg.solve(sols.R, y) \
-            + g.block(0)
-        gi = group_inverse(Pstar)
-        x = gi.sharp @ rhs + opt.alpha * np.ones(m)
-        alpha = opt.alpha
-
-    R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
-    u = np.empty((R_max + 1, m))
-    Wg = _w_times_rhs(W, g)
-    # same stable regrouping as evaluate_u_sequence, with (R, I) for (V1, E):
-    # R^{-r} multiplies only the deviation y - y*; the series tail
-    # sum_{k=r+1}^{N} R^{k-r} g_k goes through positive powers
-    tails = np.zeros((g.N + 1, m))
-    for r in range(g.N - 1, -1, -1):
-        tails[r] = sols.R @ (g.block(r + 1) + tails[r + 1])
-    xr = x.copy()
-    t = y - y_star                   # R^{-r} (y - y*)
-    down = np.zeros(m)               # sum_{j=0}^{r-1} G^j W g_{r-j}
-    for r in range(R_max + 1):
-        if r > 0:
-            xr = sols.G @ xr
-            down = sols.G @ down + (Wg[r] if r <= g.N else 0.0)
-            t = np.linalg.solve(sols.R, t)
-        tail = tails[r] if r < g.N else np.zeros(m)
-        u[r] = xr - down + W @ (t - tail)
-    report = verify.residuals(model, g, u, tol=opt.residual_tol)
-    return PoissonSolution(classification=sols.classification, x=x, y=y,
-                           y_star=y_star, alpha=alpha, sigma1=np.zeros(m),
-                           R_max=R_max, u=u, diagnostics=report)
+    return _solve_family(model, sols, g, opt, sols.G, sols.Ghat,
+                         _corollary_split(wdata, sols.R), wdata)

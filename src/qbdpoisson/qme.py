@@ -290,22 +290,27 @@ def _spectral_classification(sp_G: float, sp_Ghat: float) -> Classification | No
     return None
 
 
+def _cross_checked(d: float, sp_G: float, sp_Ghat: float,
+                   null_band: float) -> Classification:
+    """Class of drift ``d``; warns when the spectral radii point elsewhere."""
+    cls = _classify_drift(d, null_band)
+    spectral = _spectral_classification(sp_G, sp_Ghat)
+    if spectral is not None and spectral is not cls:
+        warnings.warn(
+            f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
+            f"spectral radii sp(G)={sp_G:.12f}, sp(Ghat)={sp_Ghat:.12f}",
+            RuntimeWarning, stacklevel=3)
+    return cls
+
+
 def classify(model: QbdModel, sols: "QmeSolutions",
              null_band: float = NULL_BAND) -> Classification:
     """Drift-based classification, cross-checked against sp(G) and sp(Ghat).
 
-    The drift decides; a disagreement with the spectral radii is reported as
-    a :class:`RuntimeWarning`, not an error.
+    The drift ``sols.drift`` decides; a disagreement with the spectral radii
+    is reported as a :class:`RuntimeWarning`, not an error.
     """
-    d = drift(model)
-    cls = _classify_drift(d, null_band)
-    spectral = _spectral_classification(sols.sp_G, sols.sp_Ghat)
-    if spectral is not None and spectral is not cls:
-        warnings.warn(
-            f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
-            f"spectral radii sp(G)={sols.sp_G:.12f}, sp(Ghat)={sols.sp_Ghat:.12f}",
-            RuntimeWarning, stacklevel=2)
-    return cls
+    return _cross_checked(sols.drift, sols.sp_G, sols.sp_Ghat, null_band)
 
 
 def solve_model(model: QbdModel, *, tol: float = QME_TOL,
@@ -317,7 +322,8 @@ def solve_model(model: QbdModel, *, tol: float = QME_TOL,
     :func:`_solve_critical_pair`, which keeps full accuracy at the double
     unit root; everything else goes through logarithmic reduction.
     """
-    if abs(drift(model)) <= null_band:
+    d = drift(model)
+    if abs(d) <= null_band:
         G, Ghat = _solve_critical_pair(model, tol, max_iter)
     else:
         G = solve_qme(model.A_neg, model.A0, model.A1, tol=tol, max_iter=max_iter)
@@ -326,14 +332,7 @@ def solve_model(model: QbdModel, *, tol: float = QME_TOL,
     sp_G = spectral_radius(G)
     sp_Ghat = spectral_radius(Ghat)
     sp_R = spectral_radius(R)
-    d = drift(model)
-    cls = _classify_drift(d, null_band)
-    spectral = _spectral_classification(sp_G, sp_Ghat)
-    if spectral is not None and spectral is not cls:
-        warnings.warn(
-            f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
-            f"spectral radii sp(G)={sp_G:.12f}, sp(Ghat)={sp_Ghat:.12f}",
-            RuntimeWarning, stacklevel=2)
+    cls = _cross_checked(d, sp_G, sp_Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, Rhat=Rhat, U=U, Uhat=Uhat,
                         classification=cls, sp_G=sp_G, sp_Ghat=sp_Ghat,
                         sp_R=sp_R, drift=d)

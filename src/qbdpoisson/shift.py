@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poisson, qme, spectral, triple, verify
+from . import poisson, qme, spectral, triple
 from ._linalg import (Array, as_readonly, condition_number, norm_inf,
                       spectral_radius, unit_eigenvector)
 from .exceptions import ClassificationError, NumericalError
 from .model import QbdModel, RhsSpec
-from .qme import Classification, Normalization
+from .qme import Classification
 from .spectral import SpectralSplit
 from .triple import ResolventData
 
@@ -128,8 +128,9 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
                          ) -> poisson.PoissonSolution:
     """Solve the Poisson equation for a null recurrent chain via the shift.
 
-    The shifted difference equation is solved with the usual triple
-    machinery; the boundary condition reduces to
+    The shifted difference equation (Gt, Gddot, its split and Wt) and the
+    shift Q are handed to the one solution pipeline of
+    :mod:`qbdpoisson.poisson`: the boundary condition reduces to
     pi_0^T Wt^{-1} Lt (y - yt*) = pi^T g with pi_0 in unit-sum normalization
     (the constraint is scale invariant in pi_0), x follows from the finite
     Poisson equation in P* = B + A1 G via the group inverse, and the
@@ -146,37 +147,5 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
             f"solve_null_recurrent requires a null recurrent chain, got "
             f"{sols.classification.value}")
     sd = right_shift(model, sols, eps_zero=opt.eps_zero)
-    split_t = sd.split_t
-    Wt = sd.Wt.W
-    m = model.m
-    eye = np.eye(m)
-
-    sigma1 = poisson.compute_sigma(sd.Gt, split_t, Wt, g, 1)
-    y_star = poisson.compute_y_star(split_t, Wt, g)
-
-    st = qme.stationary(model, sols, Normalization.UNIT_SUM)
-    pig = poisson.pi_dot_g(st.pi0, sols.R, g)
-    direction = split_t.L.T @ (sd.Wt.W_inv.T @ st.pi0)
-    y_perp = poisson._solve_hyperplane(direction, pig, norm_inf(g.blocks), opt)
-    y = y_star + y_perp
-
-    B_t = model.B + model.A1 @ sd.Q
-    v1_inv_y = np.linalg.solve(split_t.V1, y) if split_t.p else y
-    rhs = g.block(0) + ((B_t - eye) @ sd.Gddot + model.A1) @ (
-        sigma1 + split_t.L @ v1_inv_y)
-    Pstar = model.B + model.A1 @ sols.G
-    gi = poisson.group_inverse(Pstar)
-    x = gi.sharp @ rhs + opt.alpha * np.ones(m)
-
-    R_max = g.N + 10 if opt.R_max is None else max(2, int(opt.R_max))
-    ut = poisson.evaluate_u_sequence(x, y, sd.Gt, split_t, Wt, g, R_max)
-    u = ut.copy()
-    partial = np.zeros(m)
-    for k in range(1, R_max + 1):
-        partial = partial + ut[k - 1]
-        u[k] = ut[k] + sd.Q @ partial
-
-    report = verify.residuals(model, g, u, tol=opt.residual_tol)
-    return poisson.PoissonSolution(
-        classification=Classification.NULL_RECURRENT, x=x, y=y, y_star=y_star,
-        alpha=opt.alpha, sigma1=sigma1, R_max=R_max, u=u, diagnostics=report)
+    return poisson._solve_family(model, sols, g, opt, sd.Gt, sd.Gddot,
+                                 sd.split_t, sd.Wt, Q=sd.Q)

@@ -9,6 +9,7 @@ from qbdpoisson import (Classification, ClassificationError,
                         solve_nonsingular_a1, solve_poisson, split, stationary,
                         compute_w)
 
+from qbdpoisson.poisson import _corollary_split
 from conftest import random_rhs, rhs, scalar_model
 
 
@@ -151,6 +152,17 @@ def test_transient_free_parameter(tr1, tr1_rhs):
         solve_poisson(tr1, tr1_rhs, SolveOptions(y_free=(0.3, 0.4)))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_transient_default_is_bounded(seed):
+    # the default y = y* leaves no V1^{-r} (y - y*) mode, so the levels
+    # beyond the forcing decay instead of growing geometrically
+    g = random_rhs(seed, 4)
+    sol = solve_poisson(random_model(seed, 4, Classification.TRANSIENT), g,
+                        SolveOptions(R_max=120))
+    np.testing.assert_array_equal(sol.y, sol.y_star)
+    assert np.linalg.norm(sol.u[120]) < np.linalg.norm(sol.u[g.N])
+
+
 def test_unbalanced_rhs_forces_growing_solution(pr1):
     # pi^T g = 2/3 != 0: the constraint pins y_perp = -2.5 and the solution
     # grows like -2.5 * 3^r
@@ -242,6 +254,30 @@ def test_nonsingular_a1_matches_general_path(pr1, pr1_rhs):
     rep = residuals(pr1, zero_g, diff, tol=1e-8)
     assert rep.boundary_residual <= 1e-8 * rep.scale
     assert max(rep.interior_residuals) <= 1e-8 * rep.scale
+
+
+def test_corollary_split_is_exact():
+    # W R = Ghat W makes (M = W, V1 = R) an exact split of Ghat, on which the
+    # corollary's sigma_1 vanishes up to rounding
+    def nrm(a):
+        return np.linalg.norm(a, np.inf)
+
+    count = 0
+    for seed in range(40):
+        cls = Classification.POSITIVE_RECURRENT if seed % 2 == 0 else Classification.TRANSIENT
+        model = random_model(seed, seed % 5 + 1, cls)
+        if np.linalg.cond(model.A1) > 1e10:
+            continue
+        g = random_rhs(seed, model.m)
+        s = solve_model(model)
+        w = compute_w(s.G, s.U, s.R, s.Ghat)
+        sp = _corollary_split(w, s.R)
+        assert nrm(sp.recompose() - s.Ghat) <= 1e-12 * nrm(s.Ghat), seed
+        assert nrm(s.Ghat @ sp.L - sp.L @ sp.V1) <= 1e-12 * nrm(s.Ghat) * nrm(sp.L)
+        sigma1 = solve_nonsingular_a1(model, g).sigma1
+        assert nrm(sigma1) <= 1e-12 * nrm(w.W) * nrm(g.blocks), seed
+        count += 1
+    assert count >= 30
 
 
 def test_nonsingular_a1_transient(tr1, tr1_rhs):
