@@ -22,15 +22,14 @@ import numpy as np
 from ._linalg import (Array, as_readonly, condition_number, norm_inf,
                       spectral_radius, stationary_vector)
 from .exceptions import ClassificationError, NumericalError
-from .model import QbdModel
+from .model import STOCHASTIC_TOL, QbdModel
 
 NULL_BAND = 1e-9
 QME_TOL = 1e-12
 QME_MAX_ITER = 200
 
-# spectral radii within this distance of 1 count as unit for the
-# drift/spectrum cross-check
-_SPECTRAL_BAND = 1e-6
+# tolerance on |sp - 1| in the drift/spectrum cross-check
+_UNIT_TOL = 1e-12
 
 
 class Classification(enum.Enum):
@@ -100,13 +99,11 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
               tol: float = QME_TOL, max_iter: int = QME_MAX_ITER) -> Array:
     """Minimal nonnegative solution X of A_low + (A_mid - I)X + A_high X^2 = 0.
 
-    Logarithmic reduction.  The iterate increases monotonically towards the
-    minimal solution; iteration stops once the additive increment reaches
-    machine level or visibly stagnates, after which the residual is verified
-    against ``tol``.  At zero drift the increments floor near sqrt(eps), the
-    intrinsic accuracy limit of the unshifted iteration at the double unit
-    root; :func:`solve_model` routes that case through an exact deflation
-    instead.
+    The blocks must be nonnegative, with A_low + A_mid + A_high
+    row-stochastic to :data:`~qbdpoisson.model.STOCHASTIC_TOL`; they go to
+    the shifted cyclic reduction of :func:`_solve_shifted`, with theta the
+    stationary vector of their sum.  When the sum is reducible theta is not
+    unique and the same kernel runs unshifted.
 
     Raises :class:`NumericalError` on non-convergence, reporting the last
     residual.
@@ -114,68 +111,87 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
     A_low = np.atleast_2d(np.asarray(A_low, dtype=float))
     A_mid = np.atleast_2d(np.asarray(A_mid, dtype=float))
     A_high = np.atleast_2d(np.asarray(A_high, dtype=float))
-    m = A_low.shape[0]
-    eye = np.eye(m)
 
     if min(A_low.min(), A_mid.min(), A_high.min()) < -1e-10:
         raise ValueError("blocks must be (numerically) nonnegative")
     rows = (A_low + A_mid + A_high).sum(axis=1)
-    if norm_inf(rows - 1.0) > 1e-8:
+    if norm_inf(rows - 1.0) > STOCHASTIC_TOL:
         raise ValueError("A_low + A_mid + A_high must be row-stochastic")
+    try:
+        theta = stationary_vector(A_low + A_mid + A_high)
+    except NumericalError:
+        theta = None
+    return _solve_shifted(A_low, A_mid, A_high, theta, tol, max_iter)
 
-    def _solve(lhs, rhs):
-        try:
-            return np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("logarithmic reduction: local block I - U "
-                                 "is singular") from exc
 
-    both = _solve(eye - A_mid, np.hstack([A_high, A_low]))
-    H, L = both[:, :m], both[:, m:]
-    G = L.copy()
-    T = H.copy()
-    recent: list[float] = []
-    for _ in range(max_iter):
-        U = H @ L + L @ H
-        both = _solve(eye - U, np.hstack([H @ H, L @ L]))
-        H, L = both[:, :m], both[:, m:]
-        increment = T @ L
-        G = G + increment
-        T = T @ H
-        inc = norm_inf(increment)
-        # stagnation near the zero-drift boundary: increments floor around
-        # sqrt(eps), the intrinsic accuracy limit at the double unit root
-        recent.append(inc)
-        stagnated = len(recent) >= 8 and inc >= 0.25 * max(recent[-8:])
-        if inc <= 1e-14 * (1.0 + norm_inf(G)) or stagnated:
-            residual = qme_residual(A_low, A_mid, A_high, G)
-            if residual > tol:
-                raise NumericalError(
-                    f"logarithmic reduction stagnated with residual {residual:.3e} > {tol:g}")
-            return G
-    residual = qme_residual(A_low, A_mid, A_high, G)
-    raise NumericalError(
-        f"logarithmic reduction: no convergence after {max_iter} iterations "
-        f"(last residual {residual:.3e})")
+def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
+                   theta: Array | None, tol: float, max_iter: int) -> Array:
+    """Minimal nonnegative solvent by cyclic reduction with the unit root
+    shifted away (He, Meini & Rhee, SIAM J. Matrix Anal. Appl. 23, 2001;
+    Bini, Latouche & Meini, Numerical Methods for Structured Markov Chains,
+    2005).
+
+    z = 1 is a characteristic root of every such equation, with right
+    eigenvector 1 and left eigenvector theta.  It belongs to the minimal
+    solution X (which is then stochastic) iff theta^T (A_high - A_low) 1 <= 0.
+    Removing it before the reduction leaves no (near-)double root at 1, so
+    cyclic reduction converges quadratically at full accuracy for any drift:
+
+    * owned root, shifted to 0 on the right with Q = 1 u^T (u uniform): the
+      blocks (A_low (I - Q), A_mid + A_high Q, A_high) have solvent X - Q;
+    * foreign root, shifted to infinity on the left with Q = 1 theta^T: the
+      blocks (A_low, A_mid + Q A_low, (I - Q) A_high) keep the right factor
+      (zI - X) of the matrix polynomial, so their solvent is X itself.
+
+    ``theta=None`` runs the reduction unshifted.  The result is checked
+    against the original equation, to ``tol``.
+    """
+    m = A_low.shape[0]
+    eye = np.eye(m)
+    if theta is None:
+        X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)
+    elif _drift(A_low, A_high, theta) <= 0.0:
+        Q = np.full((m, m), 1.0 / m)
+        X = _cyclic_reduction(A_low @ (eye - Q), A_mid + A_high @ Q, A_high,
+                              max_iter) + Q
+    else:
+        Q = np.outer(np.ones(m), theta)
+        X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (eye - Q) @ A_high,
+                              max_iter)
+    residual = qme_residual(A_low, A_mid, A_high, X)
+    if residual > tol:
+        raise NumericalError(
+            f"shifted cyclic reduction: residual {residual:.3e} > {tol:g} (the "
+            "shift needs A_low + A_mid + A_high row-stochastic to rounding)")
+    return X
 
 
 def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
-                      tol: float, max_iter: int) -> Array:
+                      max_iter: int) -> Array:
     """Canonical solvent of A_low + (A_mid - I)X + A_high X^2 = 0 by cyclic
     reduction.
 
     Works on general (not necessarily nonnegative) blocks, which is what the
-    internally shifted equations produce; converges to the solvent whose
-    spectrum consists of the m smallest characteristic roots.
+    shifted equations of :func:`_solve_shifted` are; converges to the solvent
+    whose spectrum consists of the m smallest characteristic roots.  Stops
+    once the increments reach machine level or stagnate; raises
+    :class:`NumericalError`, with the last residual, when that takes more
+    than ``max_iter`` steps.
     """
     m = A_low.shape[0]
     eye = np.eye(m)
-    low, mid, high = A_low.copy(), A_mid.copy(), A_high.copy()
-    mid_hat = A_mid.copy()
+    low, mid, high, mid_hat = A_low, A_mid, A_high, A_mid
+
+    def solvent():
+        try:
+            return np.linalg.solve(eye - mid_hat, A_low)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("cyclic reduction: I - U is singular") from exc
+
     recent: list[float] = []
     for _ in range(max_iter):
         try:
-            S = np.linalg.solve(eye - mid, np.eye(m))
+            S = np.linalg.solve(eye - mid, eye)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("cyclic reduction: I - A0 became singular") from exc
         up = high @ S
@@ -189,50 +205,11 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
         recent.append(inc)
         stagnated = len(recent) >= 8 and inc >= 0.25 * max(recent[-8:])
         if inc <= 1e-15 * (1.0 + norm_inf(mid_hat)) or stagnated:
-            try:
-                X = np.linalg.solve(eye - mid_hat, A_low)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("cyclic reduction: I - U is singular") from exc
-            residual = qme_residual(A_low, A_mid, A_high, X)
-            if residual > tol:
-                raise NumericalError(
-                    f"cyclic reduction stagnated with residual {residual:.3e} > {tol:g}")
-            return X
+            return solvent()
+    residual = qme_residual(A_low, A_mid, A_high, solvent())
     raise NumericalError(
-        f"cyclic reduction: no convergence after {max_iter} iterations")
-
-
-def _solve_critical_pair(model: QbdModel, tol: float, max_iter: int
-                         ) -> tuple[Array, Array]:
-    """(G, Ghat) for a null recurrent chain, at full accuracy.
-
-    At zero drift the unit characteristic root is double and plain reduction
-    algorithms lose half the digits (error ~ sqrt(eps)).  Both G and Ghat are
-    stochastic there, so the unit root can be deflated a priori with the
-    exactly known eigenvector 1: with Q = 1 u^T (u any probability vector)
-    the minimal solution of the shifted equation
-
-        A_neg (I - Q) + (A0 + A1 Q - I) X + A1 X^2 = 0
-
-    is exactly G - Q, and the shifted problem has a simple unit root, so
-    cyclic reduction converges quadratically with full accuracy.  The same
-    deflation applied to the level-reversed blocks recovers Ghat.
-    """
-    m = model.m
-    eye = np.eye(m)
-    Q = np.full((m, m), 1.0 / m)
-    deflate = eye - Q
-    G = _cyclic_reduction(model.A_neg @ deflate, model.A0 + model.A1 @ Q,
-                          model.A1, tol, max_iter) + Q
-    Ghat = _cyclic_reduction(model.A1 @ deflate, model.A0 + model.A_neg @ Q,
-                             model.A_neg, tol, max_iter) + Q
-    res_G = qme_residual(model.A_neg, model.A0, model.A1, G)
-    res_Ghat = qme_residual(model.A1, model.A0, model.A_neg, Ghat)
-    if max(res_G, res_Ghat) > tol:
-        raise NumericalError(
-            f"deflated solve failed its residual check "
-            f"({res_G:.3e}, {res_Ghat:.3e}); the chain may not be null recurrent")
-    return G, Ghat
+        f"cyclic reduction: no convergence after {max_iter} iterations "
+        f"(last residual {residual:.3e})")
 
 
 def compute_r_u(model: QbdModel, G: Array, Ghat: Array
@@ -266,8 +243,11 @@ def compute_r_u(model: QbdModel, G: Array, Ghat: Array
 
 def drift(model: QbdModel) -> float:
     """Mean drift theta^T (A1 - A_neg) 1 of the repeating phase process."""
-    theta = stationary_vector(model.repeating_sum())
-    return float(theta @ (model.A1 - model.A_neg) @ np.ones(model.m))
+    return _drift(model.A_neg, model.A1, stationary_vector(model.repeating_sum()))
+
+
+def _drift(A_low: Array, A_high: Array, theta: Array) -> float:
+    return float(theta @ (A_high - A_low) @ np.ones(A_low.shape[0]))
 
 
 def _classify_drift(d: float, null_band: float) -> Classification:
@@ -278,27 +258,22 @@ def _classify_drift(d: float, null_band: float) -> Classification:
     return Classification.NULL_RECURRENT
 
 
-def _spectral_classification(sp_G: float, sp_Ghat: float) -> Classification | None:
-    g_unit = abs(sp_G - 1.0) <= _SPECTRAL_BAND
-    ghat_unit = abs(sp_Ghat - 1.0) <= _SPECTRAL_BAND
-    if g_unit and ghat_unit:
-        return Classification.NULL_RECURRENT
-    if g_unit and sp_Ghat < 1.0:
-        return Classification.POSITIVE_RECURRENT
-    if ghat_unit and sp_G < 1.0:
-        return Classification.TRANSIENT
-    return None
-
-
 def _cross_checked(d: float, sp_G: float, sp_Ghat: float,
                    null_band: float) -> Classification:
-    """Class of drift ``d``; warns when the spectral radii point elsewhere."""
+    """Class of drift ``d``; warns when the spectral radii contradict its sign.
+
+    The sign assigns the unit root to G when d <= 0 and to Ghat when d >= 0;
+    a solvent that owns it must have spectral radius 1, the other at most 1,
+    both to within :data:`_UNIT_TOL`.
+    """
     cls = _classify_drift(d, null_band)
-    spectral = _spectral_classification(sp_G, sp_Ghat)
-    if spectral is not None and spectral is not cls:
+    contradicted = any(
+        (abs(sp - 1.0) if owns_unit_root else sp - 1.0) > _UNIT_TOL
+        for sp, owns_unit_root in ((sp_G, d <= 0.0), (sp_Ghat, d >= 0.0)))
+    if contradicted:
         warnings.warn(
             f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
-            f"spectral radii sp(G)={sp_G:.12f}, sp(Ghat)={sp_Ghat:.12f}",
+            f"spectral radii sp(G)={sp_G:.15f}, sp(Ghat)={sp_Ghat:.15f}",
             RuntimeWarning, stacklevel=3)
     return cls
 
@@ -318,16 +293,15 @@ def solve_model(model: QbdModel, *, tol: float = QME_TOL,
                 null_band: float = NULL_BAND) -> QmeSolutions:
     """Solve all four quadratic equations and classify the chain.
 
-    Chains whose drift falls inside the null band get the deflated solve of
-    :func:`_solve_critical_pair`, which keeps full accuracy at the double
-    unit root; everything else goes through logarithmic reduction.
+    G and Ghat both come from the shifted cyclic reduction of
+    :func:`_solve_shifted`, with the stationary vector theta of
+    A_neg + A0 + A1 computed once; the sign of the drift decides which of
+    them owns the unit root.  The null band only labels the class.
     """
-    d = drift(model)
-    if abs(d) <= null_band:
-        G, Ghat = _solve_critical_pair(model, tol, max_iter)
-    else:
-        G = solve_qme(model.A_neg, model.A0, model.A1, tol=tol, max_iter=max_iter)
-        Ghat = solve_qme(model.A1, model.A0, model.A_neg, tol=tol, max_iter=max_iter)
+    theta = stationary_vector(model.repeating_sum())
+    d = _drift(model.A_neg, model.A1, theta)
+    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta, tol, max_iter)
+    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, tol, max_iter)
     U, R, Uhat, Rhat = compute_r_u(model, G, Ghat)
     sp_G = spectral_radius(G)
     sp_Ghat = spectral_radius(Ghat)

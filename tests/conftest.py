@@ -47,11 +47,13 @@ def nr1_rhs():
 
 def minimal_nonneg_root(a_low: float, a_mid: float, a_high: float) -> float:
     """Oracle for scalar quadratic equations: smallest nonnegative root of
-    a_low + (a_mid - 1) x + a_high x^2 = 0 by the quadratic formula."""
-    roots = np.roots([a_high, a_mid - 1.0, a_low])
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real >= -1e-12)
-    assert real, f"no nonnegative real root for ({a_low}, {a_mid}, {a_high})"
-    return float(real[0])
+    a_low + (a_mid - 1) x + a_high x^2 = 0.
+
+    With a_low + a_mid + a_high = 1 the polynomial factors exactly as
+    (x - 1)(a_high x - a_low), so the roots are 1 and a_low / a_high.
+    """
+    assert a_low + a_mid + a_high == pytest.approx(1.0, abs=1e-14)
+    return 1.0 if a_high <= a_low else a_low / a_high
 
 
 def random_rhs(seed: int, m: int, n_blocks: int = 3) -> RhsSpec:

@@ -1,12 +1,69 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, Normalization,
-                        NumericalError, char_roots, classify, drift,
-                        random_model, solve_model, solve_qme, stationary)
-from qbdpoisson.qme import qme_residual
+                        NumericalError, QbdModel, RhsSpec, char_roots, classify,
+                        drift, random_model, solve_model, solve_poisson,
+                        solve_qme, stationary)
+from qbdpoisson.qme import _cross_checked, qme_residual
 
-from conftest import minimal_nonneg_root
+from conftest import minimal_nonneg_root, scalar_model
+
+SWEEP_DRIFTS = [sign * mag for mag in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 2e-9, 1e-10, 1e-12)
+                for sign in (-1.0, 1.0)]
+
+
+def with_drift(model: QbdModel, target: float) -> QbdModel:
+    """``model`` with A1 and A_neg mixed to drift ``target``.
+
+    A_neg' = (1 - t) A_neg + t A1 and A1' = (1 - t) A1 + t A_neg leave
+    A_neg + A0 + A1 unchanged and scale the drift by 1 - 2t; the boundary
+    stays reflecting, B = A_neg' + A0.
+    """
+    t = 0.5 * (1.0 - target / drift(model))
+    A_neg = (1.0 - t) * model.A_neg + t * model.A1
+    A1 = (1.0 - t) * model.A1 + t * model.A_neg
+    return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
+
+
+def mp_minimal_solution(A_low, A_mid, A_high) -> np.ndarray:
+    """Oracle: logarithmic reduction in 40-digit arithmetic.
+
+    Each row's rounding residue 1 - sum_j (A_low + A_mid + A_high)_ij is first
+    added to the diagonal of A_mid in extended precision.  Without that
+    projection the 1e-16 row-sum error of the double-precision blocks moves a
+    near-double unit root by about 1e-8.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        low, mid, high = (mpmath.matrix(np.asarray(a).tolist())
+                          for a in (A_low, A_mid, A_high))
+        m = low.rows
+        for i in range(m):
+            mid[i, i] += 1 - mpmath.fsum(low[i, j] + mid[i, j] + high[i, j]
+                                         for j in range(m))
+        eye = mpmath.eye(m)
+        local = (eye - mid) ** -1
+        H, L = local * high, local * low
+        X, T = L, H
+        for _ in range(200):
+            step = (eye - H * L - L * H) ** -1
+            H, L = step * H * H, step * L * L
+            increment = T * L
+            X, T = X + increment, T * H
+            if mpmath.mnorm(increment, 1) < mpmath.mpf(10) ** -38:
+                break
+        else:
+            raise AssertionError("oracle did not converge")
+        return np.array(X.tolist(), dtype=float)
+
+
+def solve_quietly(model: QbdModel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return solve_model(model)
 
 
 def test_scalar_g_matrices_match_quadratic_formula(pr1, tr1, nr1):
@@ -20,7 +77,7 @@ def test_scalar_g_matrices_match_quadratic_formula(pr1, tr1, nr1):
     assert G[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
     # double unit root at zero drift
     G = solve_qme(nr1.A_neg, nr1.A0, nr1.A1)
-    assert G[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert G[0, 0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_zero_down_block_gives_zero_solution():
@@ -31,13 +88,19 @@ def test_zero_down_block_gives_zero_solution():
 def test_solve_qme_rejects_bad_blocks():
     with pytest.raises(ValueError, match="row-stochastic"):
         solve_qme([[0.5]], [[0.5]], [[0.5]])
+    # the unit-root shift needs the row sums exact to rounding
+    with pytest.raises(ValueError, match="row-stochastic"):
+        solve_qme([[0.3]], [[0.4]], [[0.3 + 1e-10]])
     with pytest.raises(ValueError, match="nonnegative"):
         solve_qme([[-0.1]], [[0.6]], [[0.5]])
 
 
-def test_solve_qme_reports_non_convergence(nr1):
-    with pytest.raises(NumericalError, match="residual"):
-        solve_qme(nr1.A_neg, nr1.A0, nr1.A1, max_iter=3)
+def test_solve_qme_reports_non_convergence():
+    # the shifted reduction needs 5 steps on this chain
+    model = random_model(0, 4, Classification.POSITIVE_RECURRENT)
+    with pytest.raises(NumericalError, match="last residual"):
+        solve_qme(model.A_neg, model.A0, model.A1, max_iter=3)
+    solve_qme(model.A_neg, model.A0, model.A1, max_iter=5)
 
 
 def test_r_u_relations(pr1, tr1, nr1):
@@ -71,7 +134,7 @@ def test_char_roots_scalar(pr1, tr1, nr1):
     np.testing.assert_allclose(char_roots(solve_model(pr1)), [1.0, 3.0], atol=1e-12)
     np.testing.assert_allclose(char_roots(solve_model(tr1)), [1.0 / 3.0, 1.0],
                                atol=1e-12)
-    np.testing.assert_allclose(char_roots(solve_model(nr1)), [1.0, 1.0], atol=1e-8)
+    np.testing.assert_allclose(char_roots(solve_model(nr1)), [1.0, 1.0], atol=1e-13)
 
 
 def test_char_roots_deficient_degree():
@@ -165,3 +228,56 @@ def test_root_interlacing_on_random_models(seed):
     assert xi_m1.real >= 1 - 1e-8
     if np.isfinite(mods[m + 1] if m + 1 < 2 * m else np.inf) and m + 1 < 2 * m:
         assert xi_m1.real <= mods[m + 1] + 1e-8
+
+
+@pytest.mark.parametrize("d", SWEEP_DRIFTS)
+def test_scalar_drift_sweep_matches_exact_roots(d):
+    p = 0.3
+    q = p - d
+    s = solve_quietly(scalar_model(q, 1.0 - p - q, p, 1.0 - p))
+    assert abs(s.G[0, 0] - min(1.0, q / p)) <= 1e-13
+    assert abs(s.Ghat[0, 0] - min(1.0, p / q)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", SWEEP_DRIFTS)
+def test_random_drift_sweep_matches_extended_precision(d):
+    model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), d)
+    s = solve_quietly(model)
+    G = mp_minimal_solution(model.A_neg, model.A0, model.A1)
+    Ghat = mp_minimal_solution(model.A1, model.A0, model.A_neg)
+    assert np.abs(s.G - G).max() <= 1e-13
+    assert np.abs(s.Ghat - Ghat).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [-2e-9, -1e-8])
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_poisson_just_outside_null_band(m, d):
+    # g = (I - P) h: the level equations have an exact bounded solution
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
+    h = np.random.Generator(np.random.Philox(key=m)).normal(size=(6, m))
+    h = np.vstack([h, np.zeros((2, m))])
+    g = h - h @ model.A0.T
+    g[0] = h[0] - model.B @ h[0]
+    g[1:] -= h[:-1] @ model.A_neg.T
+    g[:-1] -= h[1:] @ model.A1.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = np.asarray(solve_poisson(model, RhsSpec(g)).u)
+    full_g = np.zeros_like(u)
+    full_g[:len(g)] = g
+    norms = np.abs(u).max(axis=1)
+    interior = (u[1:-1] - u[1:-1] @ model.A0.T - u[:-2] @ model.A_neg.T
+                - u[2:] @ model.A1.T - full_g[1:-1])
+    scale = 1.0 + norms[:-2] + norms[1:-1] + norms[2:]
+    assert (np.abs(interior).max(axis=1) / scale).max() <= 1e-11
+
+
+def test_cross_check_warns_on_flipped_drift(pr1):
+    s = solve_model(pr1)
+    _cross_checked(s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+    with pytest.warns(RuntimeWarning, match="disagrees"):
+        _cross_checked(-s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+    model = random_model(2, 5, Classification.POSITIVE_RECURRENT)
+    s = solve_model(model)
+    with pytest.warns(RuntimeWarning, match="disagrees"):
+        _cross_checked(-s.drift, s.sp_G, s.sp_Ghat, 1e-9)
