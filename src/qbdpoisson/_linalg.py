@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
 
@@ -32,69 +29,36 @@ def spectral_radius(a: Array) -> float:
 
 
 def stationary_vector(P: Array) -> Array:
-    """Left Perron vector of a row-stochastic irreducible matrix, unit sum.
-
-    Solves pi^T (I - P) = 0 through the bordered system I - P + 1 u^T, which
-    is nonsingular for any u with u^T 1 != 0 whenever P is irreducible.
-    """
-    n = P.shape[0]
-    if n == 1:
-        return np.ones(1)
-    u = np.full(n, 1.0 / n)
-    M = np.eye(n) - P + np.outer(np.ones(n), u)
-    try:
-        pi = np.linalg.solve(M.T, u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("stationary vector: bordered system is singular "
-                             "(matrix appears reducible)") from exc
-    s = pi.sum()
-    if s == 0.0 or not np.isfinite(s):
-        raise NumericalError("stationary vector: normalization failed "
-                             "(matrix appears reducible)")
-    return pi / s
+    """Left Perron vector of a row-stochastic irreducible matrix, unit sum."""
+    return unit_eigenvector(P, left=True)
 
 
-def unit_eigenvector(X: Array, *, left: bool = False, tol: float = 1e-12,
-                     max_iter: int = 50) -> Array:
-    """Nonnegative eigenvector of X for the (simple) eigenvalue 1.
+def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
+    """Eigenvector of X for its (simple) eigenvalue at or next to 1, unit sum.
 
-    Inverse iteration on X - I with a fixed shift; when the factorization of
-    the (numerically singular) matrix breaks down, a one-step deflation by a
-    tiny diagonal shift restores a usable pivot.  Returned with unit 2-norm.
+    With A = X^T when ``left`` (else X) and u uniform, solves the bordered
+    system (I - A + u 1^T) z = u, which is nonsingular whenever 1 is a simple
+    eigenvalue of A, and rescales z to 1^T z = 1.  When 1 is just outside
+    the spectrum, the same solve is one step of inverse iteration with a
+    shift next to the eigenvalue, so it returns that eigenvector to within
+    the distance of the eigenvalue from 1.
     """
     A = X.T if left else X
     n = A.shape[0]
     if n == 1:
         return np.ones(1)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for shift in (0.0, 1e-14, 1e-12, 1e-10):
-        B = A - (1.0 + shift) * np.eye(n)
-        try:
-            with warnings.catch_warnings():
-                # X - I is singular by design; a zero pivot is handled below
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(B)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        w = v.copy()
-        for _ in range(max_iter):
-            try:
-                z = scipy.linalg.lu_solve(lu, w)
-            except (np.linalg.LinAlgError, ValueError):
-                z = None
-            if z is None or not np.all(np.isfinite(z)):
-                break
-            z = z / np.linalg.norm(z)
-            if z.sum() < 0:
-                z = -z
-            if norm_inf(A @ z - z) <= tol:
-                return z
-            w = z
-        else:
-            # no convergence at this shift; try the next one
-            continue
-    raise NumericalError("unit eigenvector: inverse iteration did not converge "
-                         f"to tolerance {tol:g}")
+    u = np.full(n, 1.0 / n)
+    M = np.eye(n) - A + np.outer(u, np.ones(n))
+    try:
+        z = np.linalg.solve(M, u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("unit eigenvector: bordered system is singular "
+                             "(matrix appears reducible)") from exc
+    s = z.sum()
+    if s == 0.0 or not np.isfinite(s):
+        raise NumericalError("unit eigenvector: normalization failed "
+                             "(matrix appears reducible)")
+    return z / s
 
 
 def condition_number(a: Array) -> float:

@@ -112,7 +112,10 @@ def build_parser() -> _Parser:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"output is not strict JSON: {exc}") from exc
 
 
 def _load(args):

@@ -60,8 +60,6 @@ class SolveOptions:
     residual_tol: float = DEFAULT_RESIDUAL_TOL
     null_band: float = qme.NULL_BAND
     eps_zero: float | None = None
-    qme_tol: float = qme.QME_TOL
-    qme_max_iter: int = qme.QME_MAX_ITER
 
     def __post_init__(self):
         if self.y_perp_mode not in Y_PERP_MODES:
@@ -250,14 +248,16 @@ def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
     return total
 
 
-def _solve_hyperplane(direction: Array, target: float, g_scale: float,
+def _solve_hyperplane(direction: Array, direction_scale: float,
+                      target: float, g_scale: float,
                       options: SolveOptions) -> Array:
     """A vector y_perp with direction^T y_perp = target, per the chosen mode.
 
-    ``direction`` is (pi_0^T W^{-1} L)^T.  The constraint is infeasible only
-    when the direction vanishes while the target does not; that case (and an
-    explicit or zero y_perp violating the constraint) raises
-    :class:`InfeasibleConstraintError`.
+    ``direction`` is (pi_0^T W^{-1} L)^T and ``direction_scale`` the product
+    ||L|| ||W^{-1}|| ||pi_0|| of its factors' norms.  The constraint is
+    infeasible only when the direction vanishes relative to that scale while
+    the target does not; that case (and an explicit or zero y_perp violating
+    the constraint) raises :class:`InfeasibleConstraintError`.
     """
     feas_tol = 1e-8 * (1.0 + g_scale)
     if options.y_perp_mode == "zero":
@@ -279,7 +279,7 @@ def _solve_hyperplane(direction: Array, target: float, g_scale: float,
         return y_perp
     # minimal-norm solution of the single linear constraint
     nrm2 = float(direction @ direction)
-    if nrm2 <= 1e-24:
+    if np.sqrt(nrm2) <= 1e-12 * direction_scale:
         if abs(target) > feas_tol:
             raise InfeasibleConstraintError(
                 "boundary constraint infeasible: pi_0^T W^{-1} L = 0 while "
@@ -323,7 +323,10 @@ def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
         st = qme.stationary(model, sols, mode)
         pig = pi_dot_g(st.pi0, sols.R, g)
         direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
-        y = y_star + _solve_hyperplane(direction, pig, norm_inf(g.blocks), opt)
+        direction_scale = (np.linalg.norm(split.L) * np.linalg.norm(wdata.W_inv)
+                           * np.linalg.norm(st.pi0))
+        y = y_star + _solve_hyperplane(direction, direction_scale, pig,
+                                       norm_inf(g.blocks), opt)
 
     # sigma_1 is the level-1 block at x = 0, y = 0, i.e. deviation -y*
     sigma1 = _u_sequence(np.zeros(m), -y_star, G, split, W, g, 1)[1]
@@ -339,9 +342,16 @@ def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
         alpha = opt.alpha
 
     R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
-    u = evaluate_u_sequence(x, y, G, split, W, g, R_max)
-    if Q is not None:
-        u[1:] += np.cumsum(u[:-1], axis=0) @ Q.T
+    # a growing family may overflow; that is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = evaluate_u_sequence(x, y, G, split, W, g, R_max)
+        if Q is not None:
+            u[1:] += np.cumsum(u[:-1], axis=0) @ Q.T
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"solution is not finite from level {bad[0]} on (R_max = {R_max}); "
+            "the solution family overflows, choose fewer levels")
     report = verify.residuals(model, g, u, tol=opt.residual_tol)
     return PoissonSolution(classification=cls, x=x, y=y, y_star=y_star,
                            alpha=alpha, sigma1=sigma1, R_max=R_max, u=u,
@@ -357,8 +367,7 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
     (:func:`qbdpoisson.shift.solve_null_recurrent`).
     """
     opt = options or SolveOptions()
-    sols = qme.solve_model(model, tol=opt.qme_tol, max_iter=opt.qme_max_iter,
-                           null_band=opt.null_band)
+    sols = qme.solve_model(model, null_band=opt.null_band)
     if sols.classification is Classification.NULL_RECURRENT:
         from .shift import solve_null_recurrent
         return solve_null_recurrent(model, g, opt, sols=sols)
@@ -390,8 +399,7 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
     opt = options or SolveOptions()
     if condition_number(model.A1) > 1e12:
         raise NumericalError("A1 is numerically singular; use solve_poisson")
-    sols = qme.solve_model(model, tol=opt.qme_tol, max_iter=opt.qme_max_iter,
-                           null_band=opt.null_band)
+    sols = qme.solve_model(model, null_band=opt.null_band)
     if sols.classification is Classification.NULL_RECURRENT:
         raise ClassificationError(
             "nonsingular-A1 path requires a chain that is not null recurrent")

@@ -288,9 +288,8 @@ def classify(model: QbdModel, sols: "QmeSolutions",
     return _cross_checked(sols.drift, sols.sp_G, sols.sp_Ghat, null_band)
 
 
-def solve_model(model: QbdModel, *, tol: float = QME_TOL,
-                max_iter: int = QME_MAX_ITER,
-                null_band: float = NULL_BAND) -> QmeSolutions:
+def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
+                ) -> QmeSolutions:
     """Solve all four quadratic equations and classify the chain.
 
     G and Ghat both come from the shifted cyclic reduction of
@@ -300,8 +299,10 @@ def solve_model(model: QbdModel, *, tol: float = QME_TOL,
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta, tol, max_iter)
-    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, tol, max_iter)
+    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta, QME_TOL,
+                       QME_MAX_ITER)
+    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, QME_TOL,
+                          QME_MAX_ITER)
     U, R, Uhat, Rhat = compute_r_u(model, G, Ghat)
     sp_G = spectral_radius(G)
     sp_Ghat = spectral_radius(Ghat)

@@ -60,8 +60,14 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions, *,
                 eps_zero: float | None = None) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
-    The normalization scalar v_Ghat^T Hhat^{-1} w_Rhat is nonzero for null
-    recurrent chains; a vanishing value is reported as a degeneracy.
+    w_G, v_Ghat and the direction of w_Rhat are the unit eigenvectors of
+    :func:`~qbdpoisson._linalg.unit_eigenvector` (one bordered solve each,
+    unit sum); v_Ghat is then rescaled to v_Ghat^T w_G = 1, so Q does not
+    depend on either scale.  For a drift inside the null band but not zero,
+    G or Ghat has its eigenvalue within O(drift) of 1 and the vectors are
+    accurate to that order.  The normalization scalar
+    v_Ghat^T Hhat^{-1} w_Rhat is nonzero for null recurrent chains; a
+    vanishing value is reported as a degeneracy.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError(
@@ -139,9 +145,7 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
     """
     opt = options or poisson.SolveOptions()
     if sols is None:
-        sols = qme.solve_model(model, tol=opt.qme_tol,
-                               max_iter=opt.qme_max_iter,
-                               null_band=opt.null_band)
+        sols = qme.solve_model(model, null_band=opt.null_band)
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError(
             f"solve_null_recurrent requires a null recurrent chain, got "

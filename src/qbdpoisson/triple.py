@@ -7,8 +7,9 @@ recurrent the series W = sum_j G^j (U - I)^{-1} R^j converges and satisfies
     W^{-1} = (I - U)(G Ghat - I),      W R = Ghat W,
     W A1 (G Ghat - I) = Ghat,
 
-so W is computed from the closed form (one solve) and the series is kept as
-an independent cross-check.  Together with the splitting of Ghat, W yields a
+so W is computed from the closed form (one solve) and checked against the
+series' fixed-point equation (U - I)(W - G W R) = I; the series itself is
+kept as a reference.  Together with the splitting of Ghat, W yields a
 resolvent triple (X, T, Z): eta(lam)^{-1} = X T(lam)^{-1} Z with
 T(lam) = diag(lam I - T1, lam T2 - I), the engine behind the closed-form
 solution of the difference equation.
@@ -118,35 +119,30 @@ def w_series(G: Array, U: Array, R: Array, *, term_tol: float = 1e-14,
         "or too close to it")
 
 
-def compute_w(G: Array, U: Array, R: Array, Ghat: Array, *,
-              verify: bool = True) -> ResolventData:
+def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     """W from the closed form W^{-1} = (I - U)(G Ghat - I).
 
-    Requires sp(G) sp(R) < 1 (not null recurrent).  With ``verify`` the
-    defining series is summed as an independent cross-check and a mismatch
-    beyond 1e-8 (relative) raises; the check is skipped when the series does
-    not converge within its term cap.
+    Requires sp(G) sp(R) < 1 (not null recurrent).  W is checked against the
+    fixed-point (Stein) equation of its defining series,
+    (U - I)(W - G W R) = I, which holds only if W R = Ghat W; a residual
+    beyond 1e-8 (1 + ||W||) raises.
     """
     m = G.shape[0]
+    eye = np.eye(m)
     sp_product = spectral_radius(G) * spectral_radius(R)
     if sp_product >= 1.0 - qme.NULL_BAND:
         raise NumericalError(
             f"W is undefined: sp(G) sp(R) = {sp_product:.15f} >= 1 "
             "(null recurrent chain); use the shift path")
-    W_inv = (np.eye(m) - U) @ (G @ Ghat - np.eye(m))
+    W_inv = (eye - U) @ (G @ Ghat - eye)
     if condition_number(W_inv) > 1e14:
         raise NumericalError("(I - U)(G Ghat - I) is numerically singular")
-    W = np.linalg.solve(W_inv, np.eye(m))
-    if verify:
-        try:
-            series = w_series(G, U, R)
-        except NumericalError:
-            series = None
-        if series is not None:
-            mismatch = norm_inf(W - series) / (1.0 + norm_inf(W))
-            if mismatch > 1e-8:
-                raise NumericalError(
-                    f"closed-form W disagrees with its series by {mismatch:.3e}")
+    W = np.linalg.solve(W_inv, eye)
+    residual = norm_inf((U - eye) @ (W - G @ W @ R) - eye)
+    if residual > 1e-8 * (1.0 + norm_inf(W)):
+        raise NumericalError(
+            f"closed-form W fails its Stein equation (U - I)(W - G W R) = I "
+            f"by {residual:.3e}")
     return ResolventData(W=W, W_inv=W_inv)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import QbdModel, RhsSpec
+from qbdpoisson import QbdModel, RhsSpec, drift
 
 
 def scalar_model(a_neg: float, a0: float, a1: float, b: float) -> QbdModel:
@@ -59,3 +59,42 @@ def minimal_nonneg_root(a_low: float, a_mid: float, a_high: float) -> float:
 def random_rhs(seed: int, m: int, n_blocks: int = 3) -> RhsSpec:
     gen = np.random.Generator(np.random.Philox(key=seed + 777))
     return RhsSpec(gen.normal(size=(n_blocks, m)))
+
+
+def with_drift(model: QbdModel, target: float) -> QbdModel:
+    """``model`` with A1 and A_neg mixed to drift ``target``.
+
+    A_neg' = (1 - t) A_neg + t A1 and A1' = (1 - t) A1 + t A_neg leave
+    A_neg + A0 + A1 unchanged and scale the drift by 1 - 2t; the boundary
+    stays reflecting, B = A_neg' + A0.
+    """
+    t = 0.5 * (1.0 - target / drift(model))
+    A_neg = (1.0 - t) * model.A_neg + t * model.A1
+    A1 = (1.0 - t) * model.A1 + t * model.A_neg
+    return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
+
+
+def balanced_rhs(model: QbdModel, key: int) -> RhsSpec:
+    """g = (I - P) h for a random h on levels 0 ... 5: the level equations
+    then have the exact bounded solution h."""
+    m = model.m
+    h = np.random.Generator(np.random.Philox(key=key)).normal(size=(6, m))
+    h = np.vstack([h, np.zeros((2, m))])
+    g = h - h @ model.A0.T
+    g[0] = h[0] - model.B @ h[0]
+    g[1:] -= h[:-1] @ model.A_neg.T
+    g[:-1] -= h[1:] @ model.A1.T
+    return RhsSpec(g)
+
+
+def scaled_interior_residual(model: QbdModel, g: RhsSpec, u) -> float:
+    """Largest interior residual, each scaled by its own levels:
+    1 + ||u_r|| + ||u_{r+1}|| + ||u_{r+2}||."""
+    u = np.asarray(u)
+    full_g = np.zeros_like(u)
+    full_g[:g.N + 1] = g.blocks
+    norms = np.abs(u).max(axis=1)
+    interior = (u[1:-1] - u[1:-1] @ model.A0.T - u[:-2] @ model.A_neg.T
+                - u[2:] @ model.A1.T - full_g[1:-1])
+    scale = 1.0 + norms[:-2] + norms[1:-1] + norms[2:]
+    return float((np.abs(interior).max(axis=1) / scale).max())

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from qbdpoisson.cli import run
+from qbdpoisson import NumericalError
+from qbdpoisson.cli import _dump, run
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 PR1 = {"m": 1, "B": [[0.8]], "A_minus": [[0.6]], "A0": [[0.2]], "A1": [[0.2]],
        "g": [[1.0], [-3.0]]}
@@ -137,3 +141,19 @@ def test_oracle_command(tmp_path, capsys):
     assert run(["oracle", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
+
+
+def test_solve_refuses_non_finite_levels(tmp_path, capsys):
+    # the tandem model's solution family overflows long before level 3000
+    out = tmp_path / "long"
+    assert run(["solve", "--levels", "3000", "-o", str(out),
+                str(MODELS / "tandem_m2.json")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    assert "not finite from level" in err["message"]
+    assert not (tmp_path / "long.json").exists()
+
+
+def test_output_is_strict_json():
+    with pytest.raises(NumericalError, match="strict JSON"):
+        _dump({"value": float("nan")})

@@ -10,7 +10,7 @@ from qbdpoisson import (Classification, ClassificationError,
                         compute_w)
 
 from qbdpoisson.poisson import _corollary_split
-from conftest import random_rhs, rhs, scalar_model
+from conftest import random_rhs, rhs, scalar_model, scaled_interior_residual
 
 
 def direct_u(x, y, G, sp, W, g, r):
@@ -309,6 +309,22 @@ def test_chain_without_up_transitions():
     np.testing.assert_allclose(sol.u.ravel()[:5], [0.0, -2.0, 2.0, 2.0, 2.0],
                                atol=1e-12)
     assert sol.diagnostics.passed
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-8, 2e-9])
+def test_near_critical_hyperplane_is_feasible(gap):
+    # the hyperplane direction pi_0^T W^{-1} L scales like gap^2 here; only a
+    # test relative to the norms of its factors tells it from zero
+    p = 0.3
+    q = p + gap
+    model = scalar_model(q, 1.0 - p - q, p, 1.0 - p)
+    g = rhs([1.0])
+    sol = solve_poisson(model, g)
+    assert sol.classification is Classification.POSITIVE_RECURRENT
+    assert sol.diagnostics.passed
+    assert sol.diagnostics.boundary_residual <= 1e-12 * (
+        1.0 + np.abs(sol.u[:2]).max())
+    assert scaled_interior_residual(model, g, sol.u) <= 1e-12
 
 
 def test_pi_dot_g_matches_brute_force(pr1, pr1_rhs):

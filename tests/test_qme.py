@@ -4,28 +4,16 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, Normalization,
-                        NumericalError, QbdModel, RhsSpec, char_roots, classify,
+                        NumericalError, QbdModel, char_roots, classify,
                         drift, random_model, solve_model, solve_poisson,
                         solve_qme, stationary)
 from qbdpoisson.qme import _cross_checked, qme_residual
 
-from conftest import minimal_nonneg_root, scalar_model
+from conftest import (balanced_rhs, minimal_nonneg_root, scalar_model,
+                      scaled_interior_residual, with_drift)
 
 SWEEP_DRIFTS = [sign * mag for mag in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 2e-9, 1e-10, 1e-12)
                 for sign in (-1.0, 1.0)]
-
-
-def with_drift(model: QbdModel, target: float) -> QbdModel:
-    """``model`` with A1 and A_neg mixed to drift ``target``.
-
-    A_neg' = (1 - t) A_neg + t A1 and A1' = (1 - t) A1 + t A_neg leave
-    A_neg + A0 + A1 unchanged and scale the drift by 1 - 2t; the boundary
-    stays reflecting, B = A_neg' + A0.
-    """
-    t = 0.5 * (1.0 - target / drift(model))
-    A_neg = (1.0 - t) * model.A_neg + t * model.A1
-    A1 = (1.0 - t) * model.A1 + t * model.A_neg
-    return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
 
 
 def mp_minimal_solution(A_low, A_mid, A_high) -> np.ndarray:
@@ -254,22 +242,11 @@ def test_random_drift_sweep_matches_extended_precision(d):
 def test_poisson_just_outside_null_band(m, d):
     # g = (I - P) h: the level equations have an exact bounded solution
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
-    h = np.random.Generator(np.random.Philox(key=m)).normal(size=(6, m))
-    h = np.vstack([h, np.zeros((2, m))])
-    g = h - h @ model.A0.T
-    g[0] = h[0] - model.B @ h[0]
-    g[1:] -= h[:-1] @ model.A_neg.T
-    g[:-1] -= h[1:] @ model.A1.T
+    g = balanced_rhs(model, key=m)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        u = np.asarray(solve_poisson(model, RhsSpec(g)).u)
-    full_g = np.zeros_like(u)
-    full_g[:len(g)] = g
-    norms = np.abs(u).max(axis=1)
-    interior = (u[1:-1] - u[1:-1] @ model.A0.T - u[:-2] @ model.A_neg.T
-                - u[2:] @ model.A1.T - full_g[1:-1])
-    scale = 1.0 + norms[:-2] + norms[1:-1] + norms[2:]
-    assert (np.abs(interior).max(axis=1) / scale).max() <= 1e-11
+        u = np.asarray(solve_poisson(model, g).u)
+    assert scaled_interior_residual(model, g, u) <= 1e-11
 
 
 def test_cross_check_warns_on_flipped_drift(pr1):

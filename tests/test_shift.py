@@ -7,7 +7,10 @@ from qbdpoisson import (Classification, ClassificationError,
                         solve_null_recurrent, solve_poisson, stationary)
 from qbdpoisson.qme import Normalization
 
-from conftest import random_rhs, rhs
+from qbdpoisson._linalg import unit_eigenvector
+
+from conftest import (balanced_rhs, random_rhs, rhs, scaled_interior_residual,
+                      with_drift)
 
 
 def null_rhs(seed: int, m: int, n_blocks: int = 3):
@@ -29,6 +32,30 @@ def test_shift_data_scalar(nr1):
     report = shift_identity_report(nr1, s, sd)
     assert report["shifted_down_equation"] < 1e-12
     assert report["normalization"] == pytest.approx(-1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_unit_eigenvector_bordered_solve(m):
+    model = random_model(m, m, Classification.POSITIVE_RECURRENT)
+    P = model.repeating_sum()
+    right = unit_eigenvector(P)
+    left = unit_eigenvector(P, left=True)
+    np.testing.assert_allclose(right, np.full(m, 1.0 / m), atol=1e-15)
+    assert left.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(left @ P - left).max() <= 1e-15
+    assert left.min() > 0.0
+
+
+@pytest.mark.parametrize("d", [-1e-10, -1e-12, 1e-12, 1e-10])
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_in_band_drift_solves_on_shift_path(m, d):
+    # drift inside the null band but not zero: one of G, Ghat is stochastic
+    # only to O(d), so the shift's eigenvectors are O(d) accurate
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
+    g = balanced_rhs(model, key=m)
+    sol = solve_poisson(model, g)
+    assert sol.classification is Classification.NULL_RECURRENT
+    assert scaled_interior_residual(model, g, sol.u) <= 1e-12 + abs(d)
 
 
 def test_right_shift_rejects_wrong_class(pr1):

@@ -5,6 +5,8 @@ from qbdpoisson import (Classification, NumericalError, build_triple,
                         check_identities, compute_w, eta, random_model,
                         solve_model, split, w_series)
 
+from conftest import with_drift
+
 
 def geometric_series_w(G, U, R, terms=400):
     """Oracle: truncated defining series, plain summation."""
@@ -44,6 +46,16 @@ def test_w_rejects_null_recurrent_input(nr1):
         compute_w(s.G, s.U, s.R, s.Ghat)
     with pytest.raises(NumericalError):
         w_series(s.G, s.U, s.R)
+
+
+def test_w_check_catches_corrupted_ghat():
+    # near-critical: the series converges too slowly to sum, yet its Stein
+    # equation (U - I)(W - G W R) = I still exposes a Ghat that is off by 1e-6
+    model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), -1e-5)
+    s = solve_model(model)
+    compute_w(s.G, s.U, s.R, s.Ghat)
+    with pytest.raises(NumericalError, match="Stein equation"):
+        compute_w(s.G, s.U, s.R, s.Ghat + 1e-6)
 
 
 def test_triple_assembly_scalar(pr1):
