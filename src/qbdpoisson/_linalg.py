@@ -8,6 +8,10 @@ from .exceptions import NumericalError
 
 Array = np.ndarray
 
+# an eigenvalue within 1e-8 of 1 counts as the unit one (null-band chains
+# with nonzero drift are off by O(drift))
+_UNIT_EIGEN_TOL = 1e-8
+
 
 def as_readonly(a, *, dtype=float) -> Array:
     out = np.array(a, dtype=dtype)
@@ -34,31 +38,38 @@ def stationary_vector(P: Array) -> Array:
 
 
 def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
-    """Eigenvector of X for its (simple) eigenvalue at or next to 1, unit sum.
+    """Eigenvector of X for its eigenvalue at or next to 1, unit sum.
 
     With A = X^T when ``left`` (else X) and u uniform, solves the bordered
-    system (I - A + u 1^T) z = u, which is nonsingular whenever 1 is a simple
-    eigenvalue of A, and rescales z to 1^T z = 1.  When 1 is just outside
-    the spectrum, the same solve is one step of inverse iteration with a
-    shift next to the eigenvalue, so it returns that eigenvector to within
-    the distance of the eigenvalue from 1.
+    system (I - A + u 1^T) z = u and rescales z to 1^T z = 1.  For a
+    nonnegative irreducible A with spectral radius 1 the system is
+    nonsingular and z is the Perron vector.  When the Perron root is just
+    below 1, the same solve is one step of inverse iteration with a shift
+    next to it, so z is accurate to within the distance of the root from 1.
+    A residual ||A z - z|| above ``_UNIT_EIGEN_TOL`` ||z|| raises
+    :class:`NumericalError`: 1 is then not (close to) an eigenvalue.
     """
     A = X.T if left else X
     n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
-    u = np.full(n, 1.0 / n)
-    M = np.eye(n) - A + np.outer(u, np.ones(n))
-    try:
-        z = np.linalg.solve(M, u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("unit eigenvector: bordered system is singular "
-                             "(matrix appears reducible)") from exc
-    s = z.sum()
-    if s == 0.0 or not np.isfinite(s):
-        raise NumericalError("unit eigenvector: normalization failed "
-                             "(matrix appears reducible)")
-    return z / s
+    z = np.ones(1)
+    if n > 1:
+        u = np.full(n, 1.0 / n)
+        M = np.eye(n) - A + np.outer(u, np.ones(n))
+        try:
+            z = np.linalg.solve(M, u)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("unit eigenvector: bordered system is singular "
+                                 "(matrix appears reducible)") from exc
+        s = z.sum()
+        if s == 0.0 or not np.isfinite(s):
+            raise NumericalError("unit eigenvector: normalization failed "
+                                 "(matrix appears reducible)")
+        z = z / s
+    residual = norm_inf(A @ z - z)
+    if not residual <= _UNIT_EIGEN_TOL * norm_inf(z):
+        raise NumericalError(f"unit eigenvector: ||A z - z|| = {residual:.3e}; "
+                             "1 is not an eigenvalue of the matrix")
+    return z
 
 
 def condition_number(a: Array) -> float:

@@ -119,17 +119,22 @@ class PoissonSolution:
             object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
-def group_inverse(Pstar: Array, *, stochastic_tol: float = 1e-10) -> GroupInverseData:
+def group_inverse(Pstar: Array, *, stochastic_tol: float = 1e-10,
+                  recurrent: bool | None = None) -> GroupInverseData:
     """Group inverse of I - P* for a (sub)stochastic P*.
 
-    Raises :class:`NumericalError` when the fundamental matrix is singular,
-    which signals a reducible P*.
+    ``recurrent`` selects the stationary (True) or the plain-inverse (False)
+    form; by default P* counts as stochastic when its row sums are within
+    ``stochastic_tol`` of 1.  Raises :class:`NumericalError` when the
+    fundamental matrix is singular, which signals a reducible P*.
     """
     Pstar = np.atleast_2d(np.asarray(Pstar, dtype=float))
     m = Pstar.shape[0]
     eye = np.eye(m)
     rows = Pstar.sum(axis=1)
-    if norm_inf(rows - 1.0) <= stochastic_tol:
+    if recurrent is None:
+        recurrent = norm_inf(rows - 1.0) <= stochastic_tol
+    if recurrent:
         pi = stationary_vector(Pstar)
         fundamental = eye - Pstar + np.outer(np.ones(m), pi)
         if condition_number(fundamental) > 1e14:
@@ -248,16 +253,15 @@ def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
     return total
 
 
-def _solve_hyperplane(direction: Array, direction_scale: float,
-                      target: float, g_scale: float,
-                      options: SolveOptions) -> Array:
+def _solve_hyperplane(direction: Array, target: float, target_noise: float,
+                      g_scale: float, options: SolveOptions) -> Array:
     """A vector y_perp with direction^T y_perp = target, per the chosen mode.
 
-    ``direction`` is (pi_0^T W^{-1} L)^T and ``direction_scale`` the product
-    ||L|| ||W^{-1}|| ||pi_0|| of its factors' norms.  The constraint is
-    infeasible only when the direction vanishes relative to that scale while
-    the target does not; that case (and an explicit or zero y_perp violating
-    the constraint) raises :class:`InfeasibleConstraintError`.
+    ``direction`` is (pi_0^T W^{-1} L)^T with pi_0 of unit sum.  The
+    constraint is infeasible only when the direction vanishes while the
+    target does not; that case (and an explicit or zero y_perp violating the
+    constraint) raises :class:`InfeasibleConstraintError`.  The minimal-norm
+    mode returns y_perp = 0 for a target within ``target_noise`` of zero.
     """
     feas_tol = 1e-8 * (1.0 + g_scale)
     if options.y_perp_mode == "zero":
@@ -279,14 +283,14 @@ def _solve_hyperplane(direction: Array, direction_scale: float,
         return y_perp
     # minimal-norm solution of the single linear constraint
     nrm2 = float(direction @ direction)
-    if np.sqrt(nrm2) <= 1e-12 * direction_scale:
+    if nrm2 <= 1e-24:
         if abs(target) > feas_tol:
             raise InfeasibleConstraintError(
                 "boundary constraint infeasible: pi_0^T W^{-1} L = 0 while "
                 f"pi^T g = {target:.6e} != 0")
         return np.zeros_like(direction)
-    if abs(target) <= 1e-12 * (1.0 + g_scale):
-        # a rounding-level target would seed a spurious growing component
+    if abs(target) <= target_noise:
+        # a target at noise level would seed a spurious growing component
         return np.zeros_like(direction)
     return (target / nrm2) * direction
 
@@ -307,6 +311,7 @@ def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
     W = wdata.W
     cls = sols.classification
     y_star = compute_y_star(split, W, g)
+    Pstar = model.B + model.A1 @ sols.G
 
     if cls is Classification.TRANSIENT:
         y = y_star
@@ -316,29 +321,30 @@ def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
                 raise ValueError(f"y_free must have length p = {split.p}, "
                                  f"got shape {y.shape}")
     else:
-        # the constraint is scale invariant in pi_0
-        mode = (Normalization.PROBABILITY
-                if cls is Classification.POSITIVE_RECURRENT
-                else Normalization.UNIT_SUM)
-        st = qme.stationary(model, sols, mode)
+        # the constraint is scale invariant in pi_0; a unit sum keeps the
+        # direction away from the drift^2 scale of the probability mass
+        st = qme.stationary(model, sols, Normalization.UNIT_SUM)
         pig = pi_dot_g(st.pi0, sols.R, g)
         direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
-        direction_scale = (np.linalg.norm(split.L) * np.linalg.norm(wdata.W_inv)
-                           * np.linalg.norm(st.pi0))
-        y = y_star + _solve_hyperplane(direction, direction_scale, pig,
-                                       norm_inf(g.blocks), opt)
+        # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target
+        # is known only to within pi_0's stationarity defect, which is not
+        # rounding-level for a null-band chain with a substochastic P*
+        g_scale = norm_inf(g.blocks)
+        defect = float(np.abs(st.pi0 - st.pi0 @ Pstar).sum())
+        y = y_star + _solve_hyperplane(direction, pig, (1e-12 + defect)
+                                       * (1.0 + g_scale), g_scale, opt)
 
     # sigma_1 is the level-1 block at x = 0, y = 0, i.e. deviation -y*
     sigma1 = _u_sequence(np.zeros(m), -y_star, G, split, W, g, 1)[1]
     B = model.B if Q is None else model.B + model.A1 @ Q
     rhs = ((B - eye) @ Ghat + model.A1) @ (
         sigma1 + split.L @ np.linalg.solve(split.V1, y)) + g.block(0)
-    Pstar = model.B + model.A1 @ sols.G
     if cls is Classification.TRANSIENT:
         x = np.linalg.solve(eye - Pstar, rhs)
         alpha = None
     else:
-        x = group_inverse(Pstar).sharp @ rhs + opt.alpha * np.ones(m)
+        x = (group_inverse(Pstar, recurrent=True).sharp @ rhs
+             + opt.alpha * np.ones(m))
         alpha = opt.alpha
 
     R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))

@@ -8,8 +8,7 @@ recurrent the series W = sum_j G^j (U - I)^{-1} R^j converges and satisfies
     W A1 (G Ghat - I) = Ghat,
 
 so W is computed from the closed form (one solve) and checked against the
-series' fixed-point equation (U - I)(W - G W R) = I; the series itself is
-kept as a reference.  Together with the splitting of Ghat, W yields a
+similarity W R = Ghat W; the series itself is kept as a reference.  Together with the splitting of Ghat, W yields a
 resolvent triple (X, T, Z): eta(lam)^{-1} = X T(lam)^{-1} Z with
 T(lam) = diag(lam I - T1, lam T2 - I), the engine behind the closed-form
 solution of the difference equation.
@@ -123,9 +122,7 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     """W from the closed form W^{-1} = (I - U)(G Ghat - I).
 
     Requires sp(G) sp(R) < 1 (not null recurrent).  W is checked against the
-    fixed-point (Stein) equation of its defining series,
-    (U - I)(W - G W R) = I, which holds only if W R = Ghat W; a residual
-    beyond 1e-8 (1 + ||W||) raises.
+    similarity W R = Ghat W; a residual beyond 1e-8 (1 + ||W||) raises.
     """
     m = G.shape[0]
     eye = np.eye(m)
@@ -138,11 +135,10 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     if condition_number(W_inv) > 1e14:
         raise NumericalError("(I - U)(G Ghat - I) is numerically singular")
     W = np.linalg.solve(W_inv, eye)
-    residual = norm_inf((U - eye) @ (W - G @ W @ R) - eye)
+    residual = norm_inf(W @ R - Ghat @ W)
     if residual > 1e-8 * (1.0 + norm_inf(W)):
         raise NumericalError(
-            f"closed-form W fails its Stein equation (U - I)(W - G W R) = I "
-            f"by {residual:.3e}")
+            f"closed-form W fails the similarity W R = Ghat W by {residual:.3e}")
     return ResolventData(W=W, W_inv=W_inv)
 
 

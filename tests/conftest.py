@@ -74,12 +74,16 @@ def with_drift(model: QbdModel, target: float) -> QbdModel:
     return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
 
 
-def balanced_rhs(model: QbdModel, key: int) -> RhsSpec:
-    """g = (I - P) h for a random h on levels 0 ... 5: the level equations
-    then have the exact bounded solution h."""
-    m = model.m
+def balanced_h(m: int, key: int) -> np.ndarray:
+    """A random h on levels 0 ... 5, zero on levels 6 and 7."""
     h = np.random.Generator(np.random.Philox(key=key)).normal(size=(6, m))
-    h = np.vstack([h, np.zeros((2, m))])
+    return np.vstack([h, np.zeros((2, m))])
+
+
+def balanced_rhs(model: QbdModel, key: int) -> RhsSpec:
+    """g = (I - P) h for h = balanced_h(m, key): the level equations then
+    have the exact bounded solution h (continued by zeros)."""
+    h = balanced_h(model.m, key)
     g = h - h @ model.A0.T
     g[0] = h[0] - model.B @ h[0]
     g[1:] -= h[:-1] @ model.A_neg.T

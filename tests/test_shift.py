@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, ClassificationError,
+from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         pi_dot_g, random_model, residuals, right_shift,
                         shift_identity_report, solve_model,
                         solve_null_recurrent, solve_poisson, stationary)
@@ -9,8 +9,8 @@ from qbdpoisson.qme import Normalization
 
 from qbdpoisson._linalg import unit_eigenvector
 
-from conftest import (balanced_rhs, random_rhs, rhs, scaled_interior_residual,
-                      with_drift)
+from conftest import (balanced_h, balanced_rhs, random_rhs, rhs,
+                      scaled_interior_residual, with_drift)
 
 
 def null_rhs(seed: int, m: int, n_blocks: int = 3):
@@ -46,16 +46,32 @@ def test_unit_eigenvector_bordered_solve(m):
     assert left.min() > 0.0
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_unit_eigenvector_refuses_matrix_without_unit_eigenvalue(m):
+    P = random_model(m, m, Classification.POSITIVE_RECURRENT).repeating_sum()
+    with pytest.raises(NumericalError, match="not an eigenvalue"):
+        unit_eigenvector(0.99 * P)
+
+
 @pytest.mark.parametrize("d", [-1e-10, -1e-12, 1e-12, 1e-10])
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_in_band_drift_solves_on_shift_path(m, d):
-    # drift inside the null band but not zero: one of G, Ghat is stochastic
-    # only to O(d), so the shift's eigenvectors are O(d) accurate
+    # drift inside the null band but not zero: one of G, Ghat (and so P*) is
+    # stochastic only to O(d), and the null recurrent solution is O(d) exact
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
     g = balanced_rhs(model, key=m)
     sol = solve_poisson(model, g)
+    u = np.asarray(sol.u)
     assert sol.classification is Classification.NULL_RECURRENT
-    assert scaled_interior_residual(model, g, sol.u) <= 1e-12 + abs(d)
+    assert sol.diagnostics.passed
+    assert sol.diagnostics.boundary_residual <= (1e-12 + abs(d)) * (
+        1.0 + np.abs(u[:2]).max())
+    assert scaled_interior_residual(model, g, u) <= 1e-12 + abs(d)
+    # the exact solution h, continued by zeros, up to a constant
+    h = np.zeros_like(u)
+    h[:8] = balanced_h(m, key=m)
+    c = (u - h).mean()
+    assert np.abs(u - h - c).max() <= 1e-11 + 10.0 * abs(d) * (1.0 + np.abs(h).max())
 
 
 def test_right_shift_rejects_wrong_class(pr1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, NumericalError, build_triple,
+from qbdpoisson import (Classification, NumericalError, QbdModel, build_triple,
                         check_identities, compute_w, eta, random_model,
                         solve_model, split, w_series)
 
@@ -49,13 +49,30 @@ def test_w_rejects_null_recurrent_input(nr1):
 
 
 def test_w_check_catches_corrupted_ghat():
-    # near-critical: the series converges too slowly to sum, yet its Stein
-    # equation (U - I)(W - G W R) = I still exposes a Ghat that is off by 1e-6
+    # near-critical: the series converges too slowly to sum, yet the
+    # similarity W R = Ghat W still exposes a Ghat that is off by 1e-6
     model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), -1e-5)
     s = solve_model(model)
     compute_w(s.G, s.U, s.R, s.Ghat)
-    with pytest.raises(NumericalError, match="Stein equation"):
+    with pytest.raises(NumericalError, match="W R = Ghat W"):
         compute_w(s.G, s.U, s.R, s.Ghat + 1e-6)
+
+
+def test_w_check_sees_corruption_in_null_space_of_g():
+    # a zero column of A_neg is a zero column of G; a corruption of Ghat
+    # with range in null(G) leaves G Ghat, hence W and its series, unchanged
+    base = random_model(1, 4, Classification.TRANSIENT)
+    A_neg, A0 = base.A_neg.copy(), base.A0.copy()
+    A0[:, 0] += A_neg[:, 0]
+    A_neg[:, 0] = 0.0
+    model = QbdModel(B=A_neg + A0, A_neg=A_neg, A0=A0, A1=base.A1)
+    s = solve_model(model)
+    corruption = np.zeros((4, 4))
+    corruption[0] = 1e-6
+    assert np.abs(s.G @ corruption).max() == 0.0
+    compute_w(s.G, s.U, s.R, s.Ghat)
+    with pytest.raises(NumericalError, match="W R = Ghat W"):
+        compute_w(s.G, s.U, s.R, s.Ghat + corruption)
 
 
 def test_triple_assembly_scalar(pr1):
