@@ -327,8 +327,9 @@ def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
         pig = pi_dot_g(st.pi0, sols.R, g)
         direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
         # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target
-        # is known only to within pi_0's stationarity defect, which is not
-        # rounding-level for a null-band chain with a substochastic P*
+        # is known only to within pi_0's stationarity defect times ||u_0||,
+        # for which 1 + ||g|| stands in; the defect is rounding-level except
+        # for a null-band chain with a substochastic P*
         g_scale = norm_inf(g.blocks)
         defect = float(np.abs(st.pi0 - st.pi0 @ Pstar).sum())
         y = y_star + _solve_hyperplane(direction, pig, (1e-12 + defect)
