@@ -216,11 +216,14 @@ def _cmd_solve(args) -> int:
         "output_csv": str(csv_path),
         "residual_pass": sol.diagnostics.passed,
     }))
-    if not sol.diagnostics.passed:
+    rep = sol.diagnostics
+    if not rep.passed:
+        k = rep.worst_equation
+        residual = (rep.boundary_residual, *rep.interior_residuals)[k]
         raise NumericalError(
-            f"solution residual report failed: max residual "
-            f"{sol.diagnostics.max_residual:.3e} > "
-            f"{sol.diagnostics.tol:g} * {sol.diagnostics.scale:.3e}")
+            f"solution residual report failed: the level-{k} equation has "
+            f"residual {residual:.3e} > {rep.tol:g} * {rep.worst_scale:.3e}, "
+            "its own scale")
     return EXIT_OK
 
 

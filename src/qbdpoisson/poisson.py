@@ -158,13 +158,11 @@ def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,
                   + L V1^{-r} sum_{k=1}^{r} V1^k E W g_k
                   - sum_{j=1}^{nu-1} K V0^j F W g_{j+r}.
 
-    Equals the evaluation of the general solution at x = 0, y = 0.
+    Equals the general solution at x = 0, y = 0 (:func:`evaluate_u`).
     """
     if r < 0:
         raise ValueError(f"level index must be nonnegative, got {r}")
-    m = G.shape[0]
-    return _u_sequence(np.zeros(m), -compute_y_star(split, W, g), G, split, W,
-                       g, r)[r]
+    return evaluate_u(np.zeros(G.shape[0]), np.zeros(split.p), G, split, W, g, r)
 
 
 def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
@@ -178,11 +176,11 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     """Solution blocks u_0 ... u_{R_max} for parameters (x, y).
 
     Evaluated in the numerically convenient regrouping: with
-    y* = -sum_{k=1}^{N} V1^k E W g_k,
+    y* = -sum_{k=1}^{N} V1^k E W g_k and C = M diag(V1, V0) M^{-1} the
+    split's own target, whose powers are C^j = L V1^j E + K V0^j F,
 
         u_r = G^r x - sum_{j=0}^{r-1} G^j W g_{r-j}
-              + L V1^{-r} (y - y*) - L sum_{k=r+1}^{N} V1^{k-r} E W g_k
-              - sum_{j=1}^{nu-1} K V0^j F W g_{j+r}.
+              + L V1^{-r} (y - y*) - sum_{k=r+1}^{N} C^{k-r} W g_k.
 
     Negative powers of V1 multiply only the exact deviation y - y*; the
     remaining series tail uses positive powers, so the bounded choice y = y*
@@ -198,49 +196,31 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
 
 def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
                 W: Array, g: RhsSpec, R_max: int) -> Array:
-    """Levels 0 ... R_max for parameters x and the deviation dev = y - y*."""
-    m = G.shape[0]
-    p = split.p
-    N = g.N
-    Wg = g.blocks @ W.T                       # rows W g_k, k = 0 ... N
-    EWg = Wg @ split.E.T                      # rows E W g_k
-    FWg = Wg @ split.F.T                      # rows F W g_k
-
-    # tails[r] = sum_{k=r+1}^{N} V1^{k-r} E W g_k, by the backward recursion
-    # tails[r] = V1 (E W g_{r+1} + tails[r+1]); zero from r = N on
-    tails = np.zeros((N + 1, p))
-    for r in range(N - 1, -1, -1):
-        tails[r] = split.V1 @ (EWg[r + 1] + tails[r + 1])
-
-    out = np.empty((R_max + 1, m))
-    xr = x.astype(float).copy()
-    down = np.zeros(m)                        # sum_{j=0}^{r-1} G^j W g_{r-j}
-    t = dev.copy()                            # V1^{-r} (y - y*)
-    for r in range(R_max + 1):
-        if r > 0:
-            xr = G @ xr
-            down = G @ down + (Wg[r] if r <= N else 0.0)
-            t = np.linalg.solve(split.V1, t) if p else t
-        tail = tails[r] if r < N else np.zeros(p)
-        ntail = np.zeros(m)
-        v0_pow = np.eye(m - p)
-        for j in range(1, split.nu):
-            v0_pow = v0_pow @ split.V0
-            if j + r <= N:
-                ntail += split.K @ (v0_pow @ FWg[j + r])
-        out[r] = xr - down + split.L @ (t - tail) - ntail
-    return out
+    """Levels 0 ... R_max for x and dev = y - y*: u_r = a_r - c_r + L t_r with
+    a_0 = x, a_r = G a_{r-1} - W g_r; c_r = C (W g_{r+1} + c_{r+1}) down from
+    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev, V1 inverted once."""
+    Wg = np.zeros((max(g.N, R_max) + 2, G.shape[0]))
+    Wg[:g.N + 1] = g.blocks @ W.T
+    C = split.recompose()
+    c = np.zeros_like(Wg)
+    for r in range(g.N - 1, -1, -1):
+        c[r] = C @ (Wg[r + 1] + c[r + 1])
+    v1_inv = np.linalg.inv(split.V1)
+    a, t = [x], [dev]
+    for r in range(1, R_max + 1):
+        a.append(G @ a[-1] - Wg[r])
+        t.append(v1_inv @ t[-1])
+    return np.array(a) - c[:R_max + 1] + np.array(t) @ split.L.T
 
 
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
-    """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g)."""
-    Wg = g.blocks @ W.T
+    """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g),
+    by the Horner recursion y* = -V1 (E W g_1 + V1 (E W g_2 + ...))."""
+    EWg = g.blocks @ (split.E @ W).T          # rows E W g_k
     acc = np.zeros(split.p)
-    v1_pow = np.eye(split.p)
-    for k in range(1, g.N + 1):
-        v1_pow = v1_pow @ split.V1
-        acc -= v1_pow @ (split.E @ Wg[k])
-    return acc
+    for k in range(g.N, 0, -1):
+        acc = split.V1 @ (EWg[k] + acc)
+    return -acc
 
 
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:

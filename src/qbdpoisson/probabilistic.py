@@ -58,7 +58,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
     N = g.N
     eye = np.eye(m)
     if R_max is None:
-        R_max = N + 10
+        R_max = N + poisson._EXTRA_LEVELS
 
     # tail sums s_n = sum_{k>=0} R^k g_{n+k}, finite by support of g
     tails = np.zeros((N + 2, m))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qme
-from ._linalg import Array, condition_number, norm_inf
+from ._linalg import Array, condition_number
 from .exceptions import NumericalError
 from .model import QbdModel, RhsSpec
 
@@ -27,8 +27,11 @@ _DRIFT_MARGIN = 1e-6
 class ResidualReport:
     """Residuals of a candidate solution against the level equations.
 
-    ``passed`` holds iff the largest residual is at most tol * scale, with
-    scale = 1 + max_r ||u_r||.
+    ``passed`` holds iff each equation's residual is at most tol times its
+    own scale, 1 plus the norms of the blocks it couples, and u is finite.
+    ``worst_equation`` is the level whose equation is worst against its scale
+    ``worst_scale`` (interior residual r is level r + 1's).  ``scale`` =
+    1 + max_r ||u_r|| is informational only.
     """
 
     boundary_residual: float
@@ -36,6 +39,8 @@ class ResidualReport:
     scale: float
     tol: float
     passed: bool
+    worst_equation: int
+    worst_scale: float
 
     @property
     def max_residual(self) -> float:
@@ -57,25 +62,34 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
 
     The boundary residual is ||(B - I) u_0 + A1 u_1 + g_0||; interior
     residual r (for r = 0 ... len(u) - 3) is
-    ||A_neg u_r + (A0 - I) u_{r+1} + A1 u_{r+2} + g_{r+1}||.
+    ||A_neg u_r + (A0 - I) u_{r+1} + A1 u_{r+2} + g_{r+1}||, for all r in
+    three batched products.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] < 3:
-        raise ValueError(f"need at least 3 solution blocks, got {u.shape[0]}")
-    if u.shape[1] != model.m:
-        raise ValueError(f"solution blocks have length {u.shape[1]}, "
+    n, m = u.shape
+    if n < 3:
+        raise ValueError(f"need at least 3 solution blocks, got {n}")
+    if m != model.m:
+        raise ValueError(f"solution blocks have length {m}, "
                          f"model has m = {model.m}")
-    eye = np.eye(model.m)
-    scale = 1.0 + max(norm_inf(block) for block in u)
-    boundary = norm_inf((model.B - eye) @ u[0] + model.A1 @ u[1] + g.block(0))
-    interior = tuple(
-        norm_inf(model.A_neg @ u[r] + (model.A0 - eye) @ u[r + 1]
-                 + model.A1 @ u[r + 2] + g.block(r + 1))
-        for r in range(u.shape[0] - 2))
-    passed = max(boundary, *interior) <= tol * scale
-    return ResidualReport(boundary_residual=boundary,
-                          interior_residuals=interior,
-                          scale=scale, tol=tol, passed=passed)
+    forcing = np.zeros_like(u)
+    forcing[:g.N + 1] = g.blocks[:n]
+    eye = np.eye(m)
+    boundary = (model.B - eye) @ u[0] + model.A1 @ u[1] + forcing[0]
+    interior = (u[:-2] @ model.A_neg.T + u[1:-1] @ (model.A0 - eye).T
+                + u[2:] @ model.A1.T + forcing[1:-1])
+    res = np.abs(np.vstack([boundary, interior])).max(axis=1)
+    norms = np.abs(u).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite u fails
+        scales = 1.0 + norms[:-1] + norms[1:]  # equation k couples u_{k-1} ... u_{k+1}
+        scales[1:] += norms[:-2]
+        worst = int(np.argmax(res / scales))   # the first NaN, if any
+    passed = bool(np.isfinite(norms).all() and np.all(res <= tol * scales))
+    return ResidualReport(boundary_residual=float(res[0]),
+                          interior_residuals=tuple(res[1:].tolist()),
+                          scale=1.0 + float(norms.max()), tol=tol,
+                          passed=passed, worst_equation=worst,
+                          worst_scale=float(scales[worst]))
 
 
 def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import QbdModel, RhsSpec, drift
+from qbdpoisson import Classification, QbdModel, RhsSpec, drift, random_model
 
 
 def scalar_model(a_neg: float, a0: float, a1: float, b: float) -> QbdModel:
@@ -72,6 +72,18 @@ def with_drift(model: QbdModel, target: float) -> QbdModel:
     A_neg = (1.0 - t) * model.A_neg + t * model.A1
     A1 = (1.0 - t) * model.A1 + t * model.A_neg
     return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
+
+
+def nilpotent_model(seed: int, m: int) -> QbdModel:
+    """``random_model(seed, m, PR)`` with the mass of A1's first two columns
+    moved onto A0's diagonal, and B = A_neg + A0.  A1, and with it Ghat, then
+    has rank m - 2; for m in {3, 4, 6} the split of Ghat has p = m - 2 and a
+    nilpotent part of index nu = 2."""
+    base = random_model(seed, m, Classification.POSITIVE_RECURRENT)
+    A1 = base.A1.copy()
+    A0 = base.A0 + np.diag(A1[:, :2].sum(axis=1))
+    A1[:, :2] = 0.0
+    return QbdModel(B=base.A_neg + A0, A_neg=base.A_neg, A0=A0, A1=A1)
 
 
 def balanced_h(m: int, key: int) -> np.ndarray:

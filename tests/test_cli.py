@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,17 @@ def test_solve_refuses_non_finite_levels(tmp_path, capsys):
     assert err["error"] == "NumericalError"
     assert "not finite from level" in err["message"]
     assert not (tmp_path / "long.json").exists()
+
+
+def test_residual_failure_names_worst_equation(tmp_path, capsys):
+    # no residual meets a tolerance of 1e-300
+    out = tmp_path / "strict"
+    assert run(["solve", "--residual-tol", "1e-300", "-o", str(out),
+                str(MODELS / "tandem_m2.json")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    assert re.search(r"the level-\d+ equation has residual \S+ > 1e-300 \* \S+, "
+                     r"its own scale", err["message"])
 
 
 def test_output_is_strict_json():

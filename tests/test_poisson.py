@@ -10,7 +10,8 @@ from qbdpoisson import (Classification, ClassificationError,
                         compute_w)
 
 from qbdpoisson.poisson import _corollary_split
-from conftest import random_rhs, rhs, scalar_model, scaled_interior_residual
+from conftest import (balanced_h, balanced_rhs, nilpotent_model, random_rhs, rhs,
+                      scalar_model, scaled_interior_residual)
 
 
 def direct_u(x, y, G, sp, W, g, r):
@@ -189,11 +190,19 @@ def test_explicit_y_perp_checked_against_constraint(pr1):
                       SolveOptions(y_perp_mode="explicit", y_perp=(1.0,)))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_regrouped_evaluation_matches_direct_formula(seed):
+def _regrouped_case(seed):
     m = seed % 5 + 1
     cls = Classification.POSITIVE_RECURRENT if seed % 2 == 0 else Classification.TRANSIENT
-    model = random_model(seed, m, cls)
+    return pytest.param(seed, random_model(seed, m, cls), id=str(seed))
+
+
+# the nilpotent_model cases reach the evaluator with nu = 2
+@pytest.mark.parametrize("seed, model", [
+    *(_regrouped_case(seed) for seed in range(8)),
+    *(pytest.param(m, nilpotent_model(m, m), id=f"nu2-m{m}") for m in (3, 4, 6)),
+])
+def test_regrouped_evaluation_matches_direct_formula(seed, model):
+    m = model.m
     s, sp, w = _ingredients(model)
     g = random_rhs(seed, m)
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -206,6 +215,19 @@ def test_regrouped_evaluation_matches_direct_formula(seed):
                                     atol=1e-9 * (1 + np.max(np.abs(u))))
     np.testing.assert_allclose(evaluate_u(x, y, s.G, sp, w.W, g, 3), u[3],
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_nilpotent_part_balanced_solution(m):
+    # g = (I - P) h: u is h, continued by zeros, up to a constant
+    model = nilpotent_model(m, m)
+    sp = split(solve_model(model).Ghat)
+    assert (sp.p, sp.nu) == (m - 2, 2)
+    u = solve_poisson(model, balanced_rhs(model, m)).u
+    h = np.zeros_like(u)
+    h[:8] = balanced_h(m, key=m)
+    c = (u - h).mean()
+    assert np.abs(u - h - c).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 2, 5])

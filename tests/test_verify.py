@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, NumericalError, drift, forward_oracle,
-                        random_model, residuals, solve_poisson, validate)
+from qbdpoisson import (Classification, NumericalError, SolveOptions, drift,
+                        forward_oracle, random_model, residuals, solve_poisson,
+                        validate)
 
-from conftest import rhs, scalar_model
+from conftest import random_rhs, rhs, scalar_model
 
 
 def test_residuals_on_analytic_transient_solution(tr1, tr1_rhs):
@@ -29,6 +30,31 @@ def test_residuals_zero_and_unit_cases(pr1):
 def test_residuals_requires_three_blocks(pr1):
     with pytest.raises(ValueError):
         residuals(pr1, rhs([0.0]), np.zeros((2, 1)))
+
+
+def test_residuals_scaled_per_equation():
+    # the family grows to 2.9e228 by level 200, so 1 + max_r ||u_r|| would
+    # hide any boundary error; the boundary's own scale is 1 + ||u_0|| + ||u_1||
+    model = random_model(1, 4, Classification.POSITIVE_RECURRENT)
+    g = random_rhs(1, 4, 5)
+    sol = solve_poisson(model, g, SolveOptions(R_max=200))
+    assert sol.diagnostics.passed
+    assert sol.diagnostics.scale > 1e228
+    u = sol.u.copy()
+    u[0] += 1e-3
+    rep = residuals(model, g, u)
+    assert not rep.passed
+    assert rep.worst_equation == 0
+    assert rep.worst_scale == pytest.approx(
+        1.0 + np.abs(u[0]).max() + np.abs(u[1]).max())
+
+
+def test_residuals_fail_on_non_finite_blocks(pr1):
+    u = np.zeros((4, 1))
+    u[3] = np.inf
+    rep = residuals(pr1, rhs([0.0]), u)
+    assert not rep.passed
+    assert rep.worst_equation == 2
 
 
 def test_forward_oracle_walkthrough(pr1, pr1_rhs):
