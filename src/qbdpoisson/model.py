@@ -37,7 +37,9 @@ class QbdModel:
 
     The container performs only shape coercion; structural invariants
     (entry range, row sums, irreducibility) are checked by :func:`validate`
-    and enforced by :func:`load_problem`.
+    and enforced by :func:`load_problem`.  The blocks are read-only, so
+    :func:`~qbdpoisson.poisson.solve_poisson` keeps its per-model plan on
+    the instance (a private attribute outside the fields).
     """
 
     B: Array

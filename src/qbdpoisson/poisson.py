@@ -19,7 +19,7 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class PoissonSolution:
     feed one pipeline, each with its own difference equation: on the
     null-recurrent path the shifted one, which ``sigma1`` and ``y`` belong
     to; on the :func:`solve_nonsingular_a1` path ``y`` multiplies W R^{-r}
-    instead of L V1^{-r}, and ``sigma1`` is zero only up to rounding.
+    instead of L V1^{-r}, and ``sigma1`` is zero, as whenever Ghat has no
+    nilpotent part.
     """
 
     classification: Classification
@@ -198,14 +199,14 @@ def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
                 W: Array, g: RhsSpec, R_max: int) -> Array:
     """Levels 0 ... R_max for x and dev = y - y*: u_r = a_r - c_r + L t_r with
     a_0 = x, a_r = G a_{r-1} - W g_r; c_r = C (W g_{r+1} + c_{r+1}) down from
-    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev, V1 inverted once."""
+    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev.  C and V1^{-1}
+    are built once per split."""
     Wg = np.zeros((max(g.N, R_max) + 2, G.shape[0]))
     Wg[:g.N + 1] = g.blocks @ W.T
-    C = split.recompose()
+    C, v1_inv = split.recompose(), split.v1_inv
     c = np.zeros_like(Wg)
     for r in range(g.N - 1, -1, -1):
         c[r] = C @ (Wg[r + 1] + c[r + 1])
-    v1_inv = np.linalg.inv(split.V1)
     a, t = [x], [dev]
     for r in range(1, R_max + 1):
         a.append(G @ a[-1] - Wg[r])
@@ -275,74 +276,111 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
     return (target / nrm2) * direction
 
 
-def _solve_family(model: QbdModel, sols: qme.QmeSolutions, g: RhsSpec,
-                  opt: SolveOptions, G: Array, Ghat: Array,
-                  split: SpectralSplit, wdata: ResolventData,
-                  Q: Array | None = None) -> PoissonSolution:
-    """Boundary solve, level evaluation and residual check shared by all paths.
+def _sigma1(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
+    """sigma_1 = -sum_{j=0}^{nu-1} K V0^j F W g_{j+1}, the paper's sigma_r at
+    r = 1 with I - L E = K F; exactly zero when p = m."""
+    acc = np.zeros(split.m - split.p)
+    for FWg in (g.blocks[1:split.nu + 1] @ (split.F @ W).T)[::-1]:
+        acc = FWg + split.V0 @ acc
+    return -(split.K @ acc)
 
-    (G, Ghat, split, wdata) describe the difference equation being solved;
-    the rank-one shift ``Q`` of the null-recurrent path turns the boundary
-    block into B + A1 Q and maps levels back by u_k = ut_k + Q sum_{i<k} ut_i.
-    P* = B + A1 G always uses the G of the original chain.
+
+class SolvePlan:
+    """The part of a solve that does not depend on g, built once per model.
+
+    Holds the difference equation being solved, (G, Ghat, split, W) or the
+    shifted one with its shift ``Q`` (boundary block B + A1 Q, levels mapped
+    back by u_k = ut_k + Q sum_{i<k} ut_i), the boundary operator
+    (B + A1 Q - I) Ghat + A1, and, with P* = B + A1 G from the original G,
+    I - P* (transient) or its group inverse, pi_0 of unit sum, the hyperplane
+    direction and pi_0's stationarity defect (recurrent).  It keeps its own
+    copy of the blocks, so a plan cached on a model does not refer back to it.
     """
-    m = model.m
-    eye = np.eye(m)
-    W = wdata.W
-    cls = sols.classification
-    y_star = compute_y_star(split, W, g)
-    Pstar = model.B + model.A1 @ sols.G
 
-    if cls is Classification.TRANSIENT:
-        y = y_star
-        if opt.y_free is not None:
-            y = np.asarray(opt.y_free, dtype=float)
-            if y.shape != (split.p,):
-                raise ValueError(f"y_free must have length p = {split.p}, "
-                                 f"got shape {y.shape}")
-    else:
+    def __init__(self, model: QbdModel, sols: qme.QmeSolutions, G: Array,
+                 Ghat: Array, split: SpectralSplit, wdata: ResolventData,
+                 Q: Array | None = None):
+        eye = np.eye(model.m)
+        self.model = replace(model)
+        self.sols, self.G, self.split, self.W, self.Q = sols, G, split, wdata.W, Q
+        B = model.B if Q is None else model.B + model.A1 @ Q
+        self.boundary = (B - eye) @ Ghat + model.A1
+        Pstar = model.B + model.A1 @ sols.G
+        if sols.classification is Classification.TRANSIENT:
+            self.fundamental = eye - Pstar
+            return
         # the constraint is scale invariant in pi_0; a unit sum keeps the
         # direction away from the drift^2 scale of the probability mass
-        st = qme.stationary(model, sols, Normalization.UNIT_SUM)
-        pig = pi_dot_g(st.pi0, sols.R, g)
-        direction = split.L.T @ (wdata.W_inv.T @ st.pi0)
-        # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target
-        # is known only to within pi_0's stationarity defect times ||u_0||,
-        # for which 1 + ||g|| stands in; the defect is rounding-level except
-        # for a null-band chain with a substochastic P*
-        g_scale = norm_inf(g.blocks)
-        defect = float(np.abs(st.pi0 - st.pi0 @ Pstar).sum())
-        y = y_star + _solve_hyperplane(direction, pig, (1e-12 + defect)
-                                       * (1.0 + g_scale), g_scale, opt)
+        self.pi0 = qme.stationary(model, sols, Normalization.UNIT_SUM).pi0
+        self.direction = split.L.T @ (wdata.W_inv.T @ self.pi0)
+        self.defect = float(np.abs(self.pi0 - self.pi0 @ Pstar).sum())
+        self.sharp = group_inverse(Pstar, recurrent=True).sharp
 
-    # sigma_1 is the level-1 block at x = 0, y = 0, i.e. deviation -y*
-    sigma1 = _u_sequence(np.zeros(m), -y_star, G, split, W, g, 1)[1]
-    B = model.B if Q is None else model.B + model.A1 @ Q
-    rhs = ((B - eye) @ Ghat + model.A1) @ (
-        sigma1 + split.L @ np.linalg.solve(split.V1, y)) + g.block(0)
-    if cls is Classification.TRANSIENT:
-        x = np.linalg.solve(eye - Pstar, rhs)
-        alpha = None
-    else:
-        x = (group_inverse(Pstar, recurrent=True).sharp @ rhs
-             + opt.alpha * np.ones(m))
-        alpha = opt.alpha
+    def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
+        """Boundary solve, level evaluation and residual check for one g."""
+        split, W, cls = self.split, self.W, self.sols.classification
+        y_star = compute_y_star(split, W, g)
+        if cls is Classification.TRANSIENT:
+            y = y_star
+            if opt.y_free is not None:
+                y = np.asarray(opt.y_free, dtype=float)
+                if y.shape != (split.p,):
+                    raise ValueError(f"y_free must have length p = {split.p}, "
+                                     f"got shape {y.shape}")
+        else:
+            pig = pi_dot_g(self.pi0, self.sols.R, g)
+            # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target is
+            # known only to within pi_0's stationarity defect times ||u_0||, for
+            # which 1 + ||g|| stands in; the defect is rounding-level except for
+            # a null-band chain with a substochastic P*
+            g_scale = norm_inf(g.blocks)
+            y = y_star + _solve_hyperplane(self.direction, pig, (
+                1e-12 + self.defect) * (1.0 + g_scale), g_scale, opt)
 
-    R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
-    # a growing family may overflow; that is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = evaluate_u_sequence(x, y, G, split, W, g, R_max)
-        if Q is not None:
-            u[1:] += np.cumsum(u[:-1], axis=0) @ Q.T
-    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
-    if bad.size:
-        raise NumericalError(
-            f"solution is not finite from level {bad[0]} on (R_max = {R_max}); "
-            "the solution family overflows, choose fewer levels")
-    report = verify.residuals(model, g, u, tol=opt.residual_tol)
-    return PoissonSolution(classification=cls, x=x, y=y, y_star=y_star,
-                           alpha=alpha, sigma1=sigma1, R_max=R_max, u=u,
-                           diagnostics=report)
+        sigma1 = _sigma1(split, W, g)
+        rhs = self.boundary @ (sigma1 + split.L @ (split.v1_inv @ y)) + g.block(0)
+        if cls is Classification.TRANSIENT:
+            x = np.linalg.solve(self.fundamental, rhs)
+            alpha = None
+        else:
+            x = self.sharp @ rhs + opt.alpha * np.ones(rhs.shape[0])
+            alpha = opt.alpha
+
+        R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
+        # a growing family may overflow; that is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max)
+            if self.Q is not None:
+                u[1:] += np.cumsum(u[:-1], axis=0) @ self.Q.T
+        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+        if bad.size:
+            raise NumericalError(
+                f"solution is not finite from level {bad[0]} on (R_max = {R_max}); "
+                "the solution family overflows, choose fewer levels")
+        report = verify.residuals(self.model, g, u, tol=opt.residual_tol)
+        return PoissonSolution(classification=cls, x=x, y=y, y_star=y_star,
+                               alpha=alpha, sigma1=sigma1, R_max=R_max, u=u,
+                               diagnostics=report)
+
+
+def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
+    """The plan of ``model`` for opt's (null_band, eps_zero), built on first
+    use and kept on the model, whose blocks are read-only."""
+    plans = vars(model).setdefault("_plans", {})
+    key = (opt.null_band, opt.eps_zero)
+    if key not in plans:
+        sols = qme.solve_model(model, null_band=opt.null_band)
+        if sols.classification is Classification.NULL_RECURRENT:
+            from . import shift           # shift imports this module
+            sd = shift.right_shift(model, sols, eps_zero=opt.eps_zero)
+            plans[key] = SolvePlan(model, sols, sd.Gt, sd.Gddot, sd.split_t,
+                                   sd.Wt, Q=sd.Q)
+        else:
+            plans[key] = SolvePlan(
+                model, sols, sols.G, sols.Ghat,
+                spectral.split(sols.Ghat, eps_zero=opt.eps_zero),
+                triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat))
+    return plans[key]
 
 
 def solve_poisson(model: QbdModel, g: RhsSpec,
@@ -350,18 +388,15 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
     """General solution of the Poisson equation (I - P) u = g.
 
     Positive recurrent and transient chains are handled here; a null
-    recurrent chain is dispatched to the shift path
-    (:func:`qbdpoisson.shift.solve_null_recurrent`).
+    recurrent chain goes through the right shift of
+    :mod:`qbdpoisson.shift`.  The work that does not depend on g (QME,
+    split, W, shift, boundary operator, group inverse, pi_0) is done on the
+    first call for a :class:`QbdModel` object and reused by later calls on
+    the same object, which is immutable; ``null_band`` and ``eps_zero``
+    select the plan, the other options apply per call.
     """
     opt = options or SolveOptions()
-    sols = qme.solve_model(model, null_band=opt.null_band)
-    if sols.classification is Classification.NULL_RECURRENT:
-        from .shift import solve_null_recurrent
-        return solve_null_recurrent(model, g, opt, sols=sols)
-
-    split = spectral.split(sols.Ghat, eps_zero=opt.eps_zero)
-    wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    return _solve_family(model, sols, g, opt, sols.G, sols.Ghat, split, wdata)
+    return _plan(model, opt).solve(g, opt)
 
 
 def _corollary_split(wdata: ResolventData, R: Array) -> SpectralSplit:
@@ -391,5 +426,5 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
         raise ClassificationError(
             "nonsingular-A1 path requires a chain that is not null recurrent")
     wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    return _solve_family(model, sols, g, opt, sols.G, sols.Ghat,
-                         _corollary_split(wdata, sols.R), wdata)
+    return SolvePlan(model, sols, sols.G, sols.Ghat,
+                     _corollary_split(wdata, sols.R), wdata).solve(g, opt)

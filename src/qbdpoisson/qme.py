@@ -56,7 +56,6 @@ class QmeSolutions:
     classification: Classification
     sp_G: float
     sp_Ghat: float
-    sp_R: float
     drift: float
 
     def __post_init__(self):
@@ -306,11 +305,9 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     U, R, Uhat, Rhat = compute_r_u(model, G, Ghat)
     sp_G = spectral_radius(G)
     sp_Ghat = spectral_radius(Ghat)
-    sp_R = spectral_radius(R)
     cls = _cross_checked(d, sp_G, sp_Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, Rhat=Rhat, U=U, Uhat=Uhat,
-                        classification=cls, sp_G=sp_G, sp_Ghat=sp_Ghat,
-                        sp_R=sp_R, drift=d)
+                        classification=cls, sp_G=sp_G, sp_Ghat=sp_Ghat, drift=d)
 
 
 def char_roots(sols: QmeSolutions) -> Array:

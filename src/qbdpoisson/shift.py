@@ -129,8 +129,7 @@ def shift_identity_report(model: QbdModel, sols: qme.QmeSolutions,
 
 
 def solve_null_recurrent(model: QbdModel, g: RhsSpec,
-                         options: poisson.SolveOptions | None = None, *,
-                         sols: qme.QmeSolutions | None = None
+                         options: poisson.SolveOptions | None = None
                          ) -> poisson.PoissonSolution:
     """Solve the Poisson equation for a null recurrent chain via the shift.
 
@@ -141,15 +140,14 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
     (the constraint is scale invariant in pi_0), x follows from the finite
     Poisson equation in P* = B + A1 G via the group inverse, and the
     original solution is recovered from the shifted one by the cumulative
-    Q-correction.  Residuals are checked against the original blocks.
+    Q-correction.  Residuals are checked against the original blocks.  The
+    g-independent part is shared with :func:`~qbdpoisson.poisson.solve_poisson`
+    and reused per :class:`QbdModel` object.
     """
     opt = options or poisson.SolveOptions()
-    if sols is None:
-        sols = qme.solve_model(model, null_band=opt.null_band)
-    if sols.classification is not Classification.NULL_RECURRENT:
+    plan = poisson._plan(model, opt)
+    if plan.sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError(
             f"solve_null_recurrent requires a null recurrent chain, got "
-            f"{sols.classification.value}")
-    sd = right_shift(model, sols, eps_zero=opt.eps_zero)
-    return poisson._solve_family(model, sols, g, opt, sd.Gt, sd.Gddot,
-                                 sd.split_t, sd.Wt, Q=sd.Q)
+            f"{plan.sols.classification.value}")
+    return plan.solve(g, opt)

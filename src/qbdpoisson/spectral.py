@@ -17,6 +17,7 @@ coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -70,7 +71,16 @@ class SpectralSplit:
 
     def recompose(self) -> Array:
         """M diag(V1, V0) M^{-1}; reproduces the split target."""
-        return self.M @ self.j_matrix() @ self.m_inv()
+        return self._target
+
+    @cached_property
+    def _target(self) -> Array:
+        return as_readonly(self.M @ self.j_matrix() @ self.m_inv())
+
+    @cached_property
+    def v1_inv(self) -> Array:
+        """V1^{-1}, inverted once per split."""
+        return as_readonly(np.linalg.inv(self.V1))
 
     def power(self, k: int) -> Array:
         """L V1^k E + K V0^k F, the k-th power of the split target."""

@@ -146,10 +146,9 @@ def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     """Assemble the resolvent triple from G, the splitting of Ghat, and W."""
     m = G.shape[0]
     p = split.p
-    V1_inv = np.linalg.inv(split.V1) if p else np.zeros((0, 0))
     T1 = np.zeros((m + p, m + p))
     T1[:m, :m] = G
-    T1[m:, m:] = V1_inv
+    T1[m:, m:] = split.v1_inv
     X1 = np.hstack([np.eye(m), split.L])
     X2 = split.K
     T2 = split.V0
@@ -187,15 +186,14 @@ def check_identities(model: QbdModel, sols: qme.QmeSolutions,
     G, Ghat, U, R = sols.G, sols.Ghat, sols.U, sols.R
     W = wdata.W
     L, K, E, F = split.L, split.K, split.E, split.F
-    V1, V0, p = split.V1, split.V0, split.p
+    V0 = split.V0
 
     report: dict[str, float] = {}
     report["w_inverse"] = norm_inf(W @ ((eye - U) @ (G @ Ghat - eye)) - eye)
     report["w_similarity"] = norm_inf(W @ R - Ghat @ W)
     report["w_up_identity"] = norm_inf(W @ model.A1 @ (G @ Ghat - eye) - Ghat)
 
-    V1_inv = np.linalg.inv(V1) if p else np.zeros((0, 0))
-    Y = np.hstack([model.A1 @ L @ V1_inv,
+    Y = np.hstack([model.A1 @ L @ split.v1_inv,
                    -model.A_neg @ K @ V0 - (model.A0 - eye) @ K])
     report["w_from_partition"] = norm_inf(W @ (model.A1 @ G @ split.M - Y) - split.M)
 

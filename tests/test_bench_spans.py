@@ -47,3 +47,36 @@ def test_level_spans_reached_once_per_solve(fixture, request, monkeypatch):
                         request.getfixturevalue(f"{fixture}_rhs"))
     assert calls == {span: 1 for span in spans._LEVELS}
     assert levels == {span: sol.R_max + 1 for span in spans._LEVELS}
+
+
+PLAN_STAGES = ("qme.solve_model", "spectral.split", "triple.compute_w",
+               "shift.right_shift", "qme.stationary", "poisson.group_inverse")
+
+
+@pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
+def test_plan_stages_reached_once_per_model(fixture, request, monkeypatch):
+    # a stage the plan bypassed would move its time into poisson.self_ms
+    calls = Counter()
+    targets = [(module, attr, span) for module, attr, span in _spans().TARGETS
+               if span in PLAN_STAGES]
+    assert {span for *_, span in targets} == set(PLAN_STAGES)
+    for module, attr, span in targets:
+        mod = importlib.import_module(f"qbdpoisson.{module}")
+
+        def counted(*args, _span=span, _fn=getattr(mod, attr), **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    model = request.getfixturevalue(fixture)
+    g = request.getfixturevalue(f"{fixture}_rhs")
+    solve_poisson(model, g)
+    expected = {"qme.solve_model": 1, "spectral.split": 1, "triple.compute_w": 1}
+    if fixture != "tr1":
+        expected.update({"qme.stationary": 1, "poisson.group_inverse": 1})
+    if fixture == "nr1":
+        expected["shift.right_shift"] = 1
+    assert calls == expected
+    calls.clear()
+    solve_poisson(model, g)
+    assert calls == {}

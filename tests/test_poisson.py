@@ -355,3 +355,45 @@ def test_pi_dot_g_matches_brute_force(pr1, pr1_rhs):
     total = sum(float(st.level(k) @ pr1_rhs.block(k)) for k in range(pr1_rhs.N + 1))
     assert pi_dot_g(st.pi0, s.R, pr1_rhs) == pytest.approx(total, abs=1e-14)
     assert pi_dot_g(st.pi0, s.R, pr1_rhs) == pytest.approx(0.0, abs=1e-14)
+
+
+SIGMA1_CASES = [*((f"nu2-m{m}", m) for m in (3, 4, 6)),
+                *((f"{cls.name[:2]}-m{m}", m) for cls in
+                  (Classification.POSITIVE_RECURRENT, Classification.TRANSIENT)
+                  for m in (3, 8, 16))]
+
+
+@pytest.mark.parametrize("case, m", SIGMA1_CASES, ids=[c for c, _ in SIGMA1_CASES])
+def test_sigma1_closed_form_matches_level_one_block(case, m):
+    # sigma_1 = -sum_{j<nu} K V0^j F W g_{j+1} against the level-1 block of
+    # the particular solution, which runs the whole tail recursion
+    if case.startswith("nu2"):
+        model = nilpotent_model(m, m)
+    else:
+        cls = {"PO": Classification.POSITIVE_RECURRENT,
+               "TR": Classification.TRANSIENT}[case[:2]]
+        model = random_model(m, m, cls)
+    g = random_rhs(m, m, 5)
+    s, sp, w = _ingredients(model)
+    reference = compute_sigma(s.G, sp, w.W, g, 1)
+    sigma1 = solve_poisson(model, g).sigma1
+    scale = np.abs(w.W).max() * np.abs(g.blocks).max()
+    assert np.abs(sigma1 - reference).max() <= 1e-12 * scale
+    if sp.p < m:
+        assert np.abs(sigma1).max() > 1e-3 * scale
+    else:
+        assert np.all(sigma1 == 0.0)
+
+
+def test_sigma1_is_zero_without_nilpotent_part():
+    # p = m leaves K empty; the corollary split has no nilpotent part either
+    count = 0
+    for seed in range(12):
+        cls = Classification.POSITIVE_RECURRENT if seed % 2 == 0 else Classification.TRANSIENT
+        model = random_model(seed, seed % 4 + 2, cls)
+        g = random_rhs(seed, model.m)
+        assert np.all(solve_nonsingular_a1(model, g).sigma1 == 0.0)
+        if split(solve_model(model).Ghat).p == model.m:
+            assert np.all(solve_poisson(model, g).sigma1 == 0.0)
+            count += 1
+    assert count >= 6
