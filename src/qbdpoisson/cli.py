@@ -231,7 +231,7 @@ def _cmd_lemmas(args) -> int:
     model, _ = _load(args)
     sols = qme.solve_model(model, null_band=args.null_band)
     if sols.classification is qme.Classification.NULL_RECURRENT:
-        sd = shift.right_shift(model, sols, eps_zero=args.eps_zero)
+        sd = shift.right_shift(model, sols)
         payload = {"class": sols.classification.value,
                    "shift": shift.shift_identity_report(model, sols, sd)}
     else:
@@ -302,18 +302,17 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except QbdError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    except (QbdError, OSError, ValueError) as exc:
+        # OSError: unreadable input; ValueError: a parameter the chain cannot
+        # take (y_perp or y_free of the wrong length, R_max < 2)
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}, sort_keys=True),
+              file=sys.stderr)
         if isinstance(exc, InfeasibleConstraintError):
             return EXIT_INFEASIBLE
-        if isinstance(exc, ModelValidationError):
+        if isinstance(exc, (ModelValidationError, OSError, ValueError)):
             return EXIT_VALIDATION
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 def main() -> int:

@@ -137,10 +137,11 @@ def _strongly_connected(a: Array) -> bool:
 def validate(model: QbdModel, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     """Check the structural invariants and report residuals; never mutates.
 
-    Failures: entries outside [0, 1], row-sum residuals above ``tol`` for
-    B + A1 (level 0) and A_neg + A0 + A1 (repeating levels), and a reducible
-    phase graph of A_neg + A0 + A1.  A 3-level truncation of the full chain
-    that is not strongly connected is reported as a warning only.
+    Failures: non-finite entries, entries outside [0, 1], row-sum residuals
+    above ``tol`` for B + A1 (level 0) and A_neg + A0 + A1 (repeating
+    levels; rows with a non-finite sum are left out), and a reducible phase
+    graph of A_neg + A0 + A1.  A 3-level truncation of the full chain that
+    is not strongly connected is reported as a warning only.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -148,14 +149,16 @@ def validate(model: QbdModel, tol: float = STOCHASTIC_TOL) -> ValidationReport:
 
     for name in ("B", "A_neg", "A0", "A1"):
         a = getattr(model, name)
-        bad = np.argwhere((a < -tol) | (a > 1.0 + tol))
-        for i, j in bad:
-            failures.append(f"{name}[{i},{j}] = {float(a[i, j])!r} outside [0, 1]")
+        # NaN fails both comparisons, so it lands here too
+        for i, j in np.argwhere(~((a >= -tol) & (a <= 1.0 + tol))):
+            value = float(a[i, j])
+            failures.append(f"{name}[{i},{j}] = {value!r} " + (
+                "outside [0, 1]" if np.isfinite(value) else "is not finite"))
 
     boundary_rows = (model.B + model.A1).sum(axis=1)
     repeating_rows = model.repeating_sum().sum(axis=1)
-    boundary_res = norm_inf(boundary_rows - 1.0)
-    repeating_res = norm_inf(repeating_rows - 1.0)
+    boundary_res, repeating_res = (norm_inf(rows[np.isfinite(rows)] - 1.0)
+                                   for rows in (boundary_rows, repeating_rows))
     for i in np.flatnonzero(np.abs(boundary_rows - 1.0) > tol):
         failures.append(f"level-0 row {i} of B + A1 sums to {float(boundary_rows[i])!r}")
     for i in np.flatnonzero(np.abs(repeating_rows - 1.0) > tol):
@@ -241,6 +244,10 @@ def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdM
     if g.ndim != 2 or g.shape[1] != m or g.shape[0] < 1:
         raise ModelValidationError(
             f"field 'g' has shape {g.shape}, expected (N+1, {m}) with N >= 0")
+    bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+    if bad.size:
+        raise ModelValidationError(
+            f"field 'g' block {bad[0]} is not finite: {g[bad[0]].tolist()}")
     rhs = RhsSpec(blocks=g)
 
     report = validate(model, tol=stochastic_tol)

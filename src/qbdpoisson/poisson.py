@@ -49,7 +49,8 @@ class SolveOptions:
     then multiplies a zero deviation y - y*).
     ``y_perp_mode`` selects the recurrent-case hyperplane solution:
     ``minimal_norm`` (default), ``zero``, or ``explicit`` with ``y_perp``
-    supplied.  ``R_max`` defaults to N + 10.
+    supplied.  ``R_max`` defaults to N + 10 and must be at least 2, so that
+    the residual report sees an interior equation.
     """
 
     y_free: tuple | None = None
@@ -67,6 +68,8 @@ class SolveOptions:
                              f"got {self.y_perp_mode!r}")
         if self.y_perp_mode == "explicit" and self.y_perp is None:
             raise ValueError("y_perp_mode 'explicit' requires a y_perp vector")
+        if self.R_max is not None and self.R_max < 2:
+            raise ValueError(f"R_max must be at least 2, got {self.R_max}")
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,7 @@ class SolvePlan:
             x = self.sharp @ rhs + opt.alpha * np.ones(rhs.shape[0])
             alpha = opt.alpha
 
-        R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else max(2, int(opt.R_max))
+        R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
         # a growing family may overflow; that is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max)
@@ -370,16 +373,15 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
+        G, Ghat, Q = sols.G, sols.Ghat, None
         if sols.classification is Classification.NULL_RECURRENT:
             from . import shift           # shift imports this module
-            sd = shift.right_shift(model, sols, eps_zero=opt.eps_zero)
-            plans[key] = SolvePlan(model, sols, sd.Gt, sd.Gddot, sd.split_t,
-                                   sd.Wt, Q=sd.Q)
-        else:
-            plans[key] = SolvePlan(
-                model, sols, sols.G, sols.Ghat,
-                spectral.split(sols.Ghat, eps_zero=opt.eps_zero),
-                triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat))
+            sd = shift.right_shift(model, sols)
+            G, Ghat, Q = sd.Gt, sd.Gddot, sd.Q
+        # the shifted equation shares U and R with the original one
+        plans[key] = SolvePlan(model, sols, G, Ghat,
+                               spectral.split(Ghat, eps_zero=opt.eps_zero),
+                               triple.compute_w(G, sols.U, sols.R, Ghat), Q=Q)
     return plans[key]
 
 

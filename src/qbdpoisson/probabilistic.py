@@ -66,7 +66,10 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
         tails[n] = g.block(n) + sols.R @ tails[n + 1]
 
     Pstar = model.B + model.A1 @ sols.G
-    gi = poisson.group_inverse(Pstar)
+    # the class, not P*'s row sums, picks the branch: inside the null band
+    # P* is stochastic only to O(drift)
+    gi = poisson.group_inverse(
+        Pstar, recurrent=sols.classification is not qme.Classification.TRANSIENT)
     if gi.recurrent:
         mismatch = abs(float(gi.pi_star @ tails[0]))
         if mismatch > compat_tol * (1.0 + norm_inf(g.blocks)):

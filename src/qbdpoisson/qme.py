@@ -3,8 +3,7 @@
 The minimal nonnegative solution G of A_neg + (A0 - I)X + A1 X^2 = 0 collects
 the first-passage probabilities one level down; Ghat is the analogous matrix
 of the level-reversed chain, solving A1 + (A0 - I)X + A_neg X^2 = 0.  From G
-(resp. Ghat) follow U = A0 + A1 G and the rate matrix R = A1 (I - U)^{-1}
-(resp. Uhat = A0 + A_neg Ghat and Rhat = A_neg (I - Uhat)^{-1}).
+follow U = A0 + A1 G and the rate matrix R = A1 (I - U)^{-1}.
 
 The sign of the mean drift theta^T (A1 - A_neg) 1, with theta the stationary
 vector of A_neg + A0 + A1, classifies the chain as positive recurrent
@@ -45,21 +44,19 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class QmeSolutions:
-    """Solutions of the four quadratic equations plus classification data."""
+    """G, Ghat, R and U plus classification data."""
 
     G: Array
     Ghat: Array
     R: Array
-    Rhat: Array
     U: Array
-    Uhat: Array
     classification: Classification
     sp_G: float
     sp_Ghat: float
     drift: float
 
     def __post_init__(self):
-        for name in ("G", "Ghat", "R", "Rhat", "U", "Uhat"):
+        for name in ("G", "Ghat", "R", "U"):
             object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
@@ -146,16 +143,14 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
     against the original equation, to ``tol``.
     """
     m = A_low.shape[0]
-    eye = np.eye(m)
     if theta is None:
         X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)
     elif _drift(A_low, A_high, theta) <= 0.0:
-        Q = np.full((m, m), 1.0 / m)
-        X = _cyclic_reduction(A_low @ (eye - Q), A_mid + A_high @ Q, A_high,
-                              max_iter) + Q
+        Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
+        X = _cyclic_reduction(low, mid, A_high, max_iter) + Q
     else:
         Q = np.outer(np.ones(m), theta)
-        X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (eye - Q) @ A_high,
+        X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
                               max_iter)
     residual = qme_residual(A_low, A_mid, A_high, X)
     if residual > tol:
@@ -163,6 +158,16 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
             f"shifted cyclic reduction: residual {residual:.3e} > {tol:g} (the "
             "shift needs A_low + A_mid + A_high row-stochastic to rounding)")
     return X
+
+
+def _right_shifted_blocks(A_low: Array, A_mid: Array, A_high: Array
+                         ) -> tuple[Array, Array, Array]:
+    """Q = 1 u^T (u uniform) and the blocks A_low (I - Q), A_mid + A_high Q
+    of the right shift; with A_high they have the solvent X - Q for every
+    solvent X with X 1 = 1."""
+    m = A_low.shape[0]
+    Q = np.full((m, m), 1.0 / m)
+    return Q, A_low @ (np.eye(m) - Q), A_mid + A_high @ Q
 
 
 def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
@@ -211,33 +216,22 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
         f"(last residual {residual:.3e})")
 
 
-def compute_r_u(model: QbdModel, G: Array, Ghat: Array
-                ) -> tuple[Array, Array, Array, Array]:
-    """(U, R, Uhat, Rhat) from G and Ghat.
+def compute_r_u(model: QbdModel, G: Array) -> tuple[Array, Array]:
+    """(U, R) from G: U = A0 + A1 G and R = A1 (I - U)^{-1}.
 
-    U = A0 + A1 G and R = A1 (I - U)^{-1}; the hatted pair uses the
-    level-reversed blocks, Uhat = A0 + A_neg Ghat and
-    Rhat = A_neg (I - Uhat)^{-1}.  Rhat is verified against its defining
-    equation A_neg + X(A0 - I) + X^2 A1 = 0.
+    R is verified against its defining equation A1 + X(A0 - I) + X^2 A_neg = 0.
     """
-    m = model.m
-    eye = np.eye(m)
+    eye = np.eye(model.m)
     U = model.A0 + model.A1 @ G
-    Uhat = model.A0 + model.A_neg @ Ghat
-    for name, mat in (("I - U", eye - U), ("I - Uhat", eye - Uhat)):
-        if condition_number(mat) > 1e14:
-            raise NumericalError(f"{name} is numerically singular")
-    # X = A (I - U)^{-1} via a transposed solve
+    if condition_number(eye - U) > 1e14:
+        raise NumericalError("I - U is numerically singular")
+    # R = A1 (I - U)^{-1} via a transposed solve
     R = np.linalg.solve((eye - U).T, model.A1.T).T
-    Rhat = np.linalg.solve((eye - Uhat).T, model.A_neg.T).T
-
     res_R = norm_inf(model.A1 + R @ (model.A0 - eye) + R @ R @ model.A_neg)
-    res_Rhat = norm_inf(model.A_neg + Rhat @ (model.A0 - eye) + Rhat @ Rhat @ model.A1)
-    if max(res_R, res_Rhat) > 1e-8:
+    if res_R > 1e-8:
         raise NumericalError(
-            f"rate matrices fail their defining equations "
-            f"(residuals {res_R:.3e}, {res_Rhat:.3e})")
-    return U, R, Uhat, Rhat
+            f"rate matrix fails its defining equation (residual {res_R:.3e})")
+    return U, R
 
 
 def drift(model: QbdModel) -> float:
@@ -289,7 +283,8 @@ def classify(model: QbdModel, sols: "QmeSolutions",
 
 def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
                 ) -> QmeSolutions:
-    """Solve all four quadratic equations and classify the chain.
+    """Solve the quadratic equations for G and Ghat, derive U and R, and
+    classify the chain.
 
     G and Ghat both come from the shifted cyclic reduction of
     :func:`_solve_shifted`, with the stationary vector theta of
@@ -302,12 +297,12 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
                        QME_MAX_ITER)
     Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, QME_TOL,
                           QME_MAX_ITER)
-    U, R, Uhat, Rhat = compute_r_u(model, G, Ghat)
+    U, R = compute_r_u(model, G)
     sp_G = spectral_radius(G)
     sp_Ghat = spectral_radius(Ghat)
     cls = _cross_checked(d, sp_G, sp_Ghat, null_band)
-    return QmeSolutions(G=G, Ghat=Ghat, R=R, Rhat=Rhat, U=U, Uhat=Uhat,
-                        classification=cls, sp_G=sp_G, sp_Ghat=sp_Ghat, drift=d)
+    return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls,
+                        sp_G=sp_G, sp_Ghat=sp_Ghat, drift=d)
 
 
 def char_roots(sols: QmeSolutions) -> Array:

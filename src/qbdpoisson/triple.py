@@ -8,10 +8,11 @@ recurrent the series W = sum_j G^j (U - I)^{-1} R^j converges and satisfies
     W A1 (G Ghat - I) = Ghat,
 
 so W is computed from the closed form (one solve) and checked against the
-similarity W R = Ghat W; the series itself is kept as a reference.  Together with the splitting of Ghat, W yields a
-resolvent triple (X, T, Z): eta(lam)^{-1} = X T(lam)^{-1} Z with
-T(lam) = diag(lam I - T1, lam T2 - I), the engine behind the closed-form
-solution of the difference equation.
+similarity W R = Ghat W; the series itself is kept as a reference.
+
+Together with the splitting of Ghat, W yields a resolvent triple (X, T, Z):
+eta(lam)^{-1} = X T(lam)^{-1} Z with T(lam) = diag(lam I - T1, lam T2 - I),
+the engine behind the closed-form solution of the difference equation.
 """
 
 from __future__ import annotations

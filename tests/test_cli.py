@@ -169,3 +169,56 @@ def test_residual_failure_names_worst_equation(tmp_path, capsys):
 def test_output_is_strict_json():
     with pytest.raises(NumericalError, match="strict JSON"):
         _dump({"value": float("nan")})
+
+
+def _non_finite(field, value):
+    doc = json.loads(json.dumps(PR1))
+    doc[field][-1][0] = value
+    return doc
+
+
+NON_FINITE = {
+    "nan_B": (_non_finite("B", float("nan")), "B[0,0] = nan"),
+    "nan_A0": (_non_finite("A0", float("nan")), "A0[0,0] = nan"),
+    "nan_g": (_non_finite("g", float("nan")), "'g' block 1"),
+    "inf_g": (_non_finite("g", float("inf")), "'g' block 1"),
+}
+
+
+@pytest.mark.parametrize("case", ["nan_B", "nan_A0"])
+def test_validate_fails_on_non_finite_block(case, tmp_path, capsys):
+    # every comparison with NaN is False, so a range check alone passes it
+    doc, named = NON_FINITE[case]
+    path = write(tmp_path, "bad.json", doc)
+    assert "NaN" in path.read_text()
+    assert run(["validate", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert payload["failures"] == [f"{named} is not finite"]
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
+    doc, named = NON_FINITE[case]
+    path = write(tmp_path, "bad.json", doc)
+    assert run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ModelValidationError"
+    assert named in err["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flags, fixture, message", [
+    (["--y-perp-mode", "explicit"], "pr1", "requires a y_perp"),
+    (["--y-perp-mode", "explicit", "--y-perp", "1,2"], "pr1", "length 1"),
+    (["--y-free", "1,2"], "tr1", "y_free must have length"),
+    (["--levels", "1"], "pr1", "at least 2"),
+    (["--levels", "-5"], "pr1", "at least 2"),
+])
+def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
+                                         capsys):
+    path = MODELS / f"{fixture}.json"
+    assert run(["solve", *flags, "-o", str(tmp_path / "out"), str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert message in err["message"]

@@ -153,6 +153,13 @@ def test_transient_free_parameter(tr1, tr1_rhs):
         solve_poisson(tr1, tr1_rhs, SolveOptions(y_free=(0.3, 0.4)))
 
 
+@pytest.mark.parametrize("R_max", [1, 0, -5])
+def test_r_max_below_two_is_refused(R_max):
+    # the residual report needs an interior equation; no silent clamp
+    with pytest.raises(ValueError, match="R_max must be at least 2"):
+        SolveOptions(R_max=R_max)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transient_default_is_bounded(seed):
     # the default y = y* leaves no V1^{-r} (y - y*) mode, so the levels

@@ -6,7 +6,7 @@ from qbdpoisson import (Classification, InfeasibleConstraintError,
                         pi_dot_g, random_model, residuals, solve_model,
                         solve_poisson, stationary)
 
-from conftest import random_rhs, rhs
+from conftest import balanced_rhs, random_rhs, rhs, with_drift
 
 
 def test_omega_scalar_walkthrough(pr1, pr1_rhs):
@@ -91,3 +91,17 @@ def test_compare_constant_shift_edges():
     assert dev == pytest.approx(1e-3, rel=0.2)
     with pytest.raises(ValueError):
         compare_constant_shift(u, u[:2])
+
+
+@pytest.mark.parametrize("d", [1e-10, 5e-10])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_oracle_matches_in_band_drift_above_zero(m, d):
+    # P* = B + A1 G is stochastic only to O(d) here; the class, not its row
+    # sums, must pick the group inverse's recurrent branch
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
+    g = balanced_rhs(model, key=m)
+    sol = solve_poisson(model, g, SolveOptions(y_perp_mode="zero"))
+    assert sol.classification is Classification.NULL_RECURRENT
+    prob = omega_solution(model, g, R_max=sol.R_max)
+    is_match, _, max_dev = compare_constant_shift(sol.u, prob.omega)
+    assert is_match, max_dev

@@ -93,15 +93,13 @@ def test_solve_qme_reports_non_convergence():
 
 def test_r_u_relations(pr1, tr1, nr1):
     for model, expect in [
-        (pr1, {"U": 0.4, "R": 1.0 / 3.0, "Uhat": 0.4, "Rhat": 1.0}),
-        (tr1, {"U": 0.4, "R": 1.0, "Uhat": 0.4, "Rhat": 1.0 / 3.0}),
-        (nr1, {"U": 0.6, "R": 1.0, "Uhat": 0.6, "Rhat": 1.0}),
+        (pr1, {"U": 0.4, "R": 1.0 / 3.0}),
+        (tr1, {"U": 0.4, "R": 1.0}),
+        (nr1, {"U": 0.6, "R": 1.0}),
     ]:
         s = solve_model(model)
         assert s.U[0, 0] == pytest.approx(expect["U"], abs=1e-10)
         assert s.R[0, 0] == pytest.approx(expect["R"], abs=1e-10)
-        assert s.Uhat[0, 0] == pytest.approx(expect["Uhat"], abs=1e-10)
-        assert s.Rhat[0, 0] == pytest.approx(expect["Rhat"], abs=1e-10)
 
 
 def test_classification_by_drift(pr1, tr1, nr1):
@@ -164,7 +162,7 @@ def test_qme_invariants_on_random_models(seed):
     eye = np.eye(m)
     assert qme_residual(model.A_neg, model.A0, model.A1, s.G) <= 1e-8
     assert qme_residual(model.A1, model.A0, model.A_neg, s.Ghat) <= 1e-8
-    for X in (s.G, s.Ghat, s.R, s.Rhat):
+    for X in (s.G, s.Ghat, s.R):
         assert X.min() >= -1e-10
     assert np.max((s.G @ np.ones(m))) <= 1 + 1e-10
     assert np.max((s.Ghat @ np.ones(m))) <= 1 + 1e-10
