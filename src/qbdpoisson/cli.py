@@ -22,7 +22,7 @@ import numpy as np
 from . import poisson, probabilistic, qme, shift, spectral, triple, verify
 from .exceptions import (InfeasibleConstraintError, ModelValidationError,
                          NumericalError, QbdError)
-from .model import STOCHASTIC_TOL, QbdModel, load_problem, validate
+from .model import STOCHASTIC_TOL, load_problem, parse_problem, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -172,22 +172,11 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
 
 
 def _cmd_validate(args) -> int:
-    report = validate(_load_model_lenient(args), tol=args.stochastic_tol)
+    # parse errors (g included) raise; invariant violations go to the report
+    model, _ = parse_problem(args.input.read_text(encoding="utf-8"))
+    report = validate(model, tol=args.stochastic_tol)
     print(_dump(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VALIDATION
-
-
-def _load_model_lenient(args) -> QbdModel:
-    """Parse the document but keep invariant violations for the report."""
-    try:
-        doc = json.loads(args.input.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelValidationError(f"parse failure: {exc}") from exc
-    try:
-        return QbdModel(B=doc["B"], A_neg=doc["A_minus"], A0=doc["A0"],
-                        A1=doc["A1"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelValidationError(f"malformed document: {exc}") from exc
 
 
 def _cmd_classify(args) -> int:

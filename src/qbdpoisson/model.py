@@ -201,16 +201,16 @@ def _as_matrix(doc: dict, key: str, m: int) -> Array:
     return a
 
 
-def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdModel, RhsSpec]:
-    """Parse and validate a problem document.
+def parse_problem(document) -> tuple[QbdModel, RhsSpec]:
+    """Parse a problem document without checking the model's invariants.
 
     ``document`` is a JSON text (or an already-decoded dict) of the form
     ``{"m": int, "B": [[...]], "A_minus": [[...]], "A0": [[...]],
     "A1": [[...]], "g": [[...], ...]}`` with row-major m x m matrices and a
     list of length-m right-hand-side vectors.
 
-    Raises :class:`ModelValidationError` on parse failures, dimension
-    mismatches, or invariant violations, naming the offending row/entry.
+    Raises :class:`ModelValidationError` on parse failures, missing fields,
+    wrong shapes and non-finite g, naming the field; blocks go to validate.
     """
     if isinstance(document, (bytes, bytearray)):
         document = document.decode("utf-8")
@@ -224,7 +224,7 @@ def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdM
     else:
         raise ModelValidationError(f"unsupported document type {type(document).__name__}")
 
-    missing = [k for k in ("m", *_BLOCK_KEYS, "g") if k not in doc]
+    missing = [repr(k) for k in ("m", *_BLOCK_KEYS, "g") if k not in doc]
     if missing:
         raise ModelValidationError(f"missing fields: {', '.join(missing)}")
     m = doc["m"]
@@ -248,8 +248,13 @@ def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdM
     if bad.size:
         raise ModelValidationError(
             f"field 'g' block {bad[0]} is not finite: {g[bad[0]].tolist()}")
-    rhs = RhsSpec(blocks=g)
+    return model, RhsSpec(blocks=g)
 
+
+def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdModel, RhsSpec]:
+    """:func:`parse_problem`, then :func:`validate`; raises
+    :class:`ModelValidationError` naming the offending field, row or entry."""
+    model, rhs = parse_problem(document)
     report = validate(model, tol=stochastic_tol)
     if not report.passed:
         raise ModelValidationError("invalid model: " + "; ".join(report.failures))

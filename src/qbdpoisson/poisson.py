@@ -29,13 +29,14 @@ from ._linalg import (Array, as_readonly, condition_number, norm_inf,
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
 from .model import QbdModel, RhsSpec
-from .qme import Classification, Normalization
+from .qme import Classification
 from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
 
 DEFAULT_RESIDUAL_TOL = 1e-7
 _EXTRA_LEVELS = 10
+_PSTAR_ROW_TOL = 1e-10
 
 Y_PERP_MODES = ("minimal_norm", "zero", "explicit")
 
@@ -123,21 +124,22 @@ class PoissonSolution:
             object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
-def group_inverse(Pstar: Array, *, stochastic_tol: float = 1e-10,
+def group_inverse(Pstar: Array, *,
                   recurrent: bool | None = None) -> GroupInverseData:
     """Group inverse of I - P* for a (sub)stochastic P*.
 
     ``recurrent`` selects the stationary (True) or the plain-inverse (False)
-    form; by default P* counts as stochastic when its row sums are within
-    ``stochastic_tol`` of 1.  Raises :class:`NumericalError` when the
-    fundamental matrix is singular, which signals a reducible P*.
+    form; the solvers pass their class.  By default P* counts as stochastic
+    when its row sums are within 1e-10 of 1.  Raises :class:`NumericalError`
+    when the matrix inverted has condition number above 1e14 (a reducible
+    P*), and ValueError when a plain-inverse P* is not substochastic.
     """
     Pstar = np.atleast_2d(np.asarray(Pstar, dtype=float))
     m = Pstar.shape[0]
     eye = np.eye(m)
     rows = Pstar.sum(axis=1)
     if recurrent is None:
-        recurrent = norm_inf(rows - 1.0) <= stochastic_tol
+        recurrent = norm_inf(rows - 1.0) <= _PSTAR_ROW_TOL
     if recurrent:
         pi = stationary_vector(Pstar)
         fundamental = eye - Pstar + np.outer(np.ones(m), pi)
@@ -146,7 +148,7 @@ def group_inverse(Pstar: Array, *, stochastic_tol: float = 1e-10,
                                  "(P* appears reducible)")
         sharp = np.linalg.solve(fundamental, eye) - np.outer(np.ones(m), pi)
         return GroupInverseData(Pstar=Pstar, sharp=sharp, pi_star=pi, recurrent=True)
-    if rows.max() > 1.0 + stochastic_tol:
+    if rows.max() > 1.0 + _PSTAR_ROW_TOL:
         raise ValueError("P* must be substochastic")
     if condition_number(eye - Pstar) > 1e14:
         raise NumericalError("group inverse: I - P* is numerically singular")
@@ -294,10 +296,10 @@ class SolvePlan:
     Holds the difference equation being solved, (G, Ghat, split, W) or the
     shifted one with its shift ``Q`` (boundary block B + A1 Q, levels mapped
     back by u_k = ut_k + Q sum_{i<k} ut_i), the boundary operator
-    (B + A1 Q - I) Ghat + A1, and, with P* = B + A1 G from the original G,
-    I - P* (transient) or its group inverse, pi_0 of unit sum, the hyperplane
-    direction and pi_0's stationarity defect (recurrent).  It keeps its own
-    copy of the blocks, so a plan cached on a model does not refer back to it.
+    (B + A1 Q - I) Ghat + A1, the group inverse of I - P* (P* = B + A1 G, the
+    original G) in the form its class picks, and, recurrent only, its pi_0 of
+    unit sum, the hyperplane direction and pi_0's stationarity defect.  It
+    keeps its own copy of the blocks, so a cached plan does not refer back.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions, G: Array,
@@ -308,16 +310,17 @@ class SolvePlan:
         self.sols, self.G, self.split, self.W, self.Q = sols, G, split, wdata.W, Q
         B = model.B if Q is None else model.B + model.A1 @ Q
         self.boundary = (B - eye) @ Ghat + model.A1
-        Pstar = model.B + model.A1 @ sols.G
-        if sols.classification is Classification.TRANSIENT:
-            self.fundamental = eye - Pstar
+        gi = group_inverse(
+            model.B + model.A1 @ sols.G,
+            recurrent=sols.classification is not Classification.TRANSIENT)
+        self.sharp = gi.sharp
+        if not gi.recurrent:
             return
         # the constraint is scale invariant in pi_0; a unit sum keeps the
         # direction away from the drift^2 scale of the probability mass
-        self.pi0 = qme.stationary(model, sols, Normalization.UNIT_SUM).pi0
+        self.pi0 = gi.pi_star
         self.direction = split.L.T @ (wdata.W_inv.T @ self.pi0)
-        self.defect = float(np.abs(self.pi0 - self.pi0 @ Pstar).sum())
-        self.sharp = group_inverse(Pstar, recurrent=True).sharp
+        self.defect = float(np.abs(self.pi0 - self.pi0 @ gi.Pstar).sum())
 
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
@@ -342,12 +345,9 @@ class SolvePlan:
 
         sigma1 = _sigma1(split, W, g)
         rhs = self.boundary @ (sigma1 + split.L @ (split.v1_inv @ y)) + g.block(0)
-        if cls is Classification.TRANSIENT:
-            x = np.linalg.solve(self.fundamental, rhs)
-            alpha = None
-        else:
-            x = self.sharp @ rhs + opt.alpha * np.ones(rhs.shape[0])
-            alpha = opt.alpha
+        x, alpha = self.sharp @ rhs, None
+        if cls is not Classification.TRANSIENT:
+            x, alpha = x + opt.alpha, opt.alpha
 
         R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
         # a growing family may overflow; that is refused below, not warned about

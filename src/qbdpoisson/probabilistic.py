@@ -43,17 +43,15 @@ class ProbSolution:
             object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
-def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
-                   compat_tol: float = _COMPAT_TOL,
-                   sols: qme.QmeSolutions | None = None) -> ProbSolution:
+def omega_solution(model: QbdModel, g: RhsSpec,
+                   R_max: int | None = None) -> ProbSolution:
     """Probabilistic solution blocks omega_0 ... omega_{R_max}.
 
     Raises :class:`InfeasibleConstraintError` for a recurrent chain whose
     right-hand side violates the compatibility condition
-    pi*^T sum_k R^k g_k = 0 (within ``compat_tol``).
+    pi*^T sum_k R^k g_k = 0 (within 1e-9 (1 + ||g||)).
     """
-    if sols is None:
-        sols = qme.solve_model(model)
+    sols = qme.solve_model(model)
     m = model.m
     N = g.N
     eye = np.eye(m)
@@ -72,7 +70,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
         Pstar, recurrent=sols.classification is not qme.Classification.TRANSIENT)
     if gi.recurrent:
         mismatch = abs(float(gi.pi_star @ tails[0]))
-        if mismatch > compat_tol * (1.0 + norm_inf(g.blocks)):
+        if mismatch > _COMPAT_TOL * (1.0 + norm_inf(g.blocks)):
             raise InfeasibleConstraintError(
                 "probabilistic solution needs pi*^T sum_k R^k g_k = 0 for a "
                 f"recurrent chain; got {mismatch:.6e}")

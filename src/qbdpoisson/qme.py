@@ -323,22 +323,23 @@ def char_roots(sols: QmeSolutions) -> Array:
     return roots[order]
 
 
+# off the solve path (pi_0 comes from group_inverse); bench/spans.py wraps it
 def stationary(model: QbdModel, sols: QmeSolutions,
                mode: Normalization = Normalization.PROBABILITY) -> StationaryData:
     """Boundary stationary vector: pi_0^T (I - B - A1 G) = 0, normalized.
 
     Probability mode requires a positive recurrent chain
     (pi_0^T (I - R)^{-1} 1 = 1); UnitSum applies to any recurrent chain
-    (pi_0^T 1 = 1).  For a transient chain I - B - A1 G is nonsingular, so
-    no nonzero pi_0 exists and the operation raises.
+    (pi_0^T 1 = 1).  The class is read from ``sols.classification``: for a
+    transient chain I - B - A1 G is nonsingular, so no nonzero pi_0 exists
+    and :class:`ClassificationError` is raised.
     """
     mode = Normalization(mode)
-    Pstar = model.B + model.A1 @ sols.G
-    if norm_inf(Pstar.sum(axis=1) - 1.0) > 1e-8:
+    if sols.classification is Classification.TRANSIENT:
         raise ClassificationError(
             "no stationary vector: B + A1 G is strictly substochastic "
             "(transient chain)")
-    direction = stationary_vector(Pstar)
+    direction = stationary_vector(model.B + model.A1 @ sols.G)
     if mode is Normalization.PROBABILITY:
         if sols.classification is not Classification.POSITIVE_RECURRENT:
             raise ClassificationError(

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qme
-from ._linalg import Array, as_readonly, condition_number, norm_inf, spectral_radius
+# spectral_radius is unused here but stays bound: bench/spans.py wraps it
+from ._linalg import (Array, as_readonly, condition_number, norm_inf,
+                      spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
 from .spectral import SpectralSplit
@@ -94,23 +96,21 @@ def eta(model: QbdModel, lam: complex) -> Array:
     return model.A_neg + (model.A0 - eye) * lam + model.A1 * lam * lam
 
 
-def w_series(G: Array, U: Array, R: Array, *, term_tol: float = 1e-14,
-             max_terms: int | None = None) -> Array:
+def w_series(G: Array, U: Array, R: Array) -> Array:
     """Truncated series sum_j G^j (U - I)^{-1} R^j.
 
-    Terms are summed until the term norm drops below ``term_tol``, capped at
+    Terms are summed until the term norm drops below 1e-14, capped at
     10 m + 200 terms.  Raises :class:`NumericalError` if the cap is reached
     first (divergent or too slowly convergent — null recurrent input).
     """
     m = G.shape[0]
-    if max_terms is None:
-        max_terms = 10 * m + _MAX_SERIES_TERMS_BASE
+    max_terms = 10 * m + _MAX_SERIES_TERMS_BASE
     core = np.linalg.solve(U - np.eye(m), np.eye(m))
     total = np.zeros((m, m))
     term = core
     for _ in range(max_terms):
         total = total + term
-        if norm_inf(term) < term_tol:
+        if norm_inf(term) < 1e-14:
             return total
         term = G @ term @ R
     raise NumericalError(
@@ -122,19 +122,16 @@ def w_series(G: Array, U: Array, R: Array, *, term_tol: float = 1e-14,
 def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     """W from the closed form W^{-1} = (I - U)(G Ghat - I).
 
-    Requires sp(G) sp(R) < 1 (not null recurrent).  W is checked against the
-    similarity W R = Ghat W; a residual beyond 1e-8 (1 + ||W||) raises.
+    Defined when the chain is not null recurrent, which callers read from
+    its class.  A singular W^{-1} (cond > 1e14) raises, naming that cause, as
+    does a residual of the similarity W R = Ghat W beyond 1e-8 (1 + ||W||).
     """
     m = G.shape[0]
     eye = np.eye(m)
-    sp_product = spectral_radius(G) * spectral_radius(R)
-    if sp_product >= 1.0 - qme.NULL_BAND:
-        raise NumericalError(
-            f"W is undefined: sp(G) sp(R) = {sp_product:.15f} >= 1 "
-            "(null recurrent chain); use the shift path")
     W_inv = (eye - U) @ (G @ Ghat - eye)
     if condition_number(W_inv) > 1e14:
-        raise NumericalError("(I - U)(G Ghat - I) is numerically singular")
+        raise NumericalError("W is undefined: (I - U)(G Ghat - I) is singular "
+                             "(null recurrent chain); use the shift path")
     W = np.linalg.solve(W_inv, eye)
     residual = norm_inf(W @ R - Ghat @ W)
     if residual > 1e-8 * (1.0 + norm_inf(W)):

@@ -21,6 +21,7 @@ from .model import QbdModel, RhsSpec
 
 DEFAULT_TOL = 1e-7
 _DRIFT_MARGIN = 1e-6
+_MAX_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,8 @@ def _draw_null(rng: np.random.Generator, m: int) -> QbdModel:
     return QbdModel(B=A_neg + A0, A_neg=A_neg, A0=A0, A1=A1)
 
 
-def random_model(seed: int, m: int, target_class: qme.Classification,
-                 *, max_retries: int = 50,
-                 null_band: float = qme.NULL_BAND) -> QbdModel:
+def random_model(seed: int, m: int,
+                 target_class: qme.Classification) -> QbdModel:
     """Deterministic random model of the requested recurrence class.
 
     Strictly positive blocks are normalized to a stochastic repeating row;
@@ -152,13 +152,14 @@ def random_model(seed: int, m: int, target_class: qme.Classification,
     exchanging mass between A1 and A_neg until the drift sign is right; the
     null recurrent target sets A1 = A_neg (zero drift by symmetry) with a
     diagonal A0 absorbing the rest of each row.  The classification of the
-    output is verified before returning.
+    output, at the default null band, is verified before returning; after
+    50 draws of the wrong class :class:`NumericalError` is raised.
     """
     if m < 1:
         raise ValueError(f"phase count must be positive, got {m}")
     target = qme.Classification(target_class)
     rng = np.random.Generator(np.random.Philox(key=abs(int(seed))))
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         if target is qme.Classification.NULL_RECURRENT:
             model = _draw_null(rng, m)
         else:
@@ -166,9 +167,9 @@ def random_model(seed: int, m: int, target_class: qme.Classification,
             if model is None:
                 continue
         d = qme.drift(model)
-        got = qme._classify_drift(d, null_band)
+        got = qme._classify_drift(d, qme.NULL_BAND)
         if got is target:
             return model
     raise NumericalError(
         f"random model generation failed for seed={seed}, m={m}, "
-        f"target={target.value} after {max_retries} attempts")
+        f"target={target.value} after {_MAX_RETRIES} attempts")

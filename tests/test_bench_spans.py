@@ -71,9 +71,9 @@ def test_plan_stages_reached_once_per_model(fixture, request, monkeypatch):
     model = request.getfixturevalue(fixture)
     g = request.getfixturevalue(f"{fixture}_rhs")
     solve_poisson(model, g)
-    expected = {"qme.solve_model": 1, "spectral.split": 1, "triple.compute_w": 1}
-    if fixture != "tr1":
-        expected.update({"qme.stationary": 1, "poisson.group_inverse": 1})
+    # one group inverse of I - P* for every class, its pi_star being pi_0
+    expected = {"qme.solve_model": 1, "spectral.split": 1, "triple.compute_w": 1,
+                "poisson.group_inverse": 1}
     if fixture == "nr1":
         expected["shift.right_shift"] = 1
     assert calls == expected

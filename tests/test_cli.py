@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from qbdpoisson import NumericalError
+from qbdpoisson import (Classification, NumericalError, RhsSpec, random_model,
+                        serialize_problem)
 from qbdpoisson.cli import _dump, run
+from conftest import with_drift
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -222,3 +224,43 @@ def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert message in err["message"]
+
+
+def _without_g():
+    doc = json.loads(json.dumps(PR1))
+    del doc["g"]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {**PR1, "g": [[1.0], [float("nan")]]},
+    {**PR1, "g": [[1.0, 2.0]]},
+    _without_g(),
+], ids=["nan_g", "g_shape_1x2", "no_g"])
+def test_validate_reads_g(doc, tmp_path, capsys):
+    # validate parses the document as solve does, g included
+    path = write(tmp_path, "pr1.json", doc)
+    assert run(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ModelValidationError"
+    assert "'g'" in err["message"]
+    assert run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == err["message"]
+
+
+def test_lemmas_with_narrowed_null_band(tmp_path, capsys):
+    # drift 2e-10 is transient or positive recurrent under a band of 1e-12,
+    # so W exists; the class, not a spectral-radius gate, decides that
+    for drift in (-2e-10, 2e-10):
+        model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT),
+                           drift)
+        path = tmp_path / "near.json"
+        path.write_text(serialize_problem(model, RhsSpec([[0.0] * 3])),
+                        encoding="utf-8")
+        assert run(["lemmas", "--null-band", "1e-12", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == ("Transient" if drift > 0
+                                    else "PositiveRecurrent")
+        assert payload["identities"]["pair_down"] < 1e-10

@@ -1,13 +1,15 @@
 """solve_poisson does the g-independent work once per QbdModel object."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, QbdModel, SolveOptions, qme,
-                        random_model, solve_null_recurrent, solve_poisson)
+from qbdpoisson import (Classification, QbdModel, SolveOptions, _linalg,
+                        poisson, qme, random_model, solve_null_recurrent,
+                        solve_poisson)
 from conftest import random_rhs
 
 CLASSES = list(Classification)
@@ -83,3 +85,32 @@ def test_plan_does_not_keep_its_model_alive(cls):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
+def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
+    # qme.solve_model classifies; the later stages read the class instead of
+    # re-deriving it from eigenvalues, and one group inverse of I - P*
+    # serves every class
+    callers, inverses = [], []
+    original = _linalg.spectral_radius
+
+    def spectral_radius(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("qbdpoisson")
+                and getattr(mod, "spectral_radius", None) is original):
+            monkeypatch.setattr(mod, "spectral_radius", spectral_radius)
+    group_inverse = poisson.group_inverse
+
+    def counted(*args, **kwargs):
+        inverses.append(kwargs.get("recurrent"))
+        return group_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "group_inverse", counted)
+    solve_poisson(request.getfixturevalue(fixture),
+                  request.getfixturevalue(f"{fixture}_rhs"))
+    assert callers == ["solve_model", "solve_model"]
+    assert inverses == [fixture != "tr1"]

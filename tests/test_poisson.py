@@ -11,7 +11,7 @@ from qbdpoisson import (Classification, ClassificationError,
 
 from qbdpoisson.poisson import _corollary_split
 from conftest import (balanced_h, balanced_rhs, nilpotent_model, random_rhs, rhs,
-                      scalar_model, scaled_interior_residual)
+                      scalar_model, scaled_interior_residual, with_drift)
 
 
 def direct_u(x, y, G, sp, W, g, r):
@@ -404,3 +404,21 @@ def test_sigma1_is_zero_without_nilpotent_part():
             assert np.all(solve_poisson(model, g).sigma1 == 0.0)
             count += 1
     assert count >= 6
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("d", [-2e-10, 2e-10])
+def test_narrowed_null_band_solves_near_critical_chain(m, d):
+    # under null_band = 1e-12 the drift is outside the band, so the chain is
+    # solved as positive recurrent or transient: W exists, whatever its size
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
+    g = balanced_rhs(model, 3)
+    sol = solve_poisson(model, g, SolveOptions(null_band=1e-12))
+    assert sol.classification is (Classification.TRANSIENT if d > 0
+                                  else Classification.POSITIVE_RECURRENT)
+    assert sol.diagnostics.passed
+    h = np.zeros_like(sol.u)
+    h[:8] = balanced_h(m, 3)
+    dist = sol.u - h
+    # the 1/|d| loss of digits near the band is not addressed here
+    assert np.abs(dist - dist.mean()).max() <= 1e-5 * (1.0 + np.abs(h).max())

@@ -256,3 +256,18 @@ def test_cross_check_warns_on_flipped_drift(pr1):
     s = solve_model(model)
     with pytest.warns(RuntimeWarning, match="disagrees"):
         _cross_checked(-s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+
+
+@pytest.mark.parametrize("drift_, band", [(2e-10, 1e-12), (5e-9, 1e-9)],
+                         ids=["narrowed_band", "default_band"])
+def test_stationary_refuses_transient_by_class(drift_, band):
+    # P*'s row sums are within 1e-8 of 1 here; the class decides, not they
+    model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT),
+                       drift_)
+    s = solve_model(model, null_band=band)
+    assert s.classification is Classification.TRANSIENT
+    Pstar = model.B + model.A1 @ s.G
+    assert np.abs(Pstar.sum(axis=1) - 1.0).max() < 1e-8
+    for mode in Normalization:
+        with pytest.raises(ClassificationError, match="transient"):
+            stationary(model, s, mode)
