@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -167,8 +168,8 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
         writer = csv.writer(handle)
         m = sol.u.shape[1]
         writer.writerow(["level"] + [f"u{i}" for i in range(m)])
-        for r, block in enumerate(sol.u):
-            writer.writerow([r] + [repr(float(v)) for v in block])
+        # csv writes a float as its repr, which round-trips exactly
+        writer.writerows([r, *row] for r, row in enumerate(sol.u.tolist()))
 
 
 def _cmd_validate(args) -> int:
@@ -234,12 +235,8 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_compare_prob(args) -> int:
     model, g = _load(args)
-    opts = _options(args)
     # the probabilistic solution corresponds to y_perp = 0
-    opts = poisson.SolveOptions(
-        y_perp_mode="zero", alpha=0.0, R_max=opts.R_max,
-        residual_tol=opts.residual_tol, null_band=opts.null_band,
-        eps_zero=opts.eps_zero)
+    opts = dataclasses.replace(_options(args), y_perp_mode="zero")
     sol = poisson.solve_poisson(model, g, opts)
     prob = probabilistic.omega_solution(model, g, R_max=sol.R_max)
     is_match, offset, max_dev = probabilistic.compare_constant_shift(

@@ -128,11 +128,13 @@ def group_inverse(Pstar: Array, *,
                   recurrent: bool | None = None) -> GroupInverseData:
     """Group inverse of I - P* for a (sub)stochastic P*.
 
-    ``recurrent`` selects the stationary (True) or the plain-inverse (False)
-    form; the solvers pass their class.  By default P* counts as stochastic
-    when its row sums are within 1e-10 of 1.  Raises :class:`NumericalError`
-    when the matrix inverted has condition number above 1e14 (a reducible
-    P*), and ValueError when a plain-inverse P* is not substochastic.
+    One formula for every class: (I - P* + 1 pi^T)^{-1} - 1 pi^T, with pi the
+    stationary vector of P* when ``recurrent`` and 0 (the plain inverse)
+    otherwise; the solvers pass their class.  By default P* counts as
+    stochastic when its row sums are within 1e-10 of 1.  Raises
+    :class:`NumericalError` when I - P* + 1 pi^T has condition number above
+    1e14 (a reducible P*), and ValueError when a transient P* is not
+    substochastic.
     """
     Pstar = np.atleast_2d(np.asarray(Pstar, dtype=float))
     m = Pstar.shape[0]
@@ -140,20 +142,17 @@ def group_inverse(Pstar: Array, *,
     rows = Pstar.sum(axis=1)
     if recurrent is None:
         recurrent = norm_inf(rows - 1.0) <= _PSTAR_ROW_TOL
-    if recurrent:
-        pi = stationary_vector(Pstar)
-        fundamental = eye - Pstar + np.outer(np.ones(m), pi)
-        if condition_number(fundamental) > 1e14:
-            raise NumericalError("group inverse: fundamental matrix is singular "
-                                 "(P* appears reducible)")
-        sharp = np.linalg.solve(fundamental, eye) - np.outer(np.ones(m), pi)
-        return GroupInverseData(Pstar=Pstar, sharp=sharp, pi_star=pi, recurrent=True)
-    if rows.max() > 1.0 + _PSTAR_ROW_TOL:
+    if not recurrent and rows.max() > 1.0 + _PSTAR_ROW_TOL:
         raise ValueError("P* must be substochastic")
-    if condition_number(eye - Pstar) > 1e14:
-        raise NumericalError("group inverse: I - P* is numerically singular")
-    sharp = np.linalg.solve(eye - Pstar, eye)
-    return GroupInverseData(Pstar=Pstar, sharp=sharp, pi_star=None, recurrent=False)
+    pi = stationary_vector(Pstar) if recurrent else np.zeros(m)
+    one_pi = np.outer(np.ones(m), pi)
+    fundamental = eye - Pstar + one_pi
+    if condition_number(fundamental) > 1e14:
+        raise NumericalError("group inverse: I - P* + 1 pi^T is numerically "
+                             "singular (P* appears reducible)")
+    sharp = np.linalg.solve(fundamental, eye) - one_pi
+    return GroupInverseData(Pstar=Pstar, sharp=sharp, recurrent=recurrent,
+                            pi_star=pi if recurrent else None)
 
 
 def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# spectral_radius is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import (Array, as_readonly, condition_number, norm_inf,
-                      spectral_radius, stationary_vector)
+                      spectral_radius, stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
 
@@ -27,7 +28,8 @@ NULL_BAND = 1e-9
 QME_TOL = 1e-12
 QME_MAX_ITER = 200
 
-# tolerance on |sp - 1| in the drift/spectrum cross-check
+# tolerance on the solvents' row sums in the drift cross-check: the owner's
+# within it of 1, the other's absolute row sums at most 1 plus it
 _UNIT_TOL = 1e-12
 
 
@@ -44,15 +46,13 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class QmeSolutions:
-    """G, Ghat, R and U plus classification data."""
+    """G, Ghat, R and U, with the class and the drift that decided it."""
 
     G: Array
     Ghat: Array
     R: Array
     U: Array
     classification: Classification
-    sp_G: float
-    sp_Ghat: float
     drift: float
 
     def __post_init__(self):
@@ -251,34 +251,39 @@ def _classify_drift(d: float, null_band: float) -> Classification:
     return Classification.NULL_RECURRENT
 
 
-def _cross_checked(d: float, sp_G: float, sp_Ghat: float,
+def _cross_checked(d: float, G: Array, Ghat: Array,
                    null_band: float) -> Classification:
-    """Class of drift ``d``; warns when the spectral radii contradict its sign.
+    """Class of drift ``d``; warns when the solvents' row sums contradict it.
 
-    The sign assigns the unit root to G when d <= 0 and to Ghat when d >= 0;
-    a solvent that owns it must have spectral radius 1, the other at most 1,
-    both to within :data:`_UNIT_TOL`.
+    The sign assigns the unit root to G when d <= 0 and to Ghat when d >= 0.
+    A minimal nonnegative solvent owns it iff it is stochastic, and
+    min row sum <= sp(X) <= max row sum: so the owner's row sums must be 1
+    and the other's absolute row sums at most 1, both to within
+    :data:`_UNIT_TOL`.  A NaN row sum counts as a contradiction.
     """
     cls = _classify_drift(d, null_band)
-    contradicted = any(
-        (abs(sp - 1.0) if owns_unit_root else sp - 1.0) > _UNIT_TOL
-        for sp, owns_unit_root in ((sp_G, d <= 0.0), (sp_Ghat, d >= 0.0)))
-    if contradicted:
+    consistent = all(
+        np.all(np.abs(X.sum(axis=1) - 1.0) <= _UNIT_TOL) if owns_unit_root
+        else np.all(np.abs(X).sum(axis=1) <= 1.0 + _UNIT_TOL)
+        for X, owns_unit_root in ((G, d <= 0.0), (Ghat, d >= 0.0)))
+    if not consistent:
+        rows = ", ".join(f"{name} {r.min():.15f} ... {r.max():.15f}" for name, r
+                         in (("G", G.sum(axis=1)), ("Ghat", Ghat.sum(axis=1))))
         warnings.warn(
             f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
-            f"spectral radii sp(G)={sp_G:.15f}, sp(Ghat)={sp_Ghat:.15f}",
-            RuntimeWarning, stacklevel=3)
+            f"the solvents' row sums: {rows}", RuntimeWarning, stacklevel=3)
     return cls
 
 
 def classify(model: QbdModel, sols: "QmeSolutions",
              null_band: float = NULL_BAND) -> Classification:
-    """Drift-based classification, cross-checked against sp(G) and sp(Ghat).
+    """Drift-based classification, cross-checked against the row sums of
+    ``sols.G`` and ``sols.Ghat``.
 
-    The drift ``sols.drift`` decides; a disagreement with the spectral radii
-    is reported as a :class:`RuntimeWarning`, not an error.
+    The drift ``sols.drift`` decides; a disagreement with the row sums is
+    reported as a :class:`RuntimeWarning`, not an error.
     """
-    return _cross_checked(sols.drift, sols.sp_G, sols.sp_Ghat, null_band)
+    return _cross_checked(sols.drift, sols.G, sols.Ghat, null_band)
 
 
 def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
@@ -289,7 +294,8 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     G and Ghat both come from the shifted cyclic reduction of
     :func:`_solve_shifted`, with the stationary vector theta of
     A_neg + A0 + A1 computed once; the sign of the drift decides which of
-    them owns the unit root.  The null band only labels the class.
+    them owns the unit root, and :func:`_cross_checked` checks that owner
+    for stochastic rows.  The null band only labels the class.
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
@@ -298,11 +304,8 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, QME_TOL,
                           QME_MAX_ITER)
     U, R = compute_r_u(model, G)
-    sp_G = spectral_radius(G)
-    sp_Ghat = spectral_radius(Ghat)
-    cls = _cross_checked(d, sp_G, sp_Ghat, null_band)
-    return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls,
-                        sp_G=sp_G, sp_Ghat=sp_Ghat, drift=d)
+    cls = _cross_checked(d, G, Ghat, null_band)
+    return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
 
 
 def char_roots(sols: QmeSolutions) -> Array:

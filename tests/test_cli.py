@@ -1,11 +1,14 @@
+import csv
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, NumericalError, RhsSpec, random_model,
-                        serialize_problem)
+from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
+                        load_problem, random_model, serialize_problem,
+                        solve_poisson)
 from qbdpoisson.cli import _dump, run
 from conftest import with_drift
 
@@ -48,6 +51,20 @@ def test_solve_writes_solution_files(tmp_path, capsys):
     csv_lines = (tmp_path / "result.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "level,u0"
     assert len(csv_lines) == 12
+
+
+@pytest.mark.parametrize("stem", ["pr1", "tr1", "nr1", "tandem_m2"])
+def test_solution_csv_round_trips_bitwise(stem, tmp_path, capsys):
+    path = MODELS / f"{stem}.json"
+    out = tmp_path / "result"
+    assert run(["solve", "--levels", "40", "-o", str(out), str(path)]) == 0
+    capsys.readouterr()
+    model, g = load_problem(path.read_text(encoding="utf-8"))
+    sol = solve_poisson(model, g, SolveOptions(R_max=40))
+    with (tmp_path / "result.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [int(row[0]) for row in rows] == list(range(41))
+    assert np.array_equal([[float(v) for v in row[1:]] for row in rows], sol.u)
 
 
 def test_solve_default_output_paths(tmp_path, capsys):

@@ -89,9 +89,9 @@ def test_plan_does_not_keep_its_model_alive(cls):
 
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
 def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
-    # qme.solve_model classifies; the later stages read the class instead of
-    # re-deriving it from eigenvalues, and one group inverse of I - P*
-    # serves every class
+    # qme.solve_model classifies and checks the class on row sums; the later
+    # stages read the class instead of re-deriving it from eigenvalues, and
+    # one group inverse of I - P* serves every class
     callers, inverses = [], []
     original = _linalg.spectral_radius
 
@@ -112,5 +112,20 @@ def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
     monkeypatch.setattr(poisson, "group_inverse", counted)
     solve_poisson(request.getfixturevalue(fixture),
                   request.getfixturevalue(f"{fixture}_rhs"))
-    assert callers == ["solve_model", "solve_model"]
+    assert callers == []
     assert inverses == [fixture != "tr1"]
+
+
+@pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
+def test_cold_solve_runs_no_eigensolver(fixture, request, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    solve_poisson(request.getfixturevalue(fixture),
+                  request.getfixturevalue(f"{fixture}_rhs"))
+    assert calls == []

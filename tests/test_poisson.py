@@ -115,6 +115,19 @@ def test_group_inverse_characterization_random():
         assert group_inverse_equations_hold(eye - Pstar, gi.sharp)
 
 
+@pytest.mark.parametrize("case", ["tr1", 3, 8])
+def test_transient_group_inverse_is_the_plain_inverse(case, request):
+    # pi = 0 turns (I - P* + 1 pi^T)^{-1} - 1 pi^T into the plain inverse,
+    # bit for bit
+    model = (request.getfixturevalue(case) if case == "tr1"
+             else random_model(case, case, Classification.TRANSIENT))
+    Pstar = model.B + model.A1 @ solve_model(model).G
+    gi = group_inverse(Pstar, recurrent=False)
+    eye = np.eye(model.m)
+    assert np.array_equal(gi.sharp, np.linalg.solve(eye - Pstar, eye))
+    assert gi.pi_star is None and not gi.recurrent
+
+
 def test_positive_recurrent_walkthrough(pr1, pr1_rhs):
     sol = solve_poisson(pr1, pr1_rhs)
     assert sol.classification is Classification.POSITIVE_RECURRENT

@@ -7,6 +7,7 @@ from qbdpoisson import (Classification, ClassificationError, Normalization,
                         NumericalError, QbdModel, char_roots, classify,
                         drift, random_model, solve_model, solve_poisson,
                         solve_qme, stationary)
+from qbdpoisson._linalg import spectral_radius
 from qbdpoisson.qme import _cross_checked, qme_residual
 
 from conftest import (balanced_rhs, minimal_nonneg_root, scalar_model,
@@ -169,12 +170,13 @@ def test_qme_invariants_on_random_models(seed):
     np.testing.assert_allclose(s.U, model.A0 + model.A1 @ s.G, atol=1e-10)
     np.testing.assert_allclose(s.R @ (eye - s.U), model.A1, atol=1e-10)
     # classification-dependent spectral radii
+    sp_G, sp_Ghat = spectral_radius(s.G), spectral_radius(s.Ghat)
     if s.classification is Classification.POSITIVE_RECURRENT:
-        assert abs(s.sp_G - 1) <= 1e-8 and s.sp_Ghat < 1 - 1e-8
+        assert abs(sp_G - 1) <= 1e-8 and sp_Ghat < 1 - 1e-8
     elif s.classification is Classification.TRANSIENT:
-        assert abs(s.sp_Ghat - 1) <= 1e-8 and s.sp_G < 1 - 1e-8
+        assert abs(sp_Ghat - 1) <= 1e-8 and sp_G < 1 - 1e-8
     else:
-        assert abs(s.sp_G - 1) <= 1e-8 and abs(s.sp_Ghat - 1) <= 1e-8
+        assert abs(sp_G - 1) <= 1e-8 and abs(sp_Ghat - 1) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -249,13 +251,29 @@ def test_poisson_just_outside_null_band(m, d):
 
 def test_cross_check_warns_on_flipped_drift(pr1):
     s = solve_model(pr1)
-    _cross_checked(s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+    _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
     with pytest.warns(RuntimeWarning, match="disagrees"):
-        _cross_checked(-s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+        _cross_checked(-s.drift, s.G, s.Ghat, 1e-9)
     model = random_model(2, 5, Classification.POSITIVE_RECURRENT)
     s = solve_model(model)
     with pytest.warns(RuntimeWarning, match="disagrees"):
-        _cross_checked(-s.drift, s.sp_G, s.sp_Ghat, 1e-9)
+        _cross_checked(-s.drift, s.G, s.Ghat, 1e-9)
+
+
+def test_cross_check_reads_row_sums():
+    s = solve_model(random_model(2, 5, Classification.POSITIVE_RECURRENT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
+    Ghat_over = s.Ghat.copy()
+    Ghat_over[0] *= (1.0 + 1e-10) / Ghat_over[0].sum()
+    G_nan = s.G.copy()
+    G_nan[1] = np.nan
+    # owner substochastic, other superstochastic in one row, owner not finite
+    for G, Ghat in ((s.G * (1.0 - 1e-10), s.Ghat), (s.G, Ghat_over),
+                    (G_nan, s.Ghat)):
+        with pytest.warns(RuntimeWarning, match="disagrees"):
+            _cross_checked(s.drift, G, Ghat, 1e-9)
 
 
 @pytest.mark.parametrize("drift_, band", [(2e-10, 1e-12), (5e-9, 1e-9)],
