@@ -72,6 +72,21 @@ def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
     return z
 
 
+def checked_inverse(a: Array, limit: float, what: str) -> Array:
+    """a^{-1}, refused with :class:`NumericalError` (``what``, value, limit)
+    unless cond_F(a) = ||a||_F ||a^{-1}||_F <= ``limit``; NaN and a singular
+    ``a`` fail.  cond_2 <= cond_F <= m cond_2: no gate is looser than cond_2's."""
+    try:
+        inv = np.linalg.inv(a)
+        cond = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= limit:
+        raise NumericalError(f"{what} (Frobenius condition number {cond:.3e}, "
+                             f"limit {limit:.0e})")
+    return inv
+
+
 def condition_number(a: Array) -> float:
     if a.size == 0:
         return 1.0

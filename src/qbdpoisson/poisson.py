@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qme, spectral, triple, verify
-from ._linalg import (Array, as_readonly, condition_number, norm_inf,
-                      stationary_vector)
+# condition_number is unused here but stays bound: bench/spans.py wraps it
+from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+                      norm_inf, stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
 from .model import QbdModel, RhsSpec
@@ -132,13 +133,12 @@ def group_inverse(Pstar: Array, *,
     stationary vector of P* when ``recurrent`` and 0 (the plain inverse)
     otherwise; the solvers pass their class.  By default P* counts as
     stochastic when its row sums are within 1e-10 of 1.  Raises
-    :class:`NumericalError` when I - P* + 1 pi^T has condition number above
-    1e14 (a reducible P*), and ValueError when a transient P* is not
-    substochastic.
+    :class:`NumericalError` when I - P* + 1 pi^T has Frobenius condition
+    number above 1e14 (a reducible P*), and ValueError when a transient P*
+    is not substochastic.
     """
     Pstar = np.atleast_2d(np.asarray(Pstar, dtype=float))
     m = Pstar.shape[0]
-    eye = np.eye(m)
     rows = Pstar.sum(axis=1)
     if recurrent is None:
         recurrent = norm_inf(rows - 1.0) <= _PSTAR_ROW_TOL
@@ -146,11 +146,9 @@ def group_inverse(Pstar: Array, *,
         raise ValueError("P* must be substochastic")
     pi = stationary_vector(Pstar) if recurrent else np.zeros(m)
     one_pi = np.outer(np.ones(m), pi)
-    fundamental = eye - Pstar + one_pi
-    if condition_number(fundamental) > 1e14:
-        raise NumericalError("group inverse: I - P* + 1 pi^T is numerically "
-                             "singular (P* appears reducible)")
-    sharp = np.linalg.solve(fundamental, eye) - one_pi
+    sharp = checked_inverse(np.eye(m) - Pstar + one_pi, 1e14,
+                            "group inverse: I - P* + 1 pi^T is numerically "
+                            "singular (P* appears reducible)") - one_pi
     return GroupInverseData(Pstar=Pstar, sharp=sharp, recurrent=recurrent,
                             pi_star=pi if recurrent else None)
 
@@ -417,11 +415,10 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
     with the boundary handled as in :func:`solve_poisson` but with y an
     m-vector multiplying W R^{-r} (so here p = m and no Schur split is
     needed).  The output differs from :func:`solve_poisson` by a homogeneous
-    solution only.
+    solution only.  Requires cond_F(A1) <= 1e12 (else NumericalError).
     """
     opt = options or SolveOptions()
-    if condition_number(model.A1) > 1e12:
-        raise NumericalError("A1 is numerically singular; use solve_poisson")
+    checked_inverse(model.A1, 1e12, "A1 is numerically singular; use solve_poisson")
     sols = qme.solve_model(model, null_band=opt.null_band)
     if sols.classification is Classification.NULL_RECURRENT:
         raise ClassificationError(

@@ -54,7 +54,6 @@ def omega_solution(model: QbdModel, g: RhsSpec,
     sols = qme.solve_model(model)
     m = model.m
     N = g.N
-    eye = np.eye(m)
     if R_max is None:
         R_max = N + poisson._EXTRA_LEVELS
 
@@ -76,9 +75,7 @@ def omega_solution(model: QbdModel, g: RhsSpec,
                 f"recurrent chain; got {mismatch:.6e}")
     gamma = gi.sharp @ tails[0]
 
-    z = np.zeros((N + 1, m))                   # z_n for n = 1 ... N
-    for n in range(1, N + 1):
-        z[n] = np.linalg.solve(eye - sols.U, tails[n])
+    z = np.linalg.solve(np.eye(m) - sols.U, tails[:N + 1].T).T  # z_0 unused
 
     y_seq = np.zeros((R_max + 1, m))
     omega = np.empty((R_max + 1, m))

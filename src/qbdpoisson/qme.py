@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# spectral_radius is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, as_readonly, condition_number, norm_inf,
-                      spectral_radius, stationary_vector)  # noqa: F401
+# condition_number, spectral_radius: unused here, bound for bench/spans.py
+from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+                      norm_inf, spectral_radius, stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
 
@@ -95,7 +95,7 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
               tol: float = QME_TOL, max_iter: int = QME_MAX_ITER) -> Array:
     """Minimal nonnegative solution X of A_low + (A_mid - I)X + A_high X^2 = 0.
 
-    The blocks must be nonnegative, with A_low + A_mid + A_high
+    The blocks must be finite and nonnegative, with A_low + A_mid + A_high
     row-stochastic to :data:`~qbdpoisson.model.STOCHASTIC_TOL`; they go to
     the shifted cyclic reduction of :func:`_solve_shifted`, with theta the
     stationary vector of their sum.  When the sum is reducible theta is not
@@ -107,9 +107,9 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
     A_low = np.atleast_2d(np.asarray(A_low, dtype=float))
     A_mid = np.atleast_2d(np.asarray(A_mid, dtype=float))
     A_high = np.atleast_2d(np.asarray(A_high, dtype=float))
-
-    if min(A_low.min(), A_mid.min(), A_high.min()) < -1e-10:
-        raise ValueError("blocks must be (numerically) nonnegative")
+    for name, block in (("A_low", A_low), ("A_mid", A_mid), ("A_high", A_high)):
+        if not (np.isfinite(block).all() and block.min() >= -1e-10):
+            raise ValueError(f"{name} must be finite and (numerically) nonnegative")
     rows = (A_low + A_mid + A_high).sum(axis=1)
     if norm_inf(rows - 1.0) > STOCHASTIC_TOL:
         raise ValueError("A_low + A_mid + A_high must be row-stochastic")
@@ -153,7 +153,7 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
         X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
                               max_iter)
     residual = qme_residual(A_low, A_mid, A_high, X)
-    if residual > tol:
+    if not residual <= tol:
         raise NumericalError(
             f"shifted cyclic reduction: residual {residual:.3e} > {tol:g} (the "
             "shift needs A_low + A_mid + A_high row-stochastic to rounding)")
@@ -217,18 +217,15 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
 
 
 def compute_r_u(model: QbdModel, G: Array) -> tuple[Array, Array]:
-    """(U, R) from G: U = A0 + A1 G and R = A1 (I - U)^{-1}.
-
-    R is verified against its defining equation A1 + X(A0 - I) + X^2 A_neg = 0.
+    """(U, R) from G: U = A0 + A1 G and R = A1 (I - U)^{-1}, refusing
+    cond_F(I - U) > 1e14 and a residual of R's defining equation
+    A1 + X(A0 - I) + X^2 A_neg = 0 above 1e-8.
     """
     eye = np.eye(model.m)
     U = model.A0 + model.A1 @ G
-    if condition_number(eye - U) > 1e14:
-        raise NumericalError("I - U is numerically singular")
-    # R = A1 (I - U)^{-1} via a transposed solve
-    R = np.linalg.solve((eye - U).T, model.A1.T).T
+    R = model.A1 @ checked_inverse(eye - U, 1e14, "I - U is numerically singular")
     res_R = norm_inf(model.A1 + R @ (model.A0 - eye) + R @ R @ model.A_neg)
-    if res_R > 1e-8:
+    if not res_R <= 1e-8:
         raise NumericalError(
             f"rate matrix fails its defining equation (residual {res_R:.3e})")
     return U, R
@@ -342,15 +339,13 @@ def stationary(model: QbdModel, sols: QmeSolutions,
         raise ClassificationError(
             "no stationary vector: B + A1 G is strictly substochastic "
             "(transient chain)")
-    direction = stationary_vector(model.B + model.A1 @ sols.G)
+    pi0 = stationary_vector(model.B + model.A1 @ sols.G)
     if mode is Normalization.PROBABILITY:
         if sols.classification is not Classification.POSITIVE_RECURRENT:
             raise ClassificationError(
                 "Probability normalization requires a positive recurrent chain, "
                 f"got {sols.classification.value}")
-        mass = float(direction @ np.linalg.solve(np.eye(model.m) - sols.R,
-                                                 np.ones(model.m)))
-        pi0 = direction / mass
-    else:
-        pi0 = direction
+        mass = float(pi0 @ np.linalg.solve(np.eye(model.m) - sols.R,
+                                           np.ones(model.m)))
+        pi0 = pi0 / mass
     return StationaryData(pi0=pi0, mode=mode, R=sols.R)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson, qme, triple
-# unit_eigenvector is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, as_readonly, condition_number, norm_inf,
-                      spectral_radius, unit_eigenvector)  # noqa: F401
-from .exceptions import ClassificationError, NumericalError
+# condition_number, unit_eigenvector: unused here, bound for bench/spans.py
+from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+                      norm_inf, spectral_radius, unit_eigenvector)  # noqa: F401
+from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
 from .qme import Classification
 
@@ -50,8 +50,8 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
     Gddot comes from the cyclic-reduction kernel on the level-reversed
-    shifted blocks, which checks its own residual.  A numerically singular
-    I - Gt Gddot, which would leave the shifted W undefined, raises
+    shifted blocks, which checks its own residual.  An I - Gt Gddot of
+    Frobenius condition number above 1e12 (no shifted W) raises
     :class:`NumericalError`.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
@@ -62,9 +62,9 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     Gt = sols.G - Q
     Gddot = qme._solve_shifted(model.A1, At0, At_neg, None, qme.QME_TOL,
                                qme.QME_MAX_ITER)
-    if condition_number(np.eye(model.m) - Gt @ Gddot) > 1e12:
-        raise NumericalError("I - Gt Gddot is numerically singular; the shift "
-                             "did not separate the unit roots")
+    checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
+                    "I - Gt Gddot is numerically singular; the shift did not "
+                    "separate the unit roots")
     return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt,
                      Gddot=Gddot)
 
@@ -80,8 +80,7 @@ def shift_identity_report(model: QbdModel, sols: qme.QmeSolutions,
             sd.At_neg + (sd.At0 - eye) @ sd.Gt + sd.At1 @ sd.Gt @ sd.Gt),
         "shifted_up_equation": norm_inf(
             sd.At1 + (sd.At0 - eye) @ sd.Gddot + sd.At_neg @ sd.Gddot @ sd.Gddot),
-        "shifted_w_inverse": norm_inf(
-            wt.W @ ((eye - sols.U) @ (sd.Gt @ sd.Gddot - eye)) - eye),
+        "shifted_w_inverse": norm_inf(wt.W @ wt.W_inv - eye),
         "sp_Gt": spectral_radius(sd.Gt),
         "sp_Gddot": spectral_radius(sd.Gddot),
     }

@@ -129,7 +129,7 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
 
     # make the trailing block exactly nilpotent: its eigenvalues are at most
     # eps_zero in modulus, so diagonal and subdiagonal entries are O(eps_zero)
-    T22 = np.triu(T[p:, p:], k=1)
+    V0 = np.triu(T[p:, p:], k=1)
     V1 = T[:p, :p].copy()
 
     if p == 0 or p == m:
@@ -138,7 +138,7 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
     else:
         T12 = T[:p, p:]
         try:
-            S = scipy.linalg.solve_sylvester(V1, -T22, -T12)
+            S = scipy.linalg.solve_sylvester(V1, -V0, -T12)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(
                 "spectral split: decoupling Sylvester system is singular; "
@@ -154,7 +154,6 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         M = Q @ upper
         M_inv = upper_inv @ Q.T
 
-    V0 = T22
     nu = _nilpotency_index(V0)
     return SpectralSplit(M=M, V1=V1, V0=V0, L=M[:, :p], K=M[:, p:],
                          E=M_inv[:p, :], F=M_inv[p:, :], p=p, nu=nu,

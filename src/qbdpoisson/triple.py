@@ -23,8 +23,8 @@ import numpy as np
 
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, as_readonly, condition_number, norm_inf,
-                      spectral_radius)  # noqa: F401
+from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+                      norm_inf, spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
 from .spectral import SpectralSplit
@@ -123,18 +123,15 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     """W from the closed form W^{-1} = (I - U)(G Ghat - I).
 
     Defined when the chain is not null recurrent, which callers read from
-    its class.  A singular W^{-1} (cond > 1e14) raises, naming that cause, as
-    does a residual of the similarity W R = Ghat W beyond 1e-8 (1 + ||W||).
+    its class.  Raises when cond_F(W^{-1}) > 1e14, naming that cause, and
+    when W R = Ghat W misses by more than 1e-8 (1 + ||W||).
     """
-    m = G.shape[0]
-    eye = np.eye(m)
+    eye = np.eye(G.shape[0])
     W_inv = (eye - U) @ (G @ Ghat - eye)
-    if condition_number(W_inv) > 1e14:
-        raise NumericalError("W is undefined: (I - U)(G Ghat - I) is singular "
-                             "(null recurrent chain); use the shift path")
-    W = np.linalg.solve(W_inv, eye)
+    W = checked_inverse(W_inv, 1e14, "W is undefined: (I - U)(G Ghat - I) is "
+                        "singular (null recurrent chain); use the shift path")
     residual = norm_inf(W @ R - Ghat @ W)
-    if residual > 1e-8 * (1.0 + norm_inf(W)):
+    if not residual <= 1e-8 * (1.0 + norm_inf(W)):
         raise NumericalError(
             f"closed-form W fails the similarity W R = Ghat W by {residual:.3e}")
     return ResolventData(W=W, W_inv=W_inv)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qme
-from ._linalg import Array, condition_number
+# condition_number is unused here but stays bound: bench/spans.py wraps it
+from ._linalg import Array, checked_inverse, condition_number  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel, RhsSpec
 
@@ -96,12 +97,12 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
 def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
     """Reconstruct u_2 ... u_{R_max} from seeds (u_0, u_1) by forward recurrence.
 
-    u_{r+2} = A1^{-1} (-g_{r+1} - A_neg u_r - (A0 - I) u_{r+1}).  Requires a
-    nonsingular A1; growing characteristic modes amplify rounding, so use
-    short horizons only.
+    u_{r+2} = A1^{-1} (-g_{r+1} - A_neg u_r - (A0 - I) u_{r+1}).  Requires
+    cond_F(A1) <= 1e12 (else :class:`NumericalError`); growing characteristic
+    modes amplify rounding, so use short horizons only.
     """
-    if condition_number(model.A1) > 1e12:
-        raise NumericalError("forward recurrence requires a nonsingular A1")
+    A1_inv = checked_inverse(model.A1, 1e12,
+                             "forward recurrence requires a nonsingular A1")
     if R_max < 1:
         raise ValueError(f"horizon must cover both seeds, got R_max = {R_max}")
     m = model.m
@@ -111,7 +112,7 @@ def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
     out[1] = np.asarray(u1, dtype=float)
     for r in range(R_max - 1):
         rhs = -g.block(r + 1) - model.A_neg @ out[r] - (model.A0 - eye) @ out[r + 1]
-        out[r + 2] = np.linalg.solve(model.A1, rhs)
+        out[r + 2] = A1_inv @ rhs
     return out
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import Classification, QbdModel, RhsSpec, drift, random_model
+from qbdpoisson import (Classification, QbdModel, RhsSpec, drift, random_model,
+                        validate)
 
 
 def scalar_model(a_neg: float, a0: float, a1: float, b: float) -> QbdModel:
@@ -66,12 +67,19 @@ def with_drift(model: QbdModel, target: float) -> QbdModel:
 
     A_neg' = (1 - t) A_neg + t A1 and A1' = (1 - t) A1 + t A_neg leave
     A_neg + A0 + A1 unchanged and scale the drift by 1 - 2t; the boundary
-    stays reflecting, B = A_neg' + A0.
+    stays reflecting, B = A_neg' + A0.  A t outside [0, 1] can leave
+    negative blocks; a mixed model that fails :func:`validate` raises
+    ValueError instead of being returned.
     """
     t = 0.5 * (1.0 - target / drift(model))
     A_neg = (1.0 - t) * model.A_neg + t * model.A1
     A1 = (1.0 - t) * model.A1 + t * model.A_neg
-    return QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
+    mixed = QbdModel(B=A_neg + model.A0, A_neg=A_neg, A0=model.A0, A1=A1)
+    report = validate(mixed)
+    if not report.passed:
+        raise ValueError(f"drift {target:g} gives an invalid model: "
+                         + "; ".join(report.failures))
+    return mixed
 
 
 def nilpotent_model(seed: int, m: int) -> QbdModel:

@@ -7,9 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, QbdModel, SolveOptions, _linalg,
-                        poisson, qme, random_model, solve_null_recurrent,
-                        solve_poisson)
+from qbdpoisson import (Classification, NumericalError, QbdModel, SolveOptions,
+                        _linalg, poisson, qme, random_model,
+                        solve_null_recurrent, solve_poisson)
 from conftest import random_rhs
 
 CLASSES = list(Classification)
@@ -129,3 +129,51 @@ def test_cold_solve_runs_no_eigensolver(fixture, request, monkeypatch):
     solve_poisson(request.getfixturevalue(fixture),
                   request.getfixturevalue(f"{fixture}_rhs"))
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["pr1", "tr1", "nr1", *IDS])
+def test_cold_solve_runs_no_svd(case, request, monkeypatch):
+    # every solve gate reads the Frobenius condition number off the inverse
+    # it guards; np.linalg.cond would run a full SVD
+    if case in IDS:
+        model = random_model(1, 64, Classification(case))
+        g = random_rhs(1, 64)
+    else:
+        model = request.getfixturevalue(case)
+        g = request.getfixturevalue(f"{case}_rhs")
+    calls = []
+    for name in ("svd", "cond"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert solve_poisson(model, g).diagnostics.passed
+    assert calls == []
+
+
+def test_checked_inverse_returns_the_inverse():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    inv = _linalg.checked_inverse(a, 10.0, "a")
+    assert np.array_equal(inv, np.linalg.inv(a))
+
+
+@pytest.mark.parametrize("a, value", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "nan"),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), "inf"),
+], ids=["nan", "singular"])
+def test_checked_inverse_refuses(a, value):
+    with pytest.raises(NumericalError) as info:
+        _linalg.checked_inverse(a, 2.0, "test matrix is singular")
+    assert str(info.value) == (f"test matrix is singular (Frobenius condition "
+                               f"number {value}, limit 2e+00)")
+
+
+def test_checked_inverse_gates_on_frobenius_not_2_norm():
+    # I_4 passes a cond_2 gate at 2 (cond_2 = 1) but not the cond_F one (4)
+    assert np.linalg.cond(np.eye(4)) <= 2.0
+    with pytest.raises(NumericalError) as info:
+        _linalg.checked_inverse(np.eye(4), 2.0, "I_4")
+    assert str(info.value) == "I_4 (Frobenius condition number 4.000e+00, limit 2e+00)"

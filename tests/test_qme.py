@@ -84,6 +84,15 @@ def test_solve_qme_rejects_bad_blocks():
         solve_qme([[-0.1]], [[0.6]], [[0.5]])
 
 
+@pytest.mark.parametrize("block", ["A_low", "A_mid", "A_high"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_solve_qme_refuses_non_finite_blocks(block, value):
+    blocks = {"A_low": [[0.5]], "A_mid": [[0.3]], "A_high": [[0.2]]}
+    blocks[block] = [[value]]
+    with pytest.raises(ValueError, match=f"{block} must be finite"):
+        solve_qme(**blocks)
+
+
 def test_solve_qme_reports_non_convergence():
     # the shifted reduction needs 5 steps on this chain
     model = random_model(0, 4, Classification.POSITIVE_RECURRENT)
@@ -225,6 +234,13 @@ def test_scalar_drift_sweep_matches_exact_roots(d):
     s = solve_quietly(scalar_model(q, 1.0 - p - q, p, 1.0 - p))
     assert abs(s.G[0, 0] - min(1.0, q / p)) <= 1e-13
     assert abs(s.Ghat[0, 0] - min(1.0, p / q)) <= 1e-13
+
+
+def test_with_drift_refuses_invalid_models():
+    # |d| = 1e-1 mixes A_neg and A1 with t outside [0, 1]: negative entries
+    base = random_model(1, 2, Classification.POSITIVE_RECURRENT)
+    with pytest.raises(ValueError, match="outside"):
+        with_drift(base, 1e-1)
 
 
 @pytest.mark.parametrize("d", SWEEP_DRIFTS)

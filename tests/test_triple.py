@@ -58,6 +58,15 @@ def test_w_check_catches_corrupted_ghat():
         compute_w(s.G, s.U, s.R, s.Ghat + 1e-6)
 
 
+def test_w_check_refuses_nan_in_r():
+    # a NaN residual must not pass the similarity check
+    s = solve_model(random_model(0, 3, Classification.POSITIVE_RECURRENT))
+    R = s.R.copy()
+    R[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="W R = Ghat W by nan"):
+        compute_w(s.G, s.U, R, s.Ghat)
+
+
 def test_w_check_sees_corruption_in_null_space_of_g():
     # a zero column of A_neg is a zero column of G; a corruption of Ghat
     # with range in null(G) leaves G Ghat, hence W and its series, unchanged
