@@ -227,8 +227,11 @@ def _cmd_lemmas(args) -> int:
     else:
         split = spectral.split(sols.Ghat, eps_zero=args.eps_zero)
         wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-        payload = {"class": sols.classification.value,
-                   "identities": triple.check_identities(model, sols, split, wdata)}
+        try:
+            identities = triple.check_identities(model, sols, split, wdata)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc}; drift {sols.drift:.3e}") from exc
+        payload = {"class": sols.classification.value, "identities": identities}
     print(_dump(payload))
     return EXIT_OK
 
@@ -238,7 +241,8 @@ def _cmd_compare_prob(args) -> int:
     # the probabilistic solution corresponds to y_perp = 0
     opts = dataclasses.replace(_options(args), y_perp_mode="zero")
     sol = poisson.solve_poisson(model, g, opts)
-    prob = probabilistic.omega_solution(model, g, R_max=sol.R_max)
+    prob = probabilistic.omega_solution(model, g, R_max=sol.R_max,
+                                        null_band=args.null_band)
     is_match, offset, max_dev = probabilistic.compare_constant_shift(
         sol.u, prob.omega)
     print(_dump({

@@ -201,29 +201,37 @@ def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
                 W: Array, g: RhsSpec, R_max: int) -> Array:
     """Levels 0 ... R_max for x and dev = y - y*: u_r = a_r - c_r + L t_r with
     a_0 = x, a_r = G a_{r-1} - W g_r; c_r = C (W g_{r+1} + c_{r+1}) down from
-    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev.  C and V1^{-1}
-    are built once per split."""
+    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev by LU solves, skipped
+    for dev = 0 exactly (default transient y; recurrent g with pi^T g = 0)."""
     Wg = np.zeros((max(g.N, R_max) + 2, G.shape[0]))
     Wg[:g.N + 1] = g.blocks @ W.T
-    C, v1_inv = split.recompose(), split.v1_inv
+    C = split.recompose()
     c = np.zeros_like(Wg)
     for r in range(g.N - 1, -1, -1):
         c[r] = C @ (Wg[r + 1] + c[r + 1])
+    step = split.v1_solve if dev.any() else np.asarray
     a, t = [x], [dev]
     for r in range(1, R_max + 1):
         a.append(G @ a[-1] - Wg[r])
-        t.append(v1_inv @ t[-1])
+        t.append(step(t[-1]))
     return np.array(a) - c[:R_max + 1] + np.array(t) @ split.L.T
 
 
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
     """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g),
     by the Horner recursion y* = -V1 (E W g_1 + V1 (E W g_2 + ...))."""
+    return _horner_y_star(split, W, g)[0]
+
+
+def _horner_y_star(split: SpectralSplit, W: Array, g: RhsSpec):
+    """(y*, V1^{-1} y*): the Horner accumulator before its last multiply by
+    V1 is -V1^{-1} y*, exact where solving with V1 would not be."""
     EWg = g.blocks @ (split.E @ W).T          # rows E W g_k
-    acc = np.zeros(split.p)
+    acc = inner = np.zeros(split.p)
     for k in range(g.N, 0, -1):
-        acc = split.V1 @ (EWg[k] + acc)
-    return -acc
+        inner = EWg[k] + acc
+        acc = split.V1 @ inner
+    return -acc, -inner
 
 
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
@@ -322,7 +330,7 @@ class SolvePlan:
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.W, self.sols.classification
-        y_star = compute_y_star(split, W, g)
+        y_star, v1_inv_y_star = _horner_y_star(split, W, g)
         if cls is Classification.TRANSIENT:
             y = y_star
             if opt.y_free is not None:
@@ -341,7 +349,8 @@ class SolvePlan:
                 1e-12 + self.defect) * (1.0 + g_scale), g_scale, opt)
 
         sigma1 = _sigma1(split, W, g)
-        rhs = self.boundary @ (sigma1 + split.L @ (split.v1_inv @ y)) + g.block(0)
+        v1_inv_y = v1_inv_y_star + split.v1_solve(y - y_star)
+        rhs = self.boundary @ (sigma1 + split.L @ v1_inv_y) + g.block(0)
         x, alpha = self.sharp @ rhs, None
         if cls is not Classification.TRANSIENT:
             x, alpha = x + opt.alpha, opt.alpha

@@ -6,12 +6,12 @@ a cutoff and V0 is exactly nilpotent.  Columnwise M = [L | K] and rowwise
 M^{-1} = [E; F], so that C L = L V1, C K = K V0 and
 C^k = L V1^k E + K V0^k F for every k >= 0.
 
-A Jordan form would give the same structure but is not computable stably;
-instead an ordered real Schur decomposition moves the small-modulus
-eigenvalues to the trailing block, the trailing block is made exactly
-nilpotent by zeroing its diagonal and subdiagonal entries (a perturbation
-of the order of the cutoff), and a Sylvester solve removes the off-diagonal
-coupling.
+An invertible C with 1 / ||C^{-1}||_F above the cutoff is split exactly by
+M = I.  Otherwise, a Jordan form not being computable stably, an ordered
+real Schur form moves the small-modulus eigenvalues to the trailing block,
+which is made exactly nilpotent by zeroing its diagonal and subdiagonal
+(a perturbation of the order of the cutoff), and a Sylvester solve removes
+the coupling.  V1^{-1} is applied by LU solves with V1.
 """
 
 from __future__ import annotations
@@ -82,6 +82,16 @@ class SpectralSplit:
         """V1^{-1}, inverted once per split."""
         return as_readonly(np.linalg.inv(self.V1))
 
+    @cached_property
+    def _v1_lu(self):
+        return scipy.linalg.lu_factor(self.V1, check_finite=False)
+
+    def v1_solve(self, t: Array) -> Array:
+        """V1^{-1} t by LU solves, stable where a dense V1^{-1} is not."""
+        if self.p == 0:           # LAPACK refuses empty systems
+            return np.array(t, dtype=float)
+        return scipy.linalg.lapack.dgetrs(*self._v1_lu, t)[0]
+
     def power(self, k: int) -> Array:
         """L V1^k E + K V0^k F, the k-th power of the split target."""
         v1k = np.linalg.matrix_power(self.V1, k)
@@ -121,9 +131,13 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         raise ValueError(f"target must be square, got shape {C.shape}")
     if eps_zero is None:
         eps_zero = m * np.finfo(float).eps * norm_inf(C)
-
+    # |lambda| >= sigma_min(C) >= 1 / ||C^{-1}||_F > eps_zero: p = m, M = I
+    try:
+        invertible = 1.0 / np.linalg.norm(np.linalg.inv(C)) > eps_zero
+    except np.linalg.LinAlgError:
+        invertible = False
     cut = float(eps_zero) ** 2
-    T, Q, p = scipy.linalg.schur(
+    T, Q, p = (C, np.eye(m), m) if invertible else scipy.linalg.schur(
         C, output="real", sort=lambda re, im: (re * re + im * im) > cut)
     p = int(p)
 

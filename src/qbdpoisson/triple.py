@@ -138,7 +138,8 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
 
 
 def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
-    """Assemble the resolvent triple from G, the splitting of Ghat, and W."""
+    """Assemble the resolvent triple from G, the splitting of Ghat, and W;
+    NumericalError when its pair matrix has condition number above 1e12."""
     m = G.shape[0]
     p = split.p
     T1 = np.zeros((m + p, m + p))
@@ -153,7 +154,8 @@ def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     cond = condition_number(triple.pair_matrix())
     if cond > 1e12:
         raise NumericalError(
-            f"decomposable pair matrix is ill-conditioned (cond {cond:.3e})")
+            f"decomposable pair matrix is ill-conditioned (cond {cond:.3e} > "
+            "1e12): likely a near-critical chain or a nearly singular Ghat")
     return triple
 
 

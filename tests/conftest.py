@@ -94,6 +94,20 @@ def nilpotent_model(seed: int, m: int) -> QbdModel:
     return QbdModel(B=base.A_neg + A0, A_neg=base.A_neg, A0=A0, A1=A1)
 
 
+def near_singular_model(seed: int, m: int, gap: float) -> QbdModel:
+    """``random_model(seed, m, PR)`` with the first two columns of A_neg and
+    of A1 proportional up to a relative ``gap`` (m >= 2), and B = A_neg + A0.
+    A1, and with it Ghat, is then invertible but has a singular value of
+    order gap; :func:`with_drift` keeps that, as it mixes A_neg and A1."""
+    base = random_model(seed, m, Classification.POSITIVE_RECURRENT)
+    A_neg, A1 = base.A_neg.copy(), base.A1.copy()
+    for X in (A_neg, A1):
+        pair = X[:, :2].sum(axis=1)
+        X[:, 0] = pair * (0.3 + gap * np.arange(m) / m)
+        X[:, 1] = pair - X[:, 0]
+    return QbdModel(B=A_neg + base.A0, A_neg=A_neg, A0=base.A0, A1=A1)
+
+
 def balanced_h(m: int, key: int) -> np.ndarray:
     """A random h on levels 0 ... 5, zero on levels 6 and 7."""
     h = np.random.Generator(np.random.Philox(key=key)).normal(size=(6, m))

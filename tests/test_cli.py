@@ -9,6 +9,7 @@ import pytest
 from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
+from qbdpoisson import poisson
 from qbdpoisson.cli import _dump, run
 from conftest import with_drift
 
@@ -281,3 +282,50 @@ def test_lemmas_with_narrowed_null_band(tmp_path, capsys):
         assert payload["class"] == ("Transient" if drift > 0
                                     else "PositiveRecurrent")
         assert payload["identities"]["pair_down"] < 1e-10
+
+
+def _near_critical_file(tmp_path, m, drift, g):
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT),
+                       drift)
+    path = tmp_path / "near.json"
+    path.write_text(serialize_problem(model, RhsSpec(g)), encoding="utf-8")
+    return path
+
+
+def test_compare_prob_classifies_both_sides_at_the_null_band(tmp_path, capsys,
+                                                             monkeypatch):
+    # drift 2e-10 is transient under --null-band 1e-12: the probabilistic
+    # oracle must take the transient branch too, not the recurrent group
+    # inverse of a P* that is stochastic only to O(drift)
+    path = _near_critical_file(tmp_path, 3, 2e-10, [[1.0, 0.0, -1.0]])
+    branches = []
+    group_inverse = poisson.group_inverse
+
+    def recorded(Pstar, *, recurrent=None):
+        branches.append(recurrent)
+        return group_inverse(Pstar, recurrent=recurrent)
+
+    monkeypatch.setattr(poisson, "group_inverse", recorded)
+    assert run(["compare-prob", "--null-band", "1e-12", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "Transient"
+    assert branches == [False, False]
+
+
+def test_lemmas_refusal_names_near_critical_cause_and_drift(tmp_path, capsys):
+    # the pair-matrix gate stays at 1e12; its refusal says why and at what drift
+    path = _near_critical_file(tmp_path, 8, 2e-11, [[0.0] * 8])
+    assert run(["lemmas", "--null-band", "1e-12", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    assert "near-critical" in err["message"]
+    assert "drift 2.000e-11" in err["message"]
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_bundled_model_passes_every_command(path, tmp_path, capsys):
+    # the console-script loop of the CI workflow, with RuntimeWarning an error
+    for command in ("validate", "classify", "lemmas", "oracle"):
+        assert run([command, str(path)]) == 0, command
+    assert run(["solve", "-o", str(tmp_path / path.stem), str(path)]) == 0
+    capsys.readouterr()

@@ -10,8 +10,9 @@ from qbdpoisson import (Classification, ClassificationError,
                         compute_w)
 
 from qbdpoisson.poisson import _corollary_split
-from conftest import (balanced_h, balanced_rhs, nilpotent_model, random_rhs, rhs,
-                      scalar_model, scaled_interior_residual, with_drift)
+from conftest import (balanced_h, balanced_rhs, near_singular_model,
+                      nilpotent_model, random_rhs, rhs, scalar_model,
+                      scaled_interior_residual, with_drift)
 
 
 def direct_u(x, y, G, sp, W, g, r):
@@ -435,3 +436,20 @@ def test_narrowed_null_band_solves_near_critical_chain(m, d):
     dist = sol.u - h
     # the 1/|d| loss of digits near the band is not addressed here
     assert np.abs(dist - dist.mean()).max() <= 1e-5 * (1.0 + np.abs(h).max())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ill_conditioned_ghat_keeps_near_critical_accuracy(seed):
+    # cond_F(Ghat) >= 1e8 at drift -1e-4: the split is M = I, V1 = Ghat, and
+    # the boundary takes V1^{-1} y* from the Horner accumulator; a dense
+    # V1^{-1} applied to y* moved u from h + c 1 by 3e-9 ... 8e-9 here
+    model = with_drift(near_singular_model(seed, 8, 1e-7), -1e-4)
+    Ghat = solve_model(model).Ghat
+    assert np.linalg.norm(Ghat) * np.linalg.norm(np.linalg.inv(Ghat)) >= 1e8
+    assert split(Ghat).p == 8
+    sol = solve_poisson(model, balanced_rhs(model, 3))
+    assert sol.classification is Classification.POSITIVE_RECURRENT
+    h = np.zeros_like(sol.u)
+    h[:8] = balanced_h(8, 3)
+    dist = sol.u - h
+    assert np.abs(dist - dist.mean()).max() <= 1e-11 * (1.0 + np.abs(h).max())

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qbdpoisson import Classification, random_model, solve_model, split
+from conftest import near_singular_model, nilpotent_model, with_drift
 
 
 def test_scalar_nonzero_target():
@@ -103,3 +105,60 @@ def test_structurally_singular_up_block():
     sp = split(s.Ghat)
     assert sp.p < 2
     np.testing.assert_allclose(sp.recompose(), s.Ghat, atol=1e-10)
+
+
+def _invertible_target(kind, m, seed):
+    if kind == "near-singular":
+        model = with_drift(near_singular_model(seed, m, 1e-7), -1e-4)
+    else:
+        model = random_model(seed, m, Classification(kind))
+    return np.asarray(solve_model(model).Ghat)
+
+
+def _no_schur(*args, **kwargs):
+    raise AssertionError("an invertible target needs no Schur form")
+
+
+@pytest.mark.parametrize("kind, m", [("PositiveRecurrent", 3),
+                                     ("Transient", 8),
+                                     ("PositiveRecurrent", 32),
+                                     ("near-singular", 8)])
+@pytest.mark.parametrize("seed", range(2))
+def test_invertible_target_is_split_by_identity(kind, m, seed, monkeypatch):
+    # 1 / ||C^{-1}||_F above the cutoff bounds every eigenvalue away from it:
+    # C is its own invertible part, p = m, and no Schur form is computed
+    target = _invertible_target(kind, m, seed)
+    monkeypatch.setattr(scipy.linalg, "schur", _no_schur)
+    sp = split(target)
+    assert (sp.p, sp.nu) == (m, 1)
+    assert sp.K.shape == (m, 0) and sp.V0.shape == (0, 0)
+    np.testing.assert_array_equal(sp.M, np.eye(m))
+    np.testing.assert_array_equal(sp.V1, target)
+    np.testing.assert_array_equal(sp.recompose(), target)
+    # V1^{-1} by LU solves: backward stable also at cond_F 1e8 (near-singular),
+    # where the dense inverse leaves a relative residual of 1e-9
+    z = np.random.default_rng(seed).normal(size=m)
+    b = target @ z
+    x = sp.v1_solve(b)
+    scale = np.abs(target).max() * np.abs(x).max()
+    assert np.abs(target @ x - b).max() <= m * 1e-15 * scale
+    cond = np.linalg.norm(target) * np.linalg.norm(np.linalg.inv(target))
+    assert np.abs(x - z).max() <= 1e-14 * cond * np.abs(z).max()
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_singular_target_keeps_the_schur_route(m):
+    # rank Ghat = rank A1 = m - 2: the Schur route, with p = m - 2 and nu = 2
+    target = solve_model(nilpotent_model(m, m)).Ghat
+    sp = split(target)
+    assert (sp.p, sp.nu) == (m - 2, 2)
+    assert not np.array_equal(sp.M, np.eye(m))
+    np.testing.assert_allclose(sp.recompose(), target, atol=1e-12)
+    z = np.random.default_rng(m).normal(size=m - 2)
+    np.testing.assert_allclose(sp.v1_solve(sp.V1 @ z), z, rtol=1e-10)
+
+
+def test_v1_solve_without_invertible_part():
+    sp = split(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert sp.p == 0
+    assert sp.v1_solve(np.zeros(0)).shape == (0,)
