@@ -90,10 +90,12 @@ def build_parser() -> _Parser:
                      help="how to pick y_perp on the constraint hyperplane")
     sub.add_argument("--y-perp", type=_vector, default=None,
                      help="explicit y_perp (comma-separated, with "
-                          "--y-perp-mode explicit)")
+                          "--y-perp-mode explicit; in the split's basis, "
+                          "the phases when Ghat is invertible)")
     sub.add_argument("--y-free", type=_vector, default=None,
                      help="free homogeneous parameter y of the transient "
-                          "case (default y*)")
+                          "case (default y*; in the split's basis, the "
+                          "phases when Ghat is invertible)")
 
     sub = commands.add_parser("lemmas", help="identity residual report")
     _add_model_flags(sub)

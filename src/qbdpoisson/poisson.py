@@ -52,7 +52,9 @@ class SolveOptions:
     ``y_perp_mode`` selects the recurrent-case hyperplane solution:
     ``minimal_norm`` (default), ``zero``, or ``explicit`` with ``y_perp``
     supplied.  ``R_max`` defaults to N + 10 and must be at least 2, so that
-    the residual report sees an interior equation.
+    the residual report sees an interior equation.  y, y*, ``y_free`` and
+    ``y_perp`` are in the columns of the split's L: the phases when Ghat has
+    1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the ordered Schur basis.
     """
 
     y_free: tuple | None = None
@@ -175,8 +177,10 @@ def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
 
 
 def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
-                        W: Array, g: RhsSpec, R_max: int) -> Array:
-    """Solution blocks u_0 ... u_{R_max} for parameters (x, y).
+                        W: Array, g: RhsSpec, R_max: int, *,
+                        y_star: Array | None = None) -> Array:
+    """Solution blocks u_0 ... u_{R_max} for parameters (x, y); ``y_star``
+    is :func:`compute_y_star`'s result, when the caller already has it.
 
     Evaluated in the numerically convenient regrouping: with
     y* = -sum_{k=1}^{N} V1^k E W g_k and C = M diag(V1, V0) M^{-1} the
@@ -193,45 +197,36 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     y = np.asarray(y, dtype=float)
     if y.shape != (split.p,):
         raise ValueError(f"y must have length p = {split.p}, got shape {y.shape}")
-    return _u_sequence(x, y - compute_y_star(split, W, g), G, split, W, g,
-                       R_max)
+    dev = y - (compute_y_star(split, W, g) if y_star is None else y_star)
+    return _u_sequence(x, dev, G, split, W, g, R_max)
 
 
 def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
                 W: Array, g: RhsSpec, R_max: int) -> Array:
     """Levels 0 ... R_max for x and dev = y - y*: u_r = a_r - c_r + L t_r with
     a_0 = x, a_r = G a_{r-1} - W g_r; c_r = C (W g_{r+1} + c_{r+1}) down from
-    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev by LU solves, skipped
-    for dev = 0 exactly (default transient y; recurrent g with pi^T g = 0)."""
+    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev, by LU solves."""
     Wg = np.zeros((max(g.N, R_max) + 2, G.shape[0]))
     Wg[:g.N + 1] = g.blocks @ W.T
     C = split.recompose()
     c = np.zeros_like(Wg)
     for r in range(g.N - 1, -1, -1):
         c[r] = C @ (Wg[r + 1] + c[r + 1])
-    step = split.v1_solve if dev.any() else np.asarray
     a, t = [x], [dev]
     for r in range(1, R_max + 1):
         a.append(G @ a[-1] - Wg[r])
-        t.append(step(t[-1]))
+        t.append(split.v1_solve(t[-1]))
     return np.array(a) - c[:R_max + 1] + np.array(t) @ split.L.T
 
 
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
     """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g),
     by the Horner recursion y* = -V1 (E W g_1 + V1 (E W g_2 + ...))."""
-    return _horner_y_star(split, W, g)[0]
-
-
-def _horner_y_star(split: SpectralSplit, W: Array, g: RhsSpec):
-    """(y*, V1^{-1} y*): the Horner accumulator before its last multiply by
-    V1 is -V1^{-1} y*, exact where solving with V1 would not be."""
     EWg = g.blocks @ (split.E @ W).T          # rows E W g_k
-    acc = inner = np.zeros(split.p)
+    acc = np.zeros(split.p)
     for k in range(g.N, 0, -1):
-        inner = EWg[k] + acc
-        acc = split.V1 @ inner
-    return -acc, -inner
+        acc = split.V1 @ (EWg[k] + acc)
+    return -acc
 
 
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
@@ -330,7 +325,7 @@ class SolvePlan:
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.W, self.sols.classification
-        y_star, v1_inv_y_star = _horner_y_star(split, W, g)
+        y_star = compute_y_star(split, W, g)
         if cls is Classification.TRANSIENT:
             y = y_star
             if opt.y_free is not None:
@@ -349,8 +344,7 @@ class SolvePlan:
                 1e-12 + self.defect) * (1.0 + g_scale), g_scale, opt)
 
         sigma1 = _sigma1(split, W, g)
-        v1_inv_y = v1_inv_y_star + split.v1_solve(y - y_star)
-        rhs = self.boundary @ (sigma1 + split.L @ v1_inv_y) + g.block(0)
+        rhs = self.boundary @ (sigma1 + split.L @ split.v1_solve(y)) + g.block(0)
         x, alpha = self.sharp @ rhs, None
         if cls is not Classification.TRANSIENT:
             x, alpha = x + opt.alpha, opt.alpha
@@ -358,7 +352,8 @@ class SolvePlan:
         R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
         # a growing family may overflow; that is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max)
+            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max,
+                                    y_star=y_star)
             if self.Q is not None:
                 u[1:] += np.cumsum(u[:-1], axis=0) @ self.Q.T
         bad = np.flatnonzero(~np.isfinite(u).all(axis=1))

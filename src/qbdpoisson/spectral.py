@@ -132,10 +132,11 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
     if eps_zero is None:
         eps_zero = m * np.finfo(float).eps * norm_inf(C)
     # |lambda| >= sigma_min(C) >= 1 / ||C^{-1}||_F > eps_zero: p = m, M = I
-    try:
-        invertible = 1.0 / np.linalg.norm(np.linalg.inv(C)) > eps_zero
-    except np.linalg.LinAlgError:
-        invertible = False
+    lu, piv, info = scipy.linalg.lapack.dgetrf(C)
+    if info == 0:
+        C_inv, info = scipy.linalg.lapack.dgetri(lu, piv)
+    with np.errstate(over="ignore"):      # an overflowing norm fails the test
+        invertible = info == 0 and 1.0 / np.linalg.norm(C_inv) > eps_zero
     cut = float(eps_zero) ** 2
     T, Q, p = (C, np.eye(m), m) if invertible else scipy.linalg.schur(
         C, output="real", sort=lambda re, im: (re * re + im * im) > cut)
@@ -169,6 +170,9 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         M_inv = upper_inv @ Q.T
 
     nu = _nilpotency_index(V0)
-    return SpectralSplit(M=M, V1=V1, V0=V0, L=M[:, :p], K=M[:, p:],
-                         E=M_inv[:p, :], F=M_inv[p:, :], p=p, nu=nu,
-                         eps_zero=float(eps_zero))
+    out = SpectralSplit(M=M, V1=V1, V0=V0, L=M[:, :p], K=M[:, p:],
+                        E=M_inv[:p, :], F=M_inv[p:, :], p=p, nu=nu,
+                        eps_zero=float(eps_zero))
+    if invertible:    # V1 = C: keep the factors and inverse taken above
+        vars(out).update(_v1_lu=(lu, piv), v1_inv=as_readonly(C_inv))
+    return out

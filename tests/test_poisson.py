@@ -167,6 +167,27 @@ def test_transient_free_parameter(tr1, tr1_rhs):
         solve_poisson(tr1, tr1_rhs, SolveOptions(y_free=(0.3, 0.4)))
 
 
+def test_transient_free_parameter_is_in_phase_coordinates():
+    # an invertible Ghat is split by M = I, so y_free multiplies Ghat^{-r}
+    # directly: u_r = G^r x + Ghat^{-r} y - sum_k (G^{r-k} - Ghat^{k-r}) W g_k
+    model = random_model(2, 4, Classification.TRANSIENT)
+    g = random_rhs(2, 4)
+    s, sp, w = _ingredients(model)
+    assert sp.p == 4 and np.array_equal(sp.L, np.eye(4))
+    y = np.array([0.3, -0.2, 0.1, 0.4])
+    sol = solve_poisson(model, g, SolveOptions(y_free=tuple(y)))
+    assert sol.diagnostics.passed
+    np.testing.assert_array_equal(sol.y, y)
+    power = np.linalg.matrix_power
+    Ghat_inv = np.linalg.inv(s.Ghat)
+    for r in range(sol.R_max + 1):
+        expected = power(s.G, r) @ sol.x + power(Ghat_inv, r) @ y
+        for k in range(1, min(r, g.N) + 1):
+            expected -= (power(s.G, r - k) - power(Ghat_inv, r - k)) @ w.W @ g.block(k)
+        np.testing.assert_allclose(sol.u[r], expected, rtol=1e-9,
+                                   atol=1e-9 * np.abs(sol.u[r]).max())
+
+
 @pytest.mark.parametrize("R_max", [1, 0, -5])
 def test_r_max_below_two_is_refused(R_max):
     # the residual report needs an interior equation; no silent clamp
@@ -441,8 +462,8 @@ def test_narrowed_null_band_solves_near_critical_chain(m, d):
 @pytest.mark.parametrize("seed", range(3))
 def test_ill_conditioned_ghat_keeps_near_critical_accuracy(seed):
     # cond_F(Ghat) >= 1e8 at drift -1e-4: the split is M = I, V1 = Ghat, and
-    # the boundary takes V1^{-1} y* from the Horner accumulator; a dense
-    # V1^{-1} applied to y* moved u from h + c 1 by 3e-9 ... 8e-9 here
+    # the boundary solves with V1 by LU; a dense V1^{-1} applied to y
+    # moved u from h + c 1 by 3e-9 ... 8e-9 here
     model = with_drift(near_singular_model(seed, 8, 1e-7), -1e-4)
     Ghat = solve_model(model).Ghat
     assert np.linalg.norm(Ghat) * np.linalg.norm(np.linalg.inv(Ghat)) >= 1e8

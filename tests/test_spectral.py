@@ -119,6 +119,10 @@ def _no_schur(*args, **kwargs):
     raise AssertionError("an invertible target needs no Schur form")
 
 
+def _no_refactor(*args, **kwargs):
+    raise AssertionError("the shortcut keeps the factors its test took")
+
+
 @pytest.mark.parametrize("kind, m", [("PositiveRecurrent", 3),
                                      ("Transient", 8),
                                      ("PositiveRecurrent", 32),
@@ -128,7 +132,10 @@ def test_invertible_target_is_split_by_identity(kind, m, seed, monkeypatch):
     # 1 / ||C^{-1}||_F above the cutoff bounds every eigenvalue away from it:
     # C is its own invertible part, p = m, and no Schur form is computed
     target = _invertible_target(kind, m, seed)
+    cond = np.linalg.norm(target) * np.linalg.norm(np.linalg.inv(target))
     monkeypatch.setattr(scipy.linalg, "schur", _no_schur)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", _no_refactor)
+    monkeypatch.setattr(np.linalg, "inv", _no_refactor)
     sp = split(target)
     assert (sp.p, sp.nu) == (m, 1)
     assert sp.K.shape == (m, 0) and sp.V0.shape == (0, 0)
@@ -142,8 +149,8 @@ def test_invertible_target_is_split_by_identity(kind, m, seed, monkeypatch):
     x = sp.v1_solve(b)
     scale = np.abs(target).max() * np.abs(x).max()
     assert np.abs(target @ x - b).max() <= m * 1e-15 * scale
-    cond = np.linalg.norm(target) * np.linalg.norm(np.linalg.inv(target))
     assert np.abs(x - z).max() <= 1e-14 * cond * np.abs(z).max()
+    assert np.abs(sp.v1_inv @ b - z).max() <= 1e-14 * cond * np.abs(z).max()
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])
