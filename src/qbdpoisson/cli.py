@@ -5,6 +5,11 @@ drift, characteristic roots), ``solve`` (full pipeline, JSON + CSV output),
 ``lemmas`` (identity residual report), ``compare-prob`` (probabilistic vs
 analytic solution), ``oracle`` (forward-recurrence cross-check).
 
+``solve`` writes ``<base>.json`` (u one level per line) and ``<base>.csv``
+(header ``level,u0,...``, one row per level, CRLF line ends).  Every number
+in both is the shortest repr that round-trips exactly; the outputs are
+byte-identical across runs for identical inputs.
+
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 infeasible
 constraint.  Errors are written to stderr as a JSON object.
 """
@@ -12,7 +17,6 @@ constraint.  Errors are written to stderr as a JSON object.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -158,20 +162,26 @@ def _solution_payload(sol: poisson.PoissonSolution) -> dict:
         "y": sol.y.tolist(),
         "y_star": sol.y_star.tolist(),
         "alpha": sol.alpha,
-        "u": sol.u.tolist(),
         "residuals": sol.diagnostics.to_dict(),
     }
 
 
 def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
                     csv_path: Path) -> None:
-    json_path.write_text(_dump(_solution_payload(sol)) + "\n", encoding="utf-8")
-    with csv_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        m = sol.u.shape[1]
-        writer.writerow(["level"] + [f"u{i}" for i in range(m)])
-        # csv writes a float as its repr, which round-trips exactly
-        writer.writerows([r, *row] for r, row in enumerate(sol.u.tolist()))
+    # each entry of u is formatted once, as its repr: the shortest text that
+    # round-trips exactly, and what json and csv write for a finite float
+    if not np.isfinite(sol.u).all():
+        raise NumericalError("output is not strict JSON: u is not finite")
+    rows = [",".join(map(repr, row)) for row in sol.u.tolist()]
+    head = _dump(_solution_payload(sol))[:-2]          # reopen: drop "\n}"
+    body = ",\n".join(f"    [{row}]" for row in rows)
+    header = ",".join(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
+    lines = [header] + [f"{r},{row}" for r, row in enumerate(rows)]
+    json_path.write_text(f'{head},\n  "u": [\n{body}\n  ]\n}}\n',
+                         encoding="utf-8")
+    # the csv module's dialect: no field needs quoting, lines end in \r\n
+    csv_path.write_text("".join(line + "\r\n" for line in lines),
+                        encoding="utf-8", newline="")
 
 
 def _cmd_validate(args) -> int:

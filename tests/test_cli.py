@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -10,8 +12,8 @@ from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
 from qbdpoisson import poisson
-from qbdpoisson.cli import _dump, run
-from conftest import with_drift
+from qbdpoisson.cli import _dump, _write_solution, run
+from conftest import random_rhs, with_drift
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -66,6 +68,60 @@ def test_solution_csv_round_trips_bitwise(stem, tmp_path, capsys):
         rows = list(csv.reader(handle))[1:]
     assert [int(row[0]) for row in rows] == list(range(41))
     assert np.array_equal([[float(v) for v in row[1:]] for row in rows], sol.u)
+
+
+def _long_transient_file(tmp_path):
+    # the largest drift (0.134) of random_model's m = 8 transient draws over
+    # seeds 0-399; with g on level 0 only its levels decay to ~1e-182
+    model = random_model(333, 8, Classification.TRANSIENT)
+    path = tmp_path / "tr8.json"
+    path.write_text(serialize_problem(model, random_rhs(0, 8, 1)),
+                    encoding="utf-8")
+    return path
+
+
+# near_pr and tandem_m2 overflow long before level 1000; tr1 at 1000 levels
+# reaches subnormal and zero entries
+@pytest.mark.parametrize("stem, levels", [
+    *((stem, 40) for stem in ("pr1", "tr1", "nr1", "tandem_m2", "near_pr")),
+    ("tr1", 1000), ("tr8", 1000),
+], ids=str)
+def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys):
+    path = (_long_transient_file(tmp_path) if stem == "tr8"
+            else MODELS / f"{stem}.json")
+    out = tmp_path / "result"
+    assert run(["solve", "--levels", str(levels), "-o", str(out),
+                str(path)]) == 0
+    capsys.readouterr()
+    model, g = load_problem(path.read_text(encoding="utf-8"))
+    sol = solve_poisson(model, g, SolveOptions(R_max=levels))
+    doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    for got, want in [(doc["u"], sol.u), (doc["x"], sol.x), (doc["y"], sol.y),
+                      (doc["y_star"], sol.y_star),
+                      (doc["residuals"]["interior"],
+                       sol.diagnostics.interior_residuals)]:
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the hand-written CSV is what the csv module writes for the same table
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
+    writer.writerows([r, *row] for r, row in enumerate(sol.u.tolist()))
+    assert (tmp_path / "result.csv").read_bytes() == \
+        reference.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_write_solution_refuses_non_finite_u(value, pr1, pr1_rhs, tmp_path):
+    sol = solve_poisson(pr1, pr1_rhs)
+    u = sol.u.copy()
+    u[-1, 0] = value
+    bad = dataclasses.replace(sol, u=u)
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    with pytest.raises(NumericalError, match="strict JSON"):
+        _write_solution(bad, json_path, csv_path)
+    assert not json_path.exists() and not csv_path.exists()
 
 
 def test_solve_default_output_paths(tmp_path, capsys):
