@@ -19,6 +19,17 @@ def as_readonly(a, *, dtype=float) -> Array:
     return out
 
 
+class FrozenRecord:
+    """Base of the frozen result dataclasses: every field that holds an
+    ndarray is replaced by a read-only copy of it (:func:`as_readonly`)."""
+
+    def __post_init__(self):
+        # the instance dict holds exactly the fields until __init__ returns
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, as_readonly(value))
+
+
 def norm_inf(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
@@ -51,20 +62,18 @@ def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
     """
     A = X.T if left else X
     n = A.shape[0]
-    z = np.ones(1)
-    if n > 1:
-        u = np.full(n, 1.0 / n)
-        M = np.eye(n) - A + np.outer(u, np.ones(n))
-        try:
-            z = np.linalg.solve(M, u)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("unit eigenvector: bordered system is singular "
-                                 "(matrix appears reducible)") from exc
-        s = z.sum()
-        if s == 0.0 or not np.isfinite(s):
-            raise NumericalError("unit eigenvector: normalization failed "
-                                 "(matrix appears reducible)")
-        z = z / s
+    u = np.full(n, 1.0 / n)
+    M = np.eye(n) - A + np.outer(u, np.ones(n))
+    try:
+        z = np.linalg.solve(M, u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("unit eigenvector: bordered system is singular "
+                             "(matrix appears reducible)") from exc
+    s = z.sum()
+    if s == 0.0 or not np.isfinite(s):
+        raise NumericalError("unit eigenvector: normalization failed "
+                             "(matrix appears reducible)")
+    z = z / s
     residual = norm_inf(A @ z - z)
     if not residual <= _UNIT_EIGEN_TOL * norm_inf(z):
         raise NumericalError(f"unit eigenvector: ||A z - z|| = {residual:.3e}; "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,18 +59,22 @@ def _add_model_flags(sub):
                      help="row-sum/entry tolerance for model validation")
 
 
-def _add_solver_flags(sub):
+def _add_solver_flags(sub, *, eps_zero=True, residual_tol=True):
     sub.add_argument("--null-band", type=float, default=qme.NULL_BAND,
                      help="drift band classified as null recurrent")
-    sub.add_argument("--eps-zero", type=float, default=None,
-                     help="eigenvalue-modulus cutoff of the spectral split "
-                          "(default: m * eps * norm)")
-    sub.add_argument("--residual-tol", type=float,
-                     default=poisson.DEFAULT_RESIDUAL_TOL,
-                     help="pass/fail tolerance of the residual report")
+    if eps_zero:
+        sub.add_argument("--eps-zero", type=float, default=None,
+                         help="eigenvalue-modulus cutoff of the spectral "
+                              "split (default: m * eps * norm)")
+    if residual_tol:
+        sub.add_argument("--residual-tol", type=float,
+                         default=poisson.DEFAULT_RESIDUAL_TOL,
+                         help="pass/fail tolerance of the residual report")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser: built once, shared by every :func:`run`."""
     parser = _Parser(prog="qbdpoisson", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -78,7 +83,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("classify", help="recurrence class, drift, roots")
     _add_model_flags(sub)
-    _add_solver_flags(sub)
+    _add_solver_flags(sub, eps_zero=False, residual_tol=False)
 
     sub = commands.add_parser("solve", help="solve the Poisson equation")
     _add_model_flags(sub)
@@ -103,7 +108,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("lemmas", help="identity residual report")
     _add_model_flags(sub)
-    _add_solver_flags(sub)
+    _add_solver_flags(sub, residual_tol=False)
 
     sub = commands.add_parser("compare-prob",
                               help="probabilistic vs analytic solution")

@@ -17,7 +17,7 @@ g_0, ..., g_N (implicitly zero beyond N).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -116,16 +116,7 @@ class ValidationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "warnings": list(self.warnings),
-            "boundary_rowsum_residual": self.boundary_rowsum_residual,
-            "repeating_rowsum_residual": self.repeating_rowsum_residual,
-            "phase_graph_irreducible": self.phase_graph_irreducible,
-            "truncation_irreducible": self.truncation_irreducible,
-            "tol": self.tol,
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _strongly_connected(a: Array) -> bool:

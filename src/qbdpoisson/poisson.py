@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qme, spectral, triple, verify
 # condition_number is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
                       norm_inf, stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
@@ -77,7 +77,7 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class GroupInverseData:
+class GroupInverseData(FrozenRecord):
     """Group inverse of I - P*, P* = B + A1 G.
 
     For a stochastic (recurrent) P* the group inverse is
@@ -91,15 +91,9 @@ class GroupInverseData:
     pi_star: Array | None
     recurrent: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "Pstar", as_readonly(self.Pstar))
-        object.__setattr__(self, "sharp", as_readonly(self.sharp))
-        if self.pi_star is not None:
-            object.__setattr__(self, "pi_star", as_readonly(self.pi_star))
-
 
 @dataclass(frozen=True)
-class PoissonSolution:
+class PoissonSolution(FrozenRecord):
     """Solution data (x, y) plus evaluated blocks u_0 ... u_{R_max}.
 
     ``alpha`` is the free additive constant of the recurrent case (None for
@@ -121,10 +115,6 @@ class PoissonSolution:
     R_max: int
     u: Array
     diagnostics: ResidualReport
-
-    def __post_init__(self):
-        for name in ("x", "y", "y_star", "sigma1", "u"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
 def group_inverse(Pstar: Array, *,
@@ -250,22 +240,21 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
     mode returns y_perp = 0 for a target within ``target_noise`` of zero.
     """
     feas_tol = 1e-8 * (1.0 + g_scale)
-    if options.y_perp_mode == "zero":
-        if abs(target) > feas_tol:
-            raise InfeasibleConstraintError(
-                f"y_perp = 0 violates the boundary constraint: pi^T g = "
-                f"{target:.6e} must vanish")
-        return np.zeros_like(direction)
-    if options.y_perp_mode == "explicit":
-        y_perp = np.asarray(options.y_perp, dtype=float)
-        if y_perp.shape != direction.shape:
-            raise ValueError(
-                f"explicit y_perp must have length {direction.shape[0]}, "
-                f"got shape {y_perp.shape}")
+    if options.y_perp_mode != "minimal_norm":
+        if options.y_perp_mode == "zero":
+            y_perp = np.zeros_like(direction)
+        else:
+            y_perp = np.asarray(options.y_perp, dtype=float)
+            if y_perp.shape != direction.shape:
+                raise ValueError(
+                    f"explicit y_perp must have length {direction.shape[0]}, "
+                    f"got shape {y_perp.shape}")
         gap = abs(float(direction @ y_perp) - target)
         if gap > feas_tol:
             raise InfeasibleConstraintError(
-                f"explicit y_perp misses the boundary constraint by {gap:.6e}")
+                f"y_perp ({options.y_perp_mode}) misses the boundary "
+                f"constraint pi_0^T W^{{-1}} L y_perp = pi^T g = {target:.6e} "
+                f"by {gap:.6e}")
         return y_perp
     # minimal-norm solution of the single linear constraint
     nrm2 = float(direction @ direction)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson, qme
-from ._linalg import Array, as_readonly, norm_inf
+from ._linalg import Array, FrozenRecord, norm_inf
 from .exceptions import InfeasibleConstraintError
 from .model import QbdModel, RhsSpec
 
@@ -29,7 +29,7 @@ _COMPAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ProbSolution:
+class ProbSolution(FrozenRecord):
     """omega_r = G^r gamma + y_r + c 1 with c fixed to 0 by convention."""
 
     gamma: Array
@@ -37,10 +37,6 @@ class ProbSolution:
     omega: Array
     c: float
     truncation_K: int
-
-    def __post_init__(self):
-        for name in ("gamma", "y_seq", "omega"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
 def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # condition_number, spectral_radius: unused here, bound for bench/spans.py
-from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
                       norm_inf, spectral_radius, stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
@@ -45,7 +45,7 @@ class Normalization(enum.Enum):
 
 
 @dataclass(frozen=True)
-class QmeSolutions:
+class QmeSolutions(FrozenRecord):
     """G, Ghat, R and U, with the class and the drift that decided it."""
 
     G: Array
@@ -55,13 +55,9 @@ class QmeSolutions:
     classification: Classification
     drift: float
 
-    def __post_init__(self):
-        for name in ("G", "Ghat", "R", "U"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
-
 
 @dataclass(frozen=True)
-class StationaryData:
+class StationaryData(FrozenRecord):
     """Boundary stationary vector pi_0 with its normalization mode.
 
     Level vectors follow as pi_i^T = pi_0^T R^i; in Probability mode
@@ -72,10 +68,6 @@ class StationaryData:
     pi0: Array
     mode: Normalization
     R: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi0", as_readonly(self.pi0))
-        object.__setattr__(self, "R", as_readonly(self.R))
 
     def level(self, i: int) -> Array:
         """pi_i^T = pi_0^T R^i."""

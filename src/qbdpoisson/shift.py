@@ -23,7 +23,7 @@ import numpy as np
 
 from . import poisson, qme, triple
 # condition_number, unit_eigenvector: unused here, bound for bench/spans.py
-from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
                       norm_inf, spectral_radius, unit_eigenvector)  # noqa: F401
 from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
@@ -31,7 +31,7 @@ from .qme import Classification
 
 
 @dataclass(frozen=True)
-class ShiftData:
+class ShiftData(FrozenRecord):
     """The shift Q, the shifted blocks and their solutions."""
 
     Q: Array
@@ -40,10 +40,6 @@ class ShiftData:
     At1: Array
     Gt: Array
     Gddot: Array
-
-    def __post_init__(self):
-        for name in ("Q", "At_neg", "At0", "At1", "Gt", "Gddot"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
 
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
@@ -72,15 +68,14 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
 def shift_identity_report(model: QbdModel, sols: qme.QmeSolutions,
                           sd: ShiftData) -> dict[str, float]:
     """Residuals of the shifted-block identities, for diagnostics."""
-    eye = np.eye(model.m)
     # the shifted chain shares U and R with the original model
     wt = triple.compute_w(sd.Gt, sols.U, sols.R, sd.Gddot)
     return {
-        "shifted_down_equation": norm_inf(
-            sd.At_neg + (sd.At0 - eye) @ sd.Gt + sd.At1 @ sd.Gt @ sd.Gt),
-        "shifted_up_equation": norm_inf(
-            sd.At1 + (sd.At0 - eye) @ sd.Gddot + sd.At_neg @ sd.Gddot @ sd.Gddot),
-        "shifted_w_inverse": norm_inf(wt.W @ wt.W_inv - eye),
+        "shifted_down_equation": qme.qme_residual(sd.At_neg, sd.At0, sd.At1,
+                                                  sd.Gt),
+        "shifted_up_equation": qme.qme_residual(sd.At1, sd.At0, sd.At_neg,
+                                                sd.Gddot),
+        "shifted_w_inverse": norm_inf(wt.W @ wt.W_inv - np.eye(model.m)),
         "sp_Gt": spectral_radius(sd.Gt),
         "sp_Gddot": spectral_radius(sd.Gddot),
     }

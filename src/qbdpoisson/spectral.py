@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import Array, as_readonly, norm_inf
+from ._linalg import Array, FrozenRecord, as_readonly, norm_inf
 from .exceptions import NumericalError
 
 # decoupling transforms with entries beyond this magnitude signal eigenvalues
@@ -31,7 +31,7 @@ _MAX_COUPLING = 1e12
 
 
 @dataclass(frozen=True)
-class SpectralSplit:
+class SpectralSplit(FrozenRecord):
     """Invertible/nilpotent splitting C M = M diag(V1, V0).
 
     ``p`` counts the eigenvalues of modulus above ``eps_zero``; ``nu`` is the
@@ -49,10 +49,6 @@ class SpectralSplit:
     p: int
     nu: int
     eps_zero: float
-
-    def __post_init__(self):
-        for name in ("M", "V1", "V0", "L", "K", "E", "F"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
     @property
     def m(self) -> int:

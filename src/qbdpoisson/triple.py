@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, as_readonly, checked_inverse, condition_number,
+from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
                       norm_inf, spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
@@ -39,19 +39,15 @@ _MAX_SERIES_TERMS_BASE = 200
 
 
 @dataclass(frozen=True)
-class ResolventData:
+class ResolventData(FrozenRecord):
     """The coupling matrix W with its closed-form inverse (I-U)(G Ghat - I)."""
 
     W: Array
     W_inv: Array
 
-    def __post_init__(self):
-        object.__setattr__(self, "W", as_readonly(self.W))
-        object.__setattr__(self, "W_inv", as_readonly(self.W_inv))
-
 
 @dataclass(frozen=True)
-class ResolventTriple:
+class ResolventTriple(FrozenRecord):
     """Resolvent triple (X, T, Z) of the quadratic block polynomial.
 
     X1 = [I | L], X2 = K, T1 = diag(G, V1^{-1}), T2 = V0, Z1 = [W; -E W],
@@ -64,10 +60,6 @@ class ResolventTriple:
     T2: Array
     Z1: Array
     Z2: Array
-
-    def __post_init__(self):
-        for name in ("X1", "X2", "T1", "T2", "Z1", "Z2"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
 
     @property
     def m(self) -> int:

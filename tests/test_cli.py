@@ -12,7 +12,7 @@ from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
 from qbdpoisson import poisson
-from qbdpoisson.cli import _dump, _write_solution, run
+from qbdpoisson.cli import _dump, _write_solution, build_parser, run
 from conftest import random_rhs, with_drift
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -176,6 +176,44 @@ def test_unknown_flag_is_validation_error(tmp_path, capsys):
     path = write(tmp_path, "pr1.json", PR1)
     assert run(["solve", "--no-such-flag", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag", [("classify", "--eps-zero"),
+                                           ("classify", "--residual-tol"),
+                                           ("lemmas", "--residual-tol")])
+def test_subcommand_refuses_flag_it_does_not_read(command, flag, tmp_path,
+                                                  capsys):
+    path = write(tmp_path, "pr1.json", PR1)
+    assert run([command, str(path), flag, "1e-9"]) == 1
+    assert capsys.readouterr().err == json.dumps(
+        {"error": "_CliArgumentError",
+         "message": f"unrecognized arguments: {flag} 1e-9"},
+        sort_keys=True) + "\n"
+
+
+def test_runs_in_one_process_share_one_parser(tmp_path, capsys):
+    path = write(tmp_path, "pr1.json", PR1)
+    argvs = (["solve", "--levels", "40"], ["solve"])
+
+    def outputs(tag, fresh_parser):
+        files = []
+        for k, argv in enumerate(argvs):
+            if fresh_parser:
+                build_parser.cache_clear()
+            base = tmp_path / f"{tag}{k}"
+            assert run([*argv, "-o", str(base), str(path)]) == 0
+            files += [base.with_name(base.name + ext).read_bytes()
+                      for ext in (".json", ".csv")]
+        return files
+
+    separate = outputs("separate", True)
+    build_parser.cache_clear()
+    shared = outputs("shared", False)
+    assert build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    assert shared == separate
+    # the second run takes the default horizon, N + 10, not the first's 40
+    assert [len(files.splitlines()) for files in shared[1::2]] == [42, 13]
 
 
 def test_missing_file_is_validation_error(tmp_path, capsys):
