@@ -79,6 +79,10 @@ class RhsSpec:
         if a.ndim != 2 or a.shape[0] < 1:
             raise ModelValidationError(
                 f"rhs must be a nonempty list of equal-length vectors, got shape {a.shape}")
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if bad.size:
+            raise ModelValidationError(
+                f"rhs 'g' block {bad[0]} is not finite: {a[bad[0]].tolist()}")
         object.__setattr__(self, "blocks", as_readonly(a))
 
     @property
@@ -235,10 +239,6 @@ def parse_problem(document) -> tuple[QbdModel, RhsSpec]:
     if g.ndim != 2 or g.shape[1] != m or g.shape[0] < 1:
         raise ModelValidationError(
             f"field 'g' has shape {g.shape}, expected (N+1, {m}) with N >= 0")
-    bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
-    if bad.size:
-        raise ModelValidationError(
-            f"field 'g' block {bad[0]} is not finite: {g[bad[0]].tolist()}")
     return model, RhsSpec(blocks=g)
 
 

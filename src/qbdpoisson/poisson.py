@@ -74,6 +74,10 @@ class SolveOptions:
             raise ValueError("y_perp_mode 'explicit' requires a y_perp vector")
         if self.R_max is not None and self.R_max < 2:
             raise ValueError(f"R_max must be at least 2, got {self.R_max}")
+        for name in ("y_free", "y_perp", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, float)).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,55 +172,56 @@ def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
 
 def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
                         W: Array, g: RhsSpec, R_max: int, *,
-                        y_star: Array | None = None) -> Array:
-    """Solution blocks u_0 ... u_{R_max} for parameters (x, y); ``y_star``
-    is :func:`compute_y_star`'s result, when the caller already has it.
+                        tail: Array | None = None) -> Array:
+    """Solution blocks u_0 ... u_{R_max} for parameters (x, y); ``tail`` is
+    the h of :func:`backward_pass`, when the caller already has it.
 
-    Evaluated in the numerically convenient regrouping: with
-    y* = -sum_{k=1}^{N} V1^k E W g_k and C = M diag(V1, V0) M^{-1} the
-    split's own target, whose powers are C^j = L V1^j E + K V0^j F,
+    Evaluated in the numerically convenient regrouping
 
         u_r = G^r x - sum_{j=0}^{r-1} G^j W g_{r-j}
-              + L V1^{-r} (y - y*) - sum_{k=r+1}^{N} C^{k-r} W g_k.
+              + L V1^{-r} (y - y*) - M h_r,
 
-    Negative powers of V1 multiply only the exact deviation y - y*; the
-    remaining series tail uses positive powers, so the bounded choice y = y*
-    stays bounded instead of drowning in amplified cancellation noise.
+    with the series tail M h_r = sum_{k>r} C^{k-r} W g_k, C^j = L V1^j E +
+    K V0^j F, and y* = -h_0[:p] read from the same h as the caller's y*, so
+    y = y* leaves a deviation of exactly 0.  Negative powers of V1 multiply
+    only that deviation and the tail has positive powers, so the bounded
+    choice y = y* stays bounded instead of drowning in cancellation noise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (split.p,):
         raise ValueError(f"y must have length p = {split.p}, got shape {y.shape}")
-    dev = y - (compute_y_star(split, W, g) if y_star is None else y_star)
-    return _u_sequence(x, dev, G, split, W, g, R_max)
-
-
-def _u_sequence(x: Array, dev: Array, G: Array, split: SpectralSplit,
-                W: Array, g: RhsSpec, R_max: int) -> Array:
-    """Levels 0 ... R_max for x and dev = y - y*: u_r = a_r - c_r + L t_r with
-    a_0 = x, a_r = G a_{r-1} - W g_r; c_r = C (W g_{r+1} + c_{r+1}) down from
-    c_N = 0, C = ``split.recompose()``; t_r = V1^{-r} dev, by LU solves."""
-    Wg = np.zeros((max(g.N, R_max) + 2, G.shape[0]))
+    h = backward_pass(split, W, g)[0] if tail is None else tail
+    Wg, c = np.zeros((2, max(g.N, R_max) + 2, G.shape[0]))
     Wg[:g.N + 1] = g.blocks @ W.T
-    C = split.recompose()
-    c = np.zeros_like(Wg)
-    for r in range(g.N - 1, -1, -1):
-        c[r] = C @ (Wg[r + 1] + c[r + 1])
-    a, t = [x], [dev]
+    c[:g.N + 1] = h @ split.M.T
+    # a_r = G a_{r-1} - W g_r from x; t_r = V1^{-r} (y - y*) by LU solves
+    a, t = [x], [y + h[0, :split.p]]
     for r in range(1, R_max + 1):
         a.append(G @ a[-1] - Wg[r])
         t.append(split.v1_solve(t[-1]))
     return np.array(a) - c[:R_max + 1] + np.array(t) @ split.L.T
 
 
+def backward_pass(split: SpectralSplit, W: Array,
+                  g: RhsSpec) -> tuple[Array, Array]:
+    """(h_0 ... h_N, sigma_1) from one pass down g's levels in the split's
+    coordinates, J = diag(V1, V0): h_N = 0, h_r = J s_r, s_r = M^{-1} W g_{r+1}
+    + h_{r+1}.  M h_r is the series tail of :func:`evaluate_u_sequence`,
+    y* = -h_0[:p] and sigma_1 = -K s_0[p:] = -sum_{j<nu} K V0^j F W g_{j+1},
+    the paper's sigma_r at r = 1 (exactly zero when p = m)."""
+    MWg = g.blocks @ (split.m_inv() @ W).T       # rows M^{-1} W g_k
+    J, h, s = split.j_matrix(), np.zeros_like(MWg), np.zeros(split.m)
+    for r in range(g.N - 1, -1, -1):
+        s = MWg[r + 1] + h[r + 1]
+        h[r] = J @ s
+    return h, -(split.K @ s[split.p:])
+
+
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
-    """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported g),
-    by the Horner recursion y* = -V1 (E W g_1 + V1 (E W g_2 + ...))."""
-    EWg = g.blocks @ (split.E @ W).T          # rows E W g_k
-    acc = np.zeros(split.p)
-    for k in range(g.N, 0, -1):
-        acc = split.V1 @ (EWg[k] + acc)
-    return -acc
+    """y* = -sum_{k=1}^{N} V1^k E W g_k (a finite sum for finitely supported
+    g), read off :func:`backward_pass` as -h_0[:p]."""
+    return -backward_pass(split, W, g)[0][0, :split.p]
 
 
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
@@ -250,7 +255,7 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
                     f"explicit y_perp must have length {direction.shape[0]}, "
                     f"got shape {y_perp.shape}")
         gap = abs(float(direction @ y_perp) - target)
-        if gap > feas_tol:
+        if not gap <= feas_tol:
             raise InfeasibleConstraintError(
                 f"y_perp ({options.y_perp_mode}) misses the boundary "
                 f"constraint pi_0^T W^{{-1}} L y_perp = pi^T g = {target:.6e} "
@@ -270,15 +275,6 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
     return (target / nrm2) * direction
 
 
-def _sigma1(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
-    """sigma_1 = -sum_{j=0}^{nu-1} K V0^j F W g_{j+1}, the paper's sigma_r at
-    r = 1 with I - L E = K F; exactly zero when p = m."""
-    acc = np.zeros(split.m - split.p)
-    for FWg in (g.blocks[1:split.nu + 1] @ (split.F @ W).T)[::-1]:
-        acc = FWg + split.V0 @ acc
-    return -(split.K @ acc)
-
-
 class SolvePlan:
     """The part of a solve that does not depend on g, built once per model.
 
@@ -289,6 +285,7 @@ class SolvePlan:
     original G) in the form its class picks, and, recurrent only, its pi_0 of
     unit sum, the hyperplane direction and pi_0's stationarity defect.  It
     keeps its own copy of the blocks, so a cached plan does not refer back.
+    Per g, one :func:`backward_pass` gives y*, sigma_1 and the series tail.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions, G: Array,
@@ -314,7 +311,10 @@ class SolvePlan:
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.W, self.sols.classification
-        y_star = compute_y_star(split, W, g)
+        if g.m != W.shape[0]:
+            raise ValueError(f"g has width {g.m}, the model has m = {W.shape[0]}")
+        h, sigma1 = backward_pass(split, W, g)
+        y_star = -h[0, :split.p]
         if cls is Classification.TRANSIENT:
             y = y_star
             if opt.y_free is not None:
@@ -332,7 +332,6 @@ class SolvePlan:
             y = y_star + _solve_hyperplane(self.direction, pig, (
                 1e-12 + self.defect) * (1.0 + g_scale), g_scale, opt)
 
-        sigma1 = _sigma1(split, W, g)
         rhs = self.boundary @ (sigma1 + split.L @ split.v1_solve(y)) + g.block(0)
         x, alpha = self.sharp @ rhs, None
         if cls is not Classification.TRANSIENT:
@@ -341,8 +340,7 @@ class SolvePlan:
         R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
         # a growing family may overflow; that is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max,
-                                    y_star=y_star)
+            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h)
             if self.Q is not None:
                 u[1:] += np.cumsum(u[:-1], axis=0) @ self.Q.T
         bad = np.flatnonzero(~np.isfinite(u).all(axis=1))

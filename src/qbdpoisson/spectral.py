@@ -67,11 +67,7 @@ class SpectralSplit(FrozenRecord):
 
     def recompose(self) -> Array:
         """M diag(V1, V0) M^{-1}; reproduces the split target."""
-        return self._target
-
-    @cached_property
-    def _target(self) -> Array:
-        return as_readonly(self.M @ self.j_matrix() @ self.m_inv())
+        return self.M @ self.j_matrix() @ self.m_inv()
 
     @cached_property
     def v1_inv(self) -> Array:

@@ -328,6 +328,9 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     (["--y-free", "1,2"], "tr1", "y_free must have length"),
     (["--levels", "1"], "pr1", "at least 2"),
     (["--levels", "-5"], "pr1", "at least 2"),
+    # NaN fails every comparison; it is refused before the hyperplane gate
+    (["--y-perp-mode", "explicit", "--y-perp", "nan"], "pr1",
+     "y_perp must be finite"),
 ])
 def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
                                          capsys):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError,
-                        InfeasibleConstraintError, NumericalError, QbdModel,
-                        SolveOptions, compute_sigma, compute_y_star,
-                        evaluate_u, evaluate_u_sequence, group_inverse,
-                        pi_dot_g, random_model, residuals, solve_model,
-                        solve_nonsingular_a1, solve_poisson, split, stationary,
-                        compute_w)
+                        InfeasibleConstraintError, ModelValidationError,
+                        NumericalError, QbdModel, RhsSpec, SolveOptions,
+                        compute_sigma, compute_y_star, evaluate_u,
+                        evaluate_u_sequence, group_inverse, pi_dot_g,
+                        random_model, residuals, solve_model,
+                        solve_nonsingular_a1, solve_null_recurrent,
+                        solve_poisson, split, stationary, compute_w)
 
-from qbdpoisson.poisson import _corollary_split
+from qbdpoisson.poisson import (_corollary_split, _solve_hyperplane,
+                                backward_pass)
 from conftest import (balanced_h, balanced_rhs, near_singular_model,
                       nilpotent_model, random_rhs, rhs, scalar_model,
                       scaled_interior_residual, with_drift)
@@ -474,3 +476,86 @@ def test_ill_conditioned_ghat_keeps_near_critical_accuracy(seed):
     h[:8] = balanced_h(8, 3)
     dist = sol.u - h
     assert np.abs(dist - dist.mean()).max() <= 1e-11 * (1.0 + np.abs(h).max())
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(random_model(s, 3, Classification.POSITIVE_RECURRENT),
+                   id=f"pr-{s}") for s in range(2)),
+    *(pytest.param(nilpotent_model(0, m), id=f"nu2-m{m}") for m in (3, 4, 6)),
+])
+def test_backward_pass_matches_explicit_sums(model):
+    # M h_r = sum_{k>r} C^{k-r} W g_k, y* = -sum_k V1^k E W g_k and
+    # sigma_1 = -sum_j K V0^j F W g_{j+1}, with explicit matrix powers
+    s, sp, w = _ingredients(model)
+    g = random_rhs(5, model.m, 6)
+    h, sigma1 = backward_pass(sp, w.W, g)
+    assert h.shape == (g.N + 1, model.m)
+    for r in range(g.N + 1):
+        tail = sum((sp.power(k - r) @ w.W @ g.block(k)
+                    for k in range(r + 1, g.N + 1)), np.zeros(model.m))
+        np.testing.assert_allclose(sp.M @ h[r], tail, atol=1e-12)
+    y_star = -sum(np.linalg.matrix_power(sp.V1, k) @ sp.E @ w.W @ g.block(k)
+                  for k in range(1, g.N + 1))
+    np.testing.assert_allclose(h[0, :sp.p], -y_star, atol=1e-12)
+    np.testing.assert_array_equal(compute_y_star(sp, w.W, g), -h[0, :sp.p])
+    expected = -sum((sp.K @ np.linalg.matrix_power(sp.V0, j) @ sp.F @ w.W
+                     @ g.block(j + 1) for j in range(sp.nu)), np.zeros(model.m))
+    np.testing.assert_allclose(sigma1, expected, atol=1e-12)
+
+
+def _long_horizon_case(seed, m, cls):
+    model = random_model(seed, m, cls)
+    if cls is Classification.TRANSIENT:
+        return pytest.param(model, random_rhs(seed, m, 21), SolveOptions(R_max=1000),
+                            id=f"tr-m{m}-s{seed}")
+    return pytest.param(model, balanced_rhs(model, 3),
+                        SolveOptions(y_perp_mode="zero", R_max=1000),
+                        id=f"pr-m{m}-s{seed}")
+
+
+@pytest.mark.parametrize("model, g, opt", [
+    _long_horizon_case(seed, m, cls)
+    for cls in (Classification.TRANSIENT, Classification.POSITIVE_RECURRENT)
+    for m in (8, 64) for seed in range(3)])
+def test_y_star_is_shared_at_long_horizons(model, g, opt):
+    # the plan's y* and the evaluator's come from one backward pass: the
+    # deviation y - y* is exactly 0, so 1000 levels of V1^{-r} stay bounded
+    sol = solve_poisson(model, g, opt)
+    np.testing.assert_array_equal(sol.y, sol.y_star)
+    assert np.isfinite(sol.u).all()
+    assert sol.diagnostics.passed
+
+
+@pytest.mark.parametrize("blocks, k", [([[np.nan, 1.0]], 0),
+                                       ([[1.0, 2.0], [np.inf, 0.0]], 1)])
+def test_non_finite_g_is_refused(blocks, k):
+    # refused as input, not reported as an overflowing solution family
+    with pytest.raises(ModelValidationError, match=f"'g' block {k} is not finite"):
+        solve_poisson(random_model(0, 2, Classification.TRANSIENT), RhsSpec(blocks))
+
+
+@pytest.mark.parametrize("solver, cls", [
+    (solve_poisson, Classification.TRANSIENT),
+    (solve_null_recurrent, Classification.NULL_RECURRENT),
+    (solve_nonsingular_a1, Classification.POSITIVE_RECURRENT),
+])
+def test_g_of_wrong_width_is_refused(solver, cls):
+    with pytest.raises(ValueError, match="width 3, the model has m = 2"):
+        solver(random_model(0, 2, cls), RhsSpec(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("field, options", [
+    ("y_free", dict(y_free=(np.nan, 0.0))),
+    ("y_perp", dict(y_perp_mode="explicit", y_perp=(np.nan, 0.0))),
+    ("alpha", dict(alpha=np.inf)),
+])
+def test_non_finite_option_is_refused(field, options):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolveOptions(**options)
+
+
+def test_hyperplane_gate_refuses_nan():
+    # every comparison with NaN is False: the gate must not read it as a pass
+    with pytest.raises(InfeasibleConstraintError):
+        _solve_hyperplane(np.ones(1), np.nan, 0.0, 1.0,
+                          SolveOptions(y_perp_mode="zero"))
