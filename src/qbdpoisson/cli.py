@@ -2,8 +2,9 @@
 
 Subcommands: ``validate`` (structural report), ``classify`` (recurrence class,
 drift, characteristic roots), ``solve`` (full pipeline, JSON + CSV output),
-``lemmas`` (identity residual report), ``compare-prob`` (probabilistic vs
-analytic solution), ``oracle`` (forward-recurrence cross-check).
+``lemmas`` (identity residual report on the equation ``solve`` solves),
+``compare-prob`` (probabilistic vs analytic solution), ``oracle``
+(forward-recurrence cross-check).
 
 ``solve`` writes ``<base>.json`` (u one level per line) and ``<base>.csv``
 (header ``level,u0,...``, one row per level, CRLF line ends).  Every number
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import poisson, probabilistic, qme, shift, spectral, triple, verify
+from . import poisson, probabilistic, qme, shift, triple, verify
 from .exceptions import (InfeasibleConstraintError, ModelValidationError,
                          NumericalError, QbdError)
 from .model import STOCHASTIC_TOL, load_problem, parse_problem, validate
@@ -59,17 +60,19 @@ def _add_model_flags(sub):
                      help="row-sum/entry tolerance for model validation")
 
 
-def _add_solver_flags(sub, *, eps_zero=True, residual_tol=True):
-    sub.add_argument("--null-band", type=float, default=qme.NULL_BAND,
+def _add_solver_flags(sub, *, eps_zero=True, solves=True):
+    # no defaults here: a flag left out is None, and SolveOptions fills it in
+    sub.add_argument("--null-band", type=float,
                      help="drift band classified as null recurrent")
     if eps_zero:
-        sub.add_argument("--eps-zero", type=float, default=None,
+        sub.add_argument("--eps-zero", type=float,
                          help="eigenvalue-modulus cutoff of the spectral "
                               "split (default: m * eps * norm)")
-    if residual_tol:
+    if solves:
         sub.add_argument("--residual-tol", type=float,
-                         default=poisson.DEFAULT_RESIDUAL_TOL,
                          help="pass/fail tolerance of the residual report")
+        sub.add_argument("--levels", dest="R_max", type=int,
+                         help="highest level R_max to evaluate (default N + 10)")
 
 
 @functools.cache
@@ -83,43 +86,39 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("classify", help="recurrence class, drift, roots")
     _add_model_flags(sub)
-    _add_solver_flags(sub, eps_zero=False, residual_tol=False)
+    _add_solver_flags(sub, eps_zero=False, solves=False)
 
     sub = commands.add_parser("solve", help="solve the Poisson equation")
     _add_model_flags(sub)
     _add_solver_flags(sub)
     sub.add_argument("-o", "--output", type=Path, default=None,
                      help="output path base (default: input stem + '.solution')")
-    sub.add_argument("--levels", type=int, default=None,
-                     help="highest level R_max to evaluate (default N + 10)")
-    sub.add_argument("--alpha", type=float, default=0.0,
+    sub.add_argument("--alpha", type=float,
                      help="additive constant of the recurrent solution family")
     sub.add_argument("--y-perp-mode", choices=poisson.Y_PERP_MODES,
-                     default="minimal_norm",
                      help="how to pick y_perp on the constraint hyperplane")
-    sub.add_argument("--y-perp", type=_vector, default=None,
+    sub.add_argument("--y-perp", type=_vector,
                      help="explicit y_perp (comma-separated, with "
                           "--y-perp-mode explicit; in the split's basis, "
                           "the phases when Ghat is invertible)")
-    sub.add_argument("--y-free", type=_vector, default=None,
+    sub.add_argument("--y-free", type=_vector,
                      help="free homogeneous parameter y of the transient "
                           "case (default y*; in the split's basis, the "
                           "phases when Ghat is invertible)")
 
     sub = commands.add_parser("lemmas", help="identity residual report")
     _add_model_flags(sub)
-    _add_solver_flags(sub, residual_tol=False)
+    _add_solver_flags(sub, solves=False)
 
     sub = commands.add_parser("compare-prob",
                               help="probabilistic vs analytic solution")
     _add_model_flags(sub)
     _add_solver_flags(sub)
-    sub.add_argument("--levels", type=int, default=None)
 
-    sub = commands.add_parser("oracle", help="forward-recurrence cross-check")
+    sub = commands.add_parser("oracle", help="forward-recurrence cross-check "
+                              "(may refuse a correct solution near criticality)")
     _add_model_flags(sub)
     _add_solver_flags(sub)
-    sub.add_argument("--levels", type=int, default=None)
     return parser
 
 
@@ -136,16 +135,10 @@ def _load(args):
 
 
 def _options(args) -> poisson.SolveOptions:
-    return poisson.SolveOptions(
-        y_free=getattr(args, "y_free", None),
-        y_perp_mode=getattr(args, "y_perp_mode", "minimal_norm"),
-        y_perp=getattr(args, "y_perp", None),
-        alpha=getattr(args, "alpha", 0.0),
-        R_max=getattr(args, "levels", None),
-        residual_tol=args.residual_tol,
-        null_band=args.null_band,
-        eps_zero=args.eps_zero,
-    )
+    """SolveOptions from the flags given; every default is SolveOptions' own."""
+    fields = {f.name for f in dataclasses.fields(poisson.SolveOptions)}
+    return poisson.SolveOptions(**{name: value for name, value in vars(args).items()
+                                   if name in fields and value is not None})
 
 
 def _roots_payload(roots) -> list:
@@ -199,7 +192,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     model, _ = _load(args)
-    sols = qme.solve_model(model, null_band=args.null_band)
+    sols = qme.solve_model(model, null_band=_options(args).null_band)
     payload = {
         "class": sols.classification.value,
         "drift": sols.drift,
@@ -236,19 +229,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     model, _ = _load(args)
-    sols = qme.solve_model(model, null_band=args.null_band)
-    if sols.classification is qme.Classification.NULL_RECURRENT:
-        sd = shift.right_shift(model, sols)
-        payload = {"class": sols.classification.value,
-                   "shift": shift.shift_identity_report(model, sols, sd)}
+    plan = poisson._plan(model, _options(args))     # the equation solve solves
+    sols = plan.sols
+    payload = {"class": sols.classification.value}
+    if plan.shift is not None:
+        payload["shift"] = shift.shift_identity_report(model, sols, plan.shift)
     else:
-        split = spectral.split(sols.Ghat, eps_zero=args.eps_zero)
-        wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         try:
-            identities = triple.check_identities(model, sols, split, wdata)
+            payload["identities"] = triple.check_identities(
+                model, sols, plan.split, plan.wdata)
         except NumericalError as exc:
             raise NumericalError(f"{exc}; drift {sols.drift:.3e}") from exc
-        payload = {"class": sols.classification.value, "identities": identities}
     print(_dump(payload))
     return EXIT_OK
 
@@ -259,7 +250,7 @@ def _cmd_compare_prob(args) -> int:
     opts = dataclasses.replace(_options(args), y_perp_mode="zero")
     sol = poisson.solve_poisson(model, g, opts)
     prob = probabilistic.omega_solution(model, g, R_max=sol.R_max,
-                                        null_band=args.null_band)
+                                        null_band=opts.null_band)
     is_match, offset, max_dev = probabilistic.compare_constant_shift(
         sol.u, prob.omega)
     print(_dump({

@@ -20,6 +20,7 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .qme import Classification
 from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
+
+if TYPE_CHECKING:                         # shift imports this module
+    from .shift import ShiftData
 
 DEFAULT_RESIDUAL_TOL = 1e-7
 _EXTRA_LEVELS = 10
@@ -278,9 +282,10 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
 class SolvePlan:
     """The part of a solve that does not depend on g, built once per model.
 
-    Holds the difference equation being solved, (G, Ghat, split, W) or the
-    shifted one with its shift ``Q`` (boundary block B + A1 Q, levels mapped
-    back by u_k = ut_k + Q sum_{i<k} ut_i), the boundary operator
+    Holds the records of the difference equation being solved (``sols``,
+    ``split``, ``wdata``) or of the shifted one, whose ``shift`` gives
+    (Gt, Gddot) for (G, Ghat), the boundary block B + A1 Q and the map back
+    u_k = ut_k + Q sum_{i<k} ut_i; and the boundary operator
     (B + A1 Q - I) Ghat + A1, the group inverse of I - P* (P* = B + A1 G, the
     original G) in the form its class picks, and, recurrent only, its pi_0 of
     unit sum, the hyperplane direction and pi_0's stationarity defect.  It
@@ -288,13 +293,15 @@ class SolvePlan:
     Per g, one :func:`backward_pass` gives y*, sigma_1 and the series tail.
     """
 
-    def __init__(self, model: QbdModel, sols: qme.QmeSolutions, G: Array,
-                 Ghat: Array, split: SpectralSplit, wdata: ResolventData,
-                 Q: Array | None = None):
+    def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
+                 split: SpectralSplit, wdata: ResolventData,
+                 shift: ShiftData | None = None):
         eye = np.eye(model.m)
         self.model = replace(model)
-        self.sols, self.G, self.split, self.W, self.Q = sols, G, split, wdata.W, Q
-        B = model.B if Q is None else model.B + model.A1 @ Q
+        self.sols, self.split, self.wdata, self.shift = sols, split, wdata, shift
+        self.G, Ghat, B = sols.G, sols.Ghat, model.B
+        if shift is not None:
+            self.G, Ghat, B = shift.Gt, shift.Gddot, model.B + model.A1 @ shift.Q
         self.boundary = (B - eye) @ Ghat + model.A1
         gi = group_inverse(
             model.B + model.A1 @ sols.G,
@@ -310,7 +317,7 @@ class SolvePlan:
 
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
-        split, W, cls = self.split, self.W, self.sols.classification
+        split, W, cls = self.split, self.wdata.W, self.sols.classification
         if g.m != W.shape[0]:
             raise ValueError(f"g has width {g.m}, the model has m = {W.shape[0]}")
         h, sigma1 = backward_pass(split, W, g)
@@ -341,8 +348,8 @@ class SolvePlan:
         # a growing family may overflow; that is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h)
-            if self.Q is not None:
-                u[1:] += np.cumsum(u[:-1], axis=0) @ self.Q.T
+            if self.shift is not None:
+                u[1:] += np.cumsum(u[:-1], axis=0) @ self.shift.Q.T
         bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
         if bad.size:
             raise NumericalError(
@@ -361,15 +368,15 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
-        G, Ghat, Q = sols.G, sols.Ghat, None
+        G, Ghat, sd = sols.G, sols.Ghat, None
         if sols.classification is Classification.NULL_RECURRENT:
             from . import shift           # shift imports this module
             sd = shift.right_shift(model, sols)
-            G, Ghat, Q = sd.Gt, sd.Gddot, sd.Q
+            G, Ghat = sd.Gt, sd.Gddot
         # the shifted equation shares U and R with the original one
-        plans[key] = SolvePlan(model, sols, G, Ghat,
+        plans[key] = SolvePlan(model, sols,
                                spectral.split(Ghat, eps_zero=opt.eps_zero),
-                               triple.compute_w(G, sols.U, sols.R, Ghat), Q=Q)
+                               triple.compute_w(G, sols.U, sols.R, Ghat), sd)
     return plans[key]
 
 
@@ -415,5 +422,5 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
         raise ClassificationError(
             "nonsingular-A1 path requires a chain that is not null recurrent")
     wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    return SolvePlan(model, sols, sols.G, sols.Ghat,
-                     _corollary_split(wdata, sols.R), wdata).solve(g, opt)
+    return SolvePlan(model, sols, _corollary_split(wdata, sols.R),
+                     wdata).solve(g, opt)

@@ -99,7 +99,8 @@ def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
 
     u_{r+2} = A1^{-1} (-g_{r+1} - A_neg u_r - (A0 - I) u_{r+1}).  Requires
     cond_F(A1) <= 1e12 (else :class:`NumericalError`); growing characteristic
-    modes amplify rounding, so use short horizons only.
+    modes amplify rounding, so use short horizons only.  Near a critical
+    chain even a short horizon can drift far from a correct bounded solution.
     """
     A1_inv = checked_inverse(model.A1, 1e12,
                              "forward recurrence requires a nonsingular A1")

@@ -12,8 +12,8 @@ from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
 from qbdpoisson import poisson
-from qbdpoisson.cli import _dump, _write_solution, build_parser, run
-from conftest import random_rhs, with_drift
+from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
+from conftest import nilpotent_model, random_rhs, with_drift
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -214,6 +214,25 @@ def test_runs_in_one_process_share_one_parser(tmp_path, capsys):
     assert shared == separate
     # the second run takes the default horizon, N + 10, not the first's 40
     assert [len(files.splitlines()) for files in shared[1::2]] == [42, 13]
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "lemmas",
+                                     "compare-prob", "oracle"])
+def test_unset_solver_flags_take_solve_options_defaults(command):
+    assert _options(build_parser().parse_args([command, "p.json"])) == SolveOptions()
+
+
+def test_solver_flags_map_onto_solve_options():
+    args = build_parser().parse_args([
+        "solve", "p.json", "--levels", "40", "--alpha", "1.5",
+        "--null-band", "1e-9", "--eps-zero", "1e-13", "--residual-tol", "1e-9",
+        "--y-perp-mode", "explicit", "--y-perp", "1,2", "--y-free", "3"])
+    assert _options(args) == SolveOptions(
+        R_max=40, alpha=1.5, null_band=1e-9, eps_zero=1e-13, residual_tol=1e-9,
+        y_perp_mode="explicit", y_perp=(1.0, 2.0), y_free=(3.0,))
+    for command in ("compare-prob", "oracle"):
+        args = build_parser().parse_args([command, "p.json", "--levels", "7"])
+        assert _options(args) == SolveOptions(R_max=7)
 
 
 def test_missing_file_is_validation_error(tmp_path, capsys):
@@ -426,3 +445,59 @@ def test_bundled_model_passes_every_command(path, tmp_path, capsys):
         assert run([command, str(path)]) == 0, command
     assert run(["solve", "-o", str(tmp_path / path.stem), str(path)]) == 0
     capsys.readouterr()
+
+
+# compare-prob takes the y_perp = 0 solution, which exists only when pi^T g = 0:
+# nr1, tandem_m2 and near_pr have pi^T g != 0 and exit 3 by design
+COMPARE_PROB_EXIT = {"pr1": 0, "tr1": 0, "nr1": 3, "tandem_m2": 3, "near_pr": 3}
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_bundled_model_compare_prob_exit_code(path, capsys):
+    # the compare-prob step of the CI workflow; every bundled model needs an entry
+    expected = COMPARE_PROB_EXIT[path.stem]
+    assert run(["compare-prob", str(path)]) == expected
+    captured = capsys.readouterr()
+    if expected == 3:
+        assert json.loads(captured.err)["error"] == "InfeasibleConstraintError"
+    else:
+        assert json.loads(captured.out)["is_match"] is True
+
+
+def test_singular_up_block_runs_through_every_command(tmp_path, capsys):
+    # A1 of rank m - 2: classify reports the roots at infinity, and lemmas
+    # checks the nilpotent branch of the resolvent on the Schur-route split
+    path = tmp_path / "nilpotent.json"
+    path.write_text(serialize_problem(nilpotent_model(0, 4), random_rhs(0, 4)),
+                    encoding="utf-8")
+    assert run(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert run(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["roots"].count("inf") == 2
+    assert run(["lemmas", str(path)]) == 0
+    identities = json.loads(capsys.readouterr().out)["identities"]
+    assert identities.pop("pair_condition_number") < 1e12
+    assert max(identities.values()) < 1e-8
+    assert run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["residual_pass"] is True
+    # the forward recurrence inverts A1, so it refuses this chain by design
+    assert run(["oracle", str(path)]) == 2
+    assert "requires a nonsingular A1" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("stem", ["pr1", "nr1"])
+def test_lemmas_reports_on_the_plan_solve_uses(stem, monkeypatch, capsys):
+    # lemmas builds no stage of its own: it reads the model's plan
+    plans = []
+    plan = poisson._plan
+
+    def recorded(model, opt):
+        plans.append(plan(model, opt))
+        return plans[-1]
+
+    monkeypatch.setattr(poisson, "_plan", recorded)
+    assert run(["lemmas", str(MODELS / f"{stem}.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(plans) == 1
+    assert ("shift" in payload) == (plans[0].shift is not None) == (stem == "nr1")

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from qbdpoisson import (ModelValidationError, QbdModel, load_problem,
+from qbdpoisson import (ModelValidationError, QbdModel, RhsSpec, load_problem,
                         serialize_problem, validate)
+from qbdpoisson.model import parse_problem
 
 from conftest import rhs, scalar_model
 
@@ -51,6 +53,66 @@ def test_load_rejects_parse_and_shape_errors():
                       "A1": [[0.2]], "g": []})
     with pytest.raises(ModelValidationError, match="'g'"):
         load_problem(doc)
+
+
+def _pr1_with(**fields):
+    doc = json.loads(PR1_DOC)
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"B": [["x"]]}, "field 'B' is not a numeric matrix"),
+    ({"A1": [[0.2], [0.1, 0.1]]}, "field 'A1' is not a numeric matrix"),
+    ({"g": [["x"]]}, "field 'g' is not a numeric vector list"),
+    ({"g": [[1.0], [2.0, 3.0]]}, "field 'g' is not a numeric vector list"),
+    ({"m": 0}, "field 'm' must be a positive integer, got 0"),
+    ({"m": 1.0}, "field 'm' must be a positive integer, got 1.0"),
+    ({"m": "1"}, "field 'm' must be a positive integer, got '1'"),
+], ids=["nonnumeric_B", "ragged_A1", "nonnumeric_g", "ragged_g", "m_zero",
+        "m_float", "m_string"])
+def test_parse_refusal_names_its_field(fields, message):
+    with pytest.raises(ModelValidationError, match=re.escape(message)):
+        parse_problem(_pr1_with(**fields))
+
+
+@pytest.mark.parametrize("document", [42, None, [PR1_DOC]],
+                         ids=["int", "none", "list"])
+def test_parse_refuses_unsupported_document_type(document):
+    with pytest.raises(ModelValidationError,
+                       match=f"unsupported document type {type(document).__name__}$"):
+        parse_problem(document)
+
+
+@pytest.mark.parametrize("document", [json.loads(PR1_DOC), PR1_DOC.encode(),
+                                      bytearray(PR1_DOC.encode())],
+                         ids=["dict", "bytes", "bytearray"])
+def test_parse_reads_dict_and_bytes_as_the_json_text(document):
+    model, g = parse_problem(document)
+    ref_model, ref_g = parse_problem(PR1_DOC)
+    for name in ("B", "A_neg", "A0", "A1"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(ref_model, name))
+    np.testing.assert_array_equal(g.blocks, ref_g.blocks)
+
+
+def test_model_refuses_inconsistent_and_non_square_blocks():
+    with pytest.raises(ModelValidationError, match="inconsistent shapes"):
+        QbdModel(B=[[1.0]], A_neg=np.eye(2), A0=np.eye(2), A1=np.eye(2))
+    block = np.full((2, 3), 0.1)
+    with pytest.raises(ModelValidationError,
+                       match=re.escape("must be square matrices, got shape (2, 3)")):
+        QbdModel(B=block, A_neg=block, A0=block, A1=block)
+    cube = np.zeros((1, 1, 1))
+    with pytest.raises(ModelValidationError, match="must be square matrices"):
+        QbdModel(B=cube, A_neg=cube, A0=cube, A1=cube)
+
+
+@pytest.mark.parametrize("blocks", [[1.0, 2.0], np.zeros((0, 2))],
+                         ids=["one_dimensional", "empty"])
+def test_rhs_refuses_a_non_matrix(blocks):
+    with pytest.raises(ModelValidationError,
+                       match="rhs must be a nonempty list of equal-length vectors"):
+        RhsSpec(blocks)
 
 
 def test_load_rejects_entry_out_of_range():

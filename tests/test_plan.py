@@ -7,9 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, NumericalError, QbdModel, SolveOptions,
-                        _linalg, poisson, qme, random_model,
-                        solve_null_recurrent, solve_poisson)
+from qbdpoisson import (Classification, ClassificationError, NumericalError,
+                        QbdModel, SolveOptions, _linalg, poisson, qme,
+                        random_model, solve_null_recurrent, solve_poisson)
 from conftest import random_rhs
 
 CLASSES = list(Classification)
@@ -40,6 +40,20 @@ def test_model_stages_run_once_per_model(cls, qme_calls):
         assert solve_poisson(model, random_rhs(k, 4)).diagnostics.passed
     if cls is Classification.NULL_RECURRENT:
         solve_null_recurrent(model, random_rhs(5, 4))
+    assert len(qme_calls) == 1
+
+
+@pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
+                                 Classification.TRANSIENT],
+                         ids=lambda cls: cls.value)
+def test_solve_null_recurrent_refusal_keeps_the_plan(cls, qme_calls):
+    # the refusal reads the class off the model's plan, which a later
+    # solve_poisson on the same model reuses without a second QME solve
+    model = random_model(0, 3, cls)
+    with pytest.raises(ClassificationError,
+                       match=f"requires a null recurrent chain, got {cls.value}$"):
+        solve_null_recurrent(model, random_rhs(0, 3))
+    assert solve_poisson(model, random_rhs(1, 3)).classification is cls
     assert len(qme_calls) == 1
 
 

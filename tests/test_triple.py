@@ -5,7 +5,7 @@ from qbdpoisson import (Classification, NumericalError, QbdModel, build_triple,
                         check_identities, compute_w, eta, random_model,
                         solve_model, split, w_series)
 
-from conftest import with_drift
+from conftest import nilpotent_model, with_drift
 
 
 def geometric_series_w(G, U, R, terms=400):
@@ -134,3 +134,18 @@ def test_identity_suite_random(seed):
             assert value < 1e12
         else:
             assert value < 1e-8, f"{name} = {value}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_identity_suite_nilpotent_part(m, seed):
+    # a singular A1 leaves Ghat a nilpotent part: the resolvent's second
+    # branch and the Schur route of the split both run
+    model = nilpotent_model(seed, m)
+    s = solve_model(model)
+    sp = split(s.Ghat)
+    assert (sp.p, sp.nu) == (m - 2, 2)
+    report = check_identities(model, s, sp, compute_w(s.G, s.U, s.R, s.Ghat))
+    assert report.pop("pair_condition_number") < 1e12
+    for name, value in report.items():
+        assert value < 1e-8, f"{name} = {value}"
