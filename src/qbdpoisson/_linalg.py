@@ -30,6 +30,20 @@ class FrozenRecord:
                 object.__setattr__(self, name, as_readonly(value))
 
 
+def gate(value: float, limit: float, what: str, measure: str) -> None:
+    """The one comparison of every numerical gate: :class:`NumericalError`
+    "<what> (<measure> <value>, limit <limit>)" unless value <= limit; NaN fails."""
+    if not value <= limit:
+        limit_text = np.format_float_scientific(limit, precision=3, trim="-")
+        raise NumericalError(f"{what} ({measure} {value:.3e}, limit {limit_text})")
+
+
+def check_tolerance(name: str, value: float | None) -> None:
+    """ValueError naming ``name`` for a NaN, infinite or negative tolerance."""
+    if value is not None and not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def norm_inf(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
@@ -57,8 +71,8 @@ def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
     nonsingular and z is the Perron vector.  When the Perron root is just
     below 1, the same solve is one step of inverse iteration with a shift
     next to it, so z is accurate to within the distance of the root from 1.
-    A residual ||A z - z|| above ``_UNIT_EIGEN_TOL`` ||z|| raises
-    :class:`NumericalError`: 1 is then not (close to) an eigenvalue.
+    A residual ||A z - z|| above ``_UNIT_EIGEN_TOL`` ||z|| fails the
+    :func:`gate`: 1 is then not (close to) an eigenvalue.
     """
     A = X.T if left else X
     n = A.shape[0]
@@ -74,25 +88,21 @@ def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
         raise NumericalError("unit eigenvector: normalization failed "
                              "(matrix appears reducible)")
     z = z / s
-    residual = norm_inf(A @ z - z)
-    if not residual <= _UNIT_EIGEN_TOL * norm_inf(z):
-        raise NumericalError(f"unit eigenvector: ||A z - z|| = {residual:.3e}; "
-                             "1 is not an eigenvalue of the matrix")
+    gate(norm_inf(A @ z - z), _UNIT_EIGEN_TOL * norm_inf(z),
+         "unit eigenvector: 1 is not an eigenvalue of the matrix", "||A z - z||")
     return z
 
 
 def checked_inverse(a: Array, limit: float, what: str) -> Array:
-    """a^{-1}, refused with :class:`NumericalError` (``what``, value, limit)
-    unless cond_F(a) = ||a||_F ||a^{-1}||_F <= ``limit``; NaN and a singular
-    ``a`` fail.  cond_2 <= cond_F <= m cond_2: no gate is looser than cond_2's."""
+    """a^{-1}, refused by :func:`gate` unless cond_F(a) = ||a||_F ||a^{-1}||_F
+    <= ``limit``; NaN and a singular ``a`` fail.  cond_2 <= cond_F <= m cond_2:
+    no gate is looser than cond_2's."""
     try:
         inv = np.linalg.inv(a)
         cond = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
     except np.linalg.LinAlgError:
         cond = np.inf
-    if not cond <= limit:
-        raise NumericalError(f"{what} (Frobenius condition number {cond:.3e}, "
-                             f"limit {limit:.0e})")
+    gate(cond, limit, what, "Frobenius condition number")
     return inv
 
 

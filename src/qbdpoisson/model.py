@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._linalg import Array, as_readonly, norm_inf
+from ._linalg import Array, as_readonly, check_tolerance, norm_inf
 from .exceptions import ModelValidationError
 
 STOCHASTIC_TOL = 1e-12
@@ -136,8 +136,10 @@ def validate(model: QbdModel, tol: float = STOCHASTIC_TOL) -> ValidationReport:
     above ``tol`` for B + A1 (level 0) and A_neg + A0 + A1 (repeating
     levels; rows with a non-finite sum are left out), and a reducible phase
     graph of A_neg + A0 + A1.  A 3-level truncation of the full chain that
-    is not strongly connected is reported as a warning only.
+    is not strongly connected is reported as a warning only.  ValueError
+    refuses a ``tol`` that is NaN, infinite or negative.
     """
+    check_tolerance("stochastic_tol", tol)
     failures: list[str] = []
     warnings: list[str] = []
     m = model.m
@@ -223,15 +225,10 @@ def parse_problem(document) -> tuple[QbdModel, RhsSpec]:
     if missing:
         raise ModelValidationError(f"missing fields: {', '.join(missing)}")
     m = doc["m"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ModelValidationError(f"field 'm' must be a positive integer, got {m!r}")
 
-    model = QbdModel(
-        B=_as_matrix(doc, "B", m),
-        A_neg=_as_matrix(doc, "A_minus", m),
-        A0=_as_matrix(doc, "A0", m),
-        A1=_as_matrix(doc, "A1", m),
-    )
+    model = QbdModel(*(_as_matrix(doc, key, m) for key in _BLOCK_KEYS))
     try:
         g = np.asarray(doc["g"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -20,24 +20,22 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
-from . import qme, spectral, triple, verify
+from . import qme, shift, spectral, triple, verify
 # condition_number is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      norm_inf, stationary_vector)  # noqa: F401
+from ._linalg import (Array, FrozenRecord, check_tolerance, checked_inverse,
+                      condition_number, norm_inf, stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
 from .model import QbdModel, RhsSpec
 from .qme import Classification
+from .shift import ShiftData
 from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
-
-if TYPE_CHECKING:                         # shift imports this module
-    from .shift import ShiftData
 
 DEFAULT_RESIDUAL_TOL = 1e-7
 _EXTRA_LEVELS = 10
@@ -59,6 +57,7 @@ class SolveOptions:
     the residual report sees an interior equation.  y, y*, ``y_free`` and
     ``y_perp`` are in the columns of the split's L: the phases when Ghat has
     1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the ordered Schur basis.
+    Tolerances that are NaN, infinite or negative are refused.
     """
 
     y_free: tuple | None = None
@@ -82,6 +81,8 @@ class SolveOptions:
             value = getattr(self, name)
             if value is not None and not np.isfinite(np.asarray(value, float)).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("null_band", "eps_zero", "residual_tol"):
+            check_tolerance(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,12 @@ class SolvePlan:
         self.direction = split.L.T @ (wdata.W_inv.T @ self.pi0)
         self.defect = float(np.abs(self.pi0 - self.pi0 @ gi.Pstar).sum())
 
+    @cached_property
+    def corollary(self) -> SolvePlan:
+        """This plan on the corollary's split M = W, V1 = R of Ghat."""
+        return SolvePlan(self.model, self.sols,
+                         _corollary_split(self.wdata, self.sols.R), self.wdata)
+
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.wdata.W, self.sols.classification
@@ -370,7 +377,6 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
         sols = qme.solve_model(model, null_band=opt.null_band)
         G, Ghat, sd = sols.G, sols.Ghat, None
         if sols.classification is Classification.NULL_RECURRENT:
-            from . import shift           # shift imports this module
             sd = shift.right_shift(model, sols)
             G, Ghat = sd.Gt, sd.Gddot
         # the shifted equation shares U and R with the original one
@@ -414,13 +420,12 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
     m-vector multiplying W R^{-r} (so here p = m and no Schur split is
     needed).  The output differs from :func:`solve_poisson` by a homogeneous
     solution only.  Requires cond_F(A1) <= 1e12 (else NumericalError).
+    Solves on :attr:`SolvePlan.corollary` of the model's plan.
     """
     opt = options or SolveOptions()
     checked_inverse(model.A1, 1e12, "A1 is numerically singular; use solve_poisson")
-    sols = qme.solve_model(model, null_band=opt.null_band)
-    if sols.classification is Classification.NULL_RECURRENT:
+    plan = _plan(model, opt)
+    if plan.shift is not None:
         raise ClassificationError(
             "nonsingular-A1 path requires a chain that is not null recurrent")
-    wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-    return SolvePlan(model, sols, _corollary_split(wdata, sols.R),
-                     wdata).solve(g, opt)
+    return plan.corollary.solve(g, opt)

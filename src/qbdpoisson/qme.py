@@ -20,7 +20,8 @@ import numpy as np
 
 # condition_number, spectral_radius: unused here, bound for bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      norm_inf, spectral_radius, stationary_vector)  # noqa: F401
+                      gate, norm_inf, spectral_radius,
+                      stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
 
@@ -113,7 +114,8 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
 
 
 def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
-                   theta: Array | None, tol: float, max_iter: int) -> Array:
+                   theta: Array | None, tol: float = QME_TOL,
+                   max_iter: int = QME_MAX_ITER) -> Array:
     """Minimal nonnegative solvent by cyclic reduction with the unit root
     shifted away (He, Meini & Rhee, SIAM J. Matrix Anal. Appl. 23, 2001;
     Bini, Latouche & Meini, Numerical Methods for Structured Markov Chains,
@@ -144,11 +146,9 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
         Q = np.outer(np.ones(m), theta)
         X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
                               max_iter)
-    residual = qme_residual(A_low, A_mid, A_high, X)
-    if not residual <= tol:
-        raise NumericalError(
-            f"shifted cyclic reduction: residual {residual:.3e} > {tol:g} (the "
-            "shift needs A_low + A_mid + A_high row-stochastic to rounding)")
+    gate(qme_residual(A_low, A_mid, A_high, X), tol, "shifted cyclic "
+         "reduction: the shift needs A_low + A_mid + A_high row-stochastic to "
+         "rounding", "residual")
     return X
 
 
@@ -216,10 +216,8 @@ def compute_r_u(model: QbdModel, G: Array) -> tuple[Array, Array]:
     eye = np.eye(model.m)
     U = model.A0 + model.A1 @ G
     R = model.A1 @ checked_inverse(eye - U, 1e14, "I - U is numerically singular")
-    res_R = norm_inf(model.A1 + R @ (model.A0 - eye) + R @ R @ model.A_neg)
-    if not res_R <= 1e-8:
-        raise NumericalError(
-            f"rate matrix fails its defining equation (residual {res_R:.3e})")
+    gate(norm_inf(model.A1 + R @ (model.A0 - eye) + R @ R @ model.A_neg), 1e-8,
+         "rate matrix fails its defining equation", "residual")
     return U, R
 
 
@@ -288,10 +286,8 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta, QME_TOL,
-                       QME_MAX_ITER)
-    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta, QME_TOL,
-                          QME_MAX_ITER)
+    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
+    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)
     U, R = compute_r_u(model, G)
     cls = _cross_checked(d, G, Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)

@@ -56,8 +56,7 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
             f"{sols.classification.value}")
     Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
     Gt = sols.G - Q
-    Gddot = qme._solve_shifted(model.A1, At0, At_neg, None, qme.QME_TOL,
-                               qme.QME_MAX_ITER)
+    Gddot = qme._solve_shifted(model.A1, At0, At_neg, None)
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")

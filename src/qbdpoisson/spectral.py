@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import Array, FrozenRecord, as_readonly, norm_inf
+from ._linalg import Array, FrozenRecord, as_readonly, gate, norm_inf
 from .exceptions import NumericalError
 
 # decoupling transforms with entries beyond this magnitude signal eigenvalues
@@ -146,14 +146,11 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         T12 = T[:p, p:]
         try:
             S = scipy.linalg.solve_sylvester(V1, -V0, -T12)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(
-                "spectral split: decoupling Sylvester system is singular; "
-                "eigenvalues straddle eps_zero") from exc
-        if not np.all(np.isfinite(S)) or norm_inf(S) > _MAX_COUPLING:
-            raise NumericalError(
-                "spectral split: decoupling transform blew up; eigenvalues "
-                "straddle eps_zero — adjust the cutoff")
+        except (np.linalg.LinAlgError, ValueError):   # a singular system
+            S = np.full(T12.shape, np.inf)
+        gate(norm_inf(S), _MAX_COUPLING, "spectral split: decoupling "
+             "transform blew up; eigenvalues straddle eps_zero — adjust the "
+             "cutoff", "||S||")
         upper = np.eye(m)
         upper[:p, p:] = S
         upper_inv = np.eye(m)

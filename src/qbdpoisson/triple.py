@@ -24,7 +24,7 @@ import numpy as np
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      norm_inf, spectral_radius)  # noqa: F401
+                      gate, norm_inf, spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
 from .spectral import SpectralSplit
@@ -122,10 +122,8 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
     W_inv = (eye - U) @ (G @ Ghat - eye)
     W = checked_inverse(W_inv, 1e14, "W is undefined: (I - U)(G Ghat - I) is "
                         "singular (null recurrent chain); use the shift path")
-    residual = norm_inf(W @ R - Ghat @ W)
-    if not residual <= 1e-8 * (1.0 + norm_inf(W)):
-        raise NumericalError(
-            f"closed-form W fails the similarity W R = Ghat W by {residual:.3e}")
+    gate(norm_inf(W @ R - Ghat @ W), 1e-8 * (1.0 + norm_inf(W)),
+         "closed-form W fails the similarity W R = Ghat W", "residual")
     return ResolventData(W=W, W_inv=W_inv)
 
 
@@ -143,11 +141,9 @@ def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     Z1 = np.vstack([W, -split.E @ W])
     Z2 = -split.V0 @ split.F @ W
     triple = ResolventTriple(X1=X1, X2=X2, T1=T1, T2=T2, Z1=Z1, Z2=Z2)
-    cond = condition_number(triple.pair_matrix())
-    if cond > 1e12:
-        raise NumericalError(
-            f"decomposable pair matrix is ill-conditioned (cond {cond:.3e} > "
-            "1e12): likely a near-critical chain or a nearly singular Ghat")
+    gate(condition_number(triple.pair_matrix()), 1e12, "decomposable pair "
+         "matrix is ill-conditioned: likely a near-critical chain or a nearly "
+         "singular Ghat", "condition number")
     return triple
 
 
@@ -174,8 +170,7 @@ def check_identities(model: QbdModel, sols: qme.QmeSolutions,
     eye = np.eye(m)
     G, Ghat, U, R = sols.G, sols.Ghat, sols.U, sols.R
     W = wdata.W
-    L, K, E, F = split.L, split.K, split.E, split.F
-    V0 = split.V0
+    L, K, V0 = split.L, split.K, split.V0
 
     report: dict[str, float] = {}
     report["w_inverse"] = norm_inf(W @ ((eye - U) @ (G @ Ghat - eye)) - eye)

@@ -350,6 +350,13 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     # NaN fails every comparison; it is refused before the hyperplane gate
     (["--y-perp-mode", "explicit", "--y-perp", "nan"], "pr1",
      "y_perp must be finite"),
+    # a NaN band classed pr1 (drift -0.4) as null recurrent; an infinite
+    # residual tolerance passed every report
+    (["--null-band", "nan"], "pr1", "null_band must be finite"),
+    (["--null-band", "-1"], "pr1", "null_band must be finite"),
+    (["--eps-zero", "nan"], "pr1", "eps_zero must be finite"),
+    (["--residual-tol", "inf"], "pr1", "residual_tol must be finite"),
+    (["--stochastic-tol", "inf"], "pr1", "stochastic_tol must be finite"),
 ])
 def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
                                          capsys):
@@ -358,6 +365,19 @@ def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", ["--stochastic-tol", "inf"]),
+    ("classify", ["--null-band", "nan"]),
+    ("lemmas", ["--eps-zero", "-1"]),
+])
+def test_meaningless_tolerance_exits_1(command, flags, capsys):
+    # refused as a parameter, not reported as "not strict JSON" (exit 2)
+    assert run([command, *flags, str(MODELS / "pr1.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
 
 
 def _without_g():

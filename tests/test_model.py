@@ -69,8 +69,9 @@ def _pr1_with(**fields):
     ({"m": 0}, "field 'm' must be a positive integer, got 0"),
     ({"m": 1.0}, "field 'm' must be a positive integer, got 1.0"),
     ({"m": "1"}, "field 'm' must be a positive integer, got '1'"),
+    ({"m": True}, "field 'm' must be a positive integer, got True"),
 ], ids=["nonnumeric_B", "ragged_A1", "nonnumeric_g", "ragged_g", "m_zero",
-        "m_float", "m_string"])
+        "m_float", "m_string", "m_bool"])
 def test_parse_refusal_names_its_field(fields, message):
     with pytest.raises(ModelValidationError, match=re.escape(message)):
         parse_problem(_pr1_with(**fields))
@@ -206,3 +207,14 @@ def test_model_arrays_are_readonly(pr1):
     g = rhs([1.0])
     with pytest.raises(ValueError):
         g.blocks[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+def test_stochastic_tol_that_means_nothing_is_refused(tol):
+    # an infinite tolerance would accept negative entries
+    model, _ = parse_problem(PR1_DOC)
+    for check in (lambda: validate(model, tol=tol),
+                  lambda: load_problem(PR1_DOC, stochastic_tol=tol)):
+        with pytest.raises(ValueError, match="stochastic_tol must be finite"):
+            check()
+    assert validate(model, tol=0.0).tol == 0.0

@@ -1,6 +1,7 @@
 """solve_poisson does the g-independent work once per QbdModel object."""
 
 import gc
+import re
 import sys
 import weakref
 
@@ -9,7 +10,8 @@ import pytest
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         QbdModel, SolveOptions, _linalg, poisson, qme,
-                        random_model, solve_null_recurrent, solve_poisson)
+                        random_model, solve_nonsingular_a1,
+                        solve_null_recurrent, solve_poisson, spectral, triple)
 from conftest import random_rhs
 
 CLASSES = list(Classification)
@@ -40,7 +42,36 @@ def test_model_stages_run_once_per_model(cls, qme_calls):
         assert solve_poisson(model, random_rhs(k, 4)).diagnostics.passed
     if cls is Classification.NULL_RECURRENT:
         solve_null_recurrent(model, random_rhs(5, 4))
+    else:
+        for k in range(5, 8):
+            assert solve_nonsingular_a1(model, random_rhs(k, 4)).diagnostics.passed
     assert len(qme_calls) == 1
+
+
+@pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
+                                 Classification.TRANSIENT],
+                         ids=lambda cls: cls.value)
+def test_corollary_solves_on_the_cached_plan(cls, monkeypatch):
+    # after solve_poisson, the corollary builds no W; from its second call on
+    # it builds no group inverse either, and answers bitwise as the first
+    calls = []
+    for mod, name in ((triple, "compute_w"), (poisson, "group_inverse")):
+        original = getattr(mod, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    model, g = random_model(0, 32, cls), random_rhs(0, 32)
+    solve_poisson(model, g)
+    assert calls == ["compute_w", "group_inverse"]
+    first = solve_nonsingular_a1(model, g)
+    assert calls[2:] == ["group_inverse"]
+    for _ in range(4):
+        again = solve_nonsingular_a1(model, g)
+        assert np.array_equal(again.u, first.u)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
@@ -191,3 +222,70 @@ def test_checked_inverse_gates_on_frobenius_not_2_norm():
     with pytest.raises(NumericalError) as info:
         _linalg.checked_inverse(np.eye(4), 2.0, "I_4")
     assert str(info.value) == "I_4 (Frobenius condition number 4.000e+00, limit 2e+00)"
+
+
+def _gate_cases():
+    """One call past each numerical gate's limit: (call, what, measure)."""
+    model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
+    s = qme.solve_model(model)
+    theta = _linalg.stationary_vector(model.repeating_sum())
+    R_nan = s.R.copy()
+    R_nan[1, 2] = np.nan
+    coupled = np.array([[1e-6, 1e7], [0.0, 0.0]])    # S = -1e7 / 1e-6
+    return {
+        "inverse": (lambda: _linalg.checked_inverse(np.eye(4), 2.0, "I_4"),
+                    "I_4", "Frobenius condition number"),
+        "inverse_nan": (lambda: _linalg.checked_inverse(
+            np.array([[1.0, np.nan], [0.0, 1.0]]), 2.0, "a"),
+            "a", "Frobenius condition number"),
+        "unit_eigenvector": (lambda: _linalg.unit_eigenvector(0.5 * np.eye(2)),
+                             "1 is not an eigenvalue", "||A z - z||"),
+        "shifted_cr": (lambda: qme._solve_shifted(
+            model.A_neg, model.A0, model.A1, theta, 0.0),
+            "row-stochastic to rounding", "residual"),
+        "shifted_cr_nan": (lambda: qme._solve_shifted(
+            model.A_neg, model.A0, model.A1, theta, np.nan),
+            "row-stochastic to rounding", "residual"),
+        "rate_matrix": (lambda: qme.compute_r_u(model, s.G + 0.01),
+                        "rate matrix fails its defining equation", "residual"),
+        "w_similarity_nan": (lambda: triple.compute_w(s.G, s.U, R_nan, s.Ghat),
+                             "W R = Ghat W", "residual"),
+        "pair_matrix": (lambda: triple.build_triple(
+            0.5 * np.eye(2), spectral.split(2.0 * np.eye(2)), np.eye(2)),
+            "pair matrix is ill-conditioned", "condition number"),
+        "split_coupling": (lambda: spectral.split(coupled, eps_zero=1e-7),
+                           "decoupling transform blew up", "||S||"),
+    }
+
+
+GATE_CASES = _gate_cases()
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_every_gate_names_its_value_and_limit(case):
+    call, what, measure = GATE_CASES[case]
+    with pytest.raises(NumericalError) as info:
+        call()
+    text = str(info.value)
+    assert what in text
+    found = re.search(rf" \({re.escape(measure)} (\S+), limit (\S+)\)$", text)
+    assert found, text
+    value, limit = (float(v) for v in found.groups())
+    # the refusal is either past the limit or a NaN on one side
+    assert not value <= limit
+
+
+@pytest.mark.parametrize("value, limit, text", [
+    (np.nan, 1.0, "x (v nan, limit 1e+00)"),
+    (0.5, np.nan, "x (v 5.000e-01, limit nan)"),
+    (3.0, 2.5, "x (v 3.000e+00, limit 2.5e+00)"),
+    (np.inf, 1e14, "x (v inf, limit 1e+14)"),
+])
+def test_gate_refuses_past_the_limit_and_nan(value, limit, text):
+    with pytest.raises(NumericalError) as info:
+        _linalg.gate(value, limit, "x", "v")
+    assert str(info.value) == text
+
+
+def test_gate_passes_at_its_limit():
+    assert _linalg.gate(2.5, 2.5, "x", "v") is None

@@ -548,10 +548,24 @@ def test_g_of_wrong_width_is_refused(solver, cls):
     ("y_free", dict(y_free=(np.nan, 0.0))),
     ("y_perp", dict(y_perp_mode="explicit", y_perp=(np.nan, 0.0))),
     ("alpha", dict(alpha=np.inf)),
+    # a tolerance that is NaN, infinite or negative makes its check meaningless
+    ("null_band", dict(null_band=np.nan)),
+    ("null_band", dict(null_band=np.inf)),
+    ("null_band", dict(null_band=-1e-9)),
+    ("eps_zero", dict(eps_zero=np.nan)),
+    ("eps_zero", dict(eps_zero=-1.0)),
+    ("residual_tol", dict(residual_tol=np.inf)),
+    ("residual_tol", dict(residual_tol=np.nan)),
+    ("residual_tol", dict(residual_tol=-1e-7)),
 ])
 def test_non_finite_option_is_refused(field, options):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SolveOptions(**options)
+
+
+def test_zero_tolerances_are_allowed():
+    opt = SolveOptions(null_band=0.0, eps_zero=0.0, residual_tol=0.0)
+    assert (opt.null_band, opt.eps_zero, opt.residual_tol) == (0.0, 0.0, 0.0)
 
 
 def test_hyperplane_gate_refuses_nan():

@@ -63,7 +63,8 @@ def test_w_check_refuses_nan_in_r():
     s = solve_model(random_model(0, 3, Classification.POSITIVE_RECURRENT))
     R = s.R.copy()
     R[1, 2] = np.nan
-    with pytest.raises(NumericalError, match="W R = Ghat W by nan"):
+    with pytest.raises(NumericalError,
+                       match=r"W R = Ghat W \(residual nan, limit "):
         compute_w(s.G, s.U, R, s.Ghat)
 
 
