@@ -191,21 +191,35 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     y = y* leaves a deviation of exactly 0.  Negative powers of V1 multiply
     only that deviation and the tail has positive powers, so the bounded
     choice y = y* stays bounded instead of drowning in cancellation noise.
+
+    On g's support, r <= n = min(N, R_max), a_r = G a_{r-1} - W g_r; then
+    a_r = G^{r-n} a_n, K = isqrt(R_max - n) levels per product with [G; ...;
+    G^K].  V1^{-r} (y - y*) runs by LU solves, and only when y - y* is not 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (split.p,):
         raise ValueError(f"y must have length p = {split.p}, got shape {y.shape}")
     h = backward_pass(split, W, g)[0] if tail is None else tail
-    Wg, c = np.zeros((2, max(g.N, R_max) + 2, G.shape[0]))
-    Wg[:g.N + 1] = g.blocks @ W.T
-    c[:g.N + 1] = h @ split.M.T
-    # a_r = G a_{r-1} - W g_r from x; t_r = V1^{-r} (y - y*) by LU solves
-    a, t = [x], [y + h[0, :split.p]]
-    for r in range(1, R_max + 1):
-        a.append(G @ a[-1] - Wg[r])
-        t.append(split.v1_solve(t[-1]))
-    return np.array(a) - c[:R_max + 1] + np.array(t) @ split.L.T
+    m, n = G.shape[0], min(g.N, R_max)
+    Wg, u = g.blocks @ W.T, np.empty((R_max + 1, m))
+    u[0] = x
+    for r in range(1, n + 1):
+        u[r] = G @ u[r - 1] - Wg[r]
+    powers = [G]                    # G ... G^K; K = 1 when R_max = n
+    while (len(powers) + 1) ** 2 <= R_max - n:
+        powers.append(G @ powers[-1])
+    stack, K = np.concatenate(powers), len(powers)
+    for r in range(n, R_max, K):
+        k = min(K, R_max - r)
+        u[r + 1:r + k + 1] = (stack[:k * m] @ u[r]).reshape(k, m)
+    u[:n + 1] -= h[:n + 1] @ split.M.T
+    t = [y + h[0, :split.p]]
+    if t[0].any():
+        for r in range(1, R_max + 1):
+            t.append(split.v1_solve(t[-1]))
+        u += np.array(t) @ split.L.T
+    return u
 
 
 def backward_pass(split: SpectralSplit, W: Array,

@@ -18,6 +18,7 @@ the engine behind the closed-form solution of the difference equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class ResolventTriple(FrozenRecord):
         """[[X1, X2 T2], [X1 T1, X2]]; nonsingular for a decomposable pair."""
         return np.block([[self.X1, self.X2 @ self.T2],
                          [self.X1 @ self.T1, self.X2]])
+
+    @cached_property
+    def pair_condition(self) -> float:
+        """2-norm condition number of the pair matrix, taken once."""
+        return condition_number(self.pair_matrix())
 
     def resolvent(self, lam: complex) -> Array:
         """X T(lam)^{-1} Z = X1 (lam I - T1)^{-1} Z1 + X2 (lam T2 - I)^{-1} Z2."""
@@ -141,7 +147,7 @@ def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     Z1 = np.vstack([W, -split.E @ W])
     Z2 = -split.V0 @ split.F @ W
     triple = ResolventTriple(X1=X1, X2=X2, T1=T1, T2=T2, Z1=Z1, Z2=Z2)
-    gate(condition_number(triple.pair_matrix()), 1e12, "decomposable pair "
+    gate(triple.pair_condition, 1e12, "decomposable pair "
          "matrix is ill-conditioned: likely a near-critical chain or a nearly "
          "singular Ghat", "condition number")
     return triple
@@ -187,7 +193,7 @@ def check_identities(model: QbdModel, sols: qme.QmeSolutions,
         model.A_neg @ X1 + (model.A0 - eye) @ X1 @ T1 + model.A1 @ X1 @ T1 @ T1)
     report["pair_up"] = norm_inf(
         model.A1 @ X2 + (model.A0 - eye) @ X2 @ T2 + model.A_neg @ X2 @ T2 @ T2)
-    report["pair_condition_number"] = condition_number(triple.pair_matrix())
+    report["pair_condition_number"] = triple.pair_condition
 
     worst = 0.0
     for lam in _filtered_lambdas(qme.char_roots(sols)):

@@ -11,7 +11,7 @@ import pytest
 from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
-from qbdpoisson import poisson
+from qbdpoisson import poisson, triple
 from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
 from conftest import nilpotent_model, random_rhs, with_drift
 
@@ -521,3 +521,19 @@ def test_lemmas_reports_on_the_plan_solve_uses(stem, monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(plans) == 1
     assert ("shift" in payload) == (plans[0].shift is not None) == (stem == "nr1")
+
+
+def test_lemmas_takes_the_pair_condition_number_once(monkeypatch, capsys):
+    # the value build_triple's gate saw is the one reported
+    calls = []
+    condition_number = triple.condition_number
+
+    def counted(a):
+        calls.append(condition_number(a))
+        return calls[-1]
+
+    monkeypatch.setattr(triple, "condition_number", counted)
+    assert run(["lemmas", str(MODELS / "tandem_m2.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert payload["identities"]["pair_condition_number"] == calls[0]

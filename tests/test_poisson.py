@@ -10,6 +10,7 @@ from qbdpoisson import (Classification, ClassificationError,
                         solve_nonsingular_a1, solve_null_recurrent,
                         solve_poisson, split, stationary, compute_w)
 
+from qbdpoisson import poisson
 from qbdpoisson.poisson import (_corollary_split, _solve_hyperplane,
                                 backward_pass)
 from conftest import (balanced_h, balanced_rhs, near_singular_model,
@@ -573,3 +574,83 @@ def test_hyperplane_gate_refuses_nan():
     with pytest.raises(InfeasibleConstraintError):
         _solve_hyperplane(np.ones(1), np.nan, 0.0, 1.0,
                           SolveOptions(y_perp_mode="zero"))
+
+
+def sequential_u(x, y, G, sp, W, g, R_max):
+    """Oracle: the evaluator's former sequential recursion, one G product and
+    one V1^{-1} LU solve per level on zero-padded g and tail buffers."""
+    h = backward_pass(sp, W, g)[0]
+    Wg, c = np.zeros((2, max(g.N, R_max) + 2, G.shape[0]))
+    Wg[:g.N + 1] = g.blocks @ W.T
+    c[:g.N + 1] = h @ sp.M.T
+    a, t = [x], [y + h[0, :sp.p]]
+    for r in range(1, R_max + 1):
+        a.append(G @ a[-1] - Wg[r])
+        t.append(sp.v1_solve(t[-1]))
+    return np.array(a) - c[:R_max + 1] + np.array(t) @ sp.L.T
+
+
+def fast_decay_model(m):
+    """A transient chain with sp(G) = 1/6, the small root of
+    0.6 z^2 - 0.7 z + 0.1 (every row splits 0.1 / 0.3 / 0.6): u_r falls
+    below 1e-200 within 1000 levels."""
+    raw = np.random.Generator(np.random.Philox(key=m)).uniform(0.05, 1.0, (3, m, m))
+    raw /= raw.sum(axis=2, keepdims=True)
+    A_neg, A0, A1 = 0.1 * raw[0], 0.3 * raw[1], 0.6 * raw[2]
+    return QbdModel(B=A_neg + A0, A_neg=A_neg, A0=A0, A1=A1)
+
+
+def _agreement_case(kind, m):
+    """(model, g, options) whose x and y feed the evaluator."""
+    if kind == "tr-fast":
+        model = fast_decay_model(m)
+        return model, random_rhs(m, m, 21), SolveOptions(R_max=2)
+    model = random_model(1, m, Classification[kind])
+    if kind == "TRANSIENT":
+        return model, random_rhs(1, m, 21), SolveOptions(R_max=2)
+    # pi^T g = 0, so y_perp = 0 and the default y is y*
+    return model, balanced_rhs(model, 3), SolveOptions(R_max=2, y_perp_mode="zero")
+
+
+@pytest.mark.parametrize("kind", ["POSITIVE_RECURRENT", "TRANSIENT",
+                                  "NULL_RECURRENT", "tr-fast"])
+def test_chunked_evaluation_matches_sequential_recursion(kind):
+    # powers of G in chunks beyond g's support, and no V1^{-r} pass on a zero
+    # deviation, agree with one G product and one LU solve per level
+    worst = 0.0
+    for m in (3, 8, 64):
+        model, g, opt = _agreement_case(kind, m)
+        plan = poisson._plan(model, opt)
+        sol = plan.solve(g, opt)
+        args = (plan.G, plan.split, plan.wdata.W, g)
+        if kind == "tr-fast":
+            assert max(abs(np.linalg.eigvals(plan.G))) < 0.2
+        for R_max in (2, g.N, g.N + 1, 30, 1000):
+            for dy in (0.0, 1e-3):
+                y = sol.y + dy * np.linspace(-1.0, 1.0, plan.split.p)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = sequential_u(sol.x, y, *args, R_max)
+                    got = evaluate_u_sequence(sol.x, y, *args, R_max)
+                    assert got.shape == want.shape
+                    finite = np.isfinite(want).all(axis=1)
+                    np.testing.assert_array_equal(np.isfinite(got).all(axis=1), finite)
+                    norm = np.linalg.norm(want, axis=1)
+                    keep = finite & (norm > 1e-290)
+                    diff = np.linalg.norm(got - want, axis=1)[keep] / norm[keep]
+                worst = max(worst, diff.max(initial=0.0))
+                if kind == "tr-fast" and R_max == 1000 and dy == 0.0:
+                    assert norm[finite].min() < 1e-200
+    print(f"{kind}: worst per-level relative difference {worst:.2e}")
+    assert worst <= 1e-13
+
+
+def test_overflow_refusal_names_the_sequential_first_level():
+    model = random_model(1, 64, Classification.POSITIVE_RECURRENT)
+    g = random_rhs(0, 64, 21)
+    plan = poisson._plan(model, SolveOptions())
+    sol = plan.solve(g, SolveOptions(R_max=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = sequential_u(sol.x, sol.y, plan.G, plan.split, plan.wdata.W, g, 1000)
+    first = np.flatnonzero(~np.isfinite(want).all(axis=1))[0]
+    with pytest.raises(NumericalError, match=f"not finite from level {first} on"):
+        solve_poisson(model, g, SolveOptions(R_max=1000))
