@@ -20,7 +20,7 @@ from .probabilistic import ProbSolution, compare_constant_shift, omega_solution
 from .qme import (Classification, Normalization, QmeSolutions, StationaryData,
                   char_roots, classify, compute_r_u, drift, solve_model,
                   solve_qme, stationary)
-from .shift import ShiftData, right_shift, shift_identity_report, solve_null_recurrent
+from .shift import ShiftData, right_shift, solve_null_recurrent
 from .spectral import SpectralSplit, split
 from .triple import (ResolventData, ResolventTriple, build_triple,
                      check_identities, compute_w, eta, w_series)
@@ -42,7 +42,7 @@ __all__ = [
     "GroupInverseData", "PoissonSolution", "SolveOptions", "group_inverse",
     "compute_sigma", "compute_y_star", "evaluate_u", "evaluate_u_sequence",
     "pi_dot_g", "solve_poisson", "solve_nonsingular_a1",
-    "ShiftData", "right_shift", "shift_identity_report", "solve_null_recurrent",
+    "ShiftData", "right_shift", "solve_null_recurrent",
     "ProbSolution", "omega_solution", "compare_constant_shift",
     "ResidualReport", "residuals", "forward_oracle", "random_model",
     "__version__",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import poisson, probabilistic, qme, shift, triple, verify
+from . import poisson, probabilistic, qme, triple, verify
 from .exceptions import (InfeasibleConstraintError, ModelValidationError,
                          NumericalError, QbdError)
 from .model import STOCHASTIC_TOL, load_problem, parse_problem, validate
@@ -231,16 +231,12 @@ def _cmd_lemmas(args) -> int:
     model, _ = _load(args)
     plan = poisson._plan(model, _options(args))     # the equation solve solves
     sols = plan.sols
-    payload = {"class": sols.classification.value}
-    if plan.shift is not None:
-        payload["shift"] = shift.shift_identity_report(model, sols, plan.shift)
-    else:
-        try:
-            payload["identities"] = triple.check_identities(
-                model, sols, plan.split, plan.wdata)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc}; drift {sols.drift:.3e}") from exc
-    print(_dump(payload))
+    try:
+        identities = triple.check_identities(*plan.equation, plan.split,
+                                             plan.wdata)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; drift {sols.drift:.3e}") from exc
+    print(_dump({"class": sols.classification.value, "identities": identities}))
     return EXIT_OK
 
 

@@ -108,11 +108,12 @@ class PoissonSolution(FrozenRecord):
     ``alpha`` is the free additive constant of the recurrent case (None for
     transient chains, where x is fully determined).  ``sigma1`` is the
     particular-solution block entering the boundary equation.  All paths
-    feed one pipeline, each with its own difference equation: on the
-    null-recurrent path the shifted one, which ``sigma1`` and ``y`` belong
-    to; on the :func:`solve_nonsingular_a1` path ``y`` multiplies W R^{-r}
-    instead of L V1^{-r}, and ``sigma1`` is zero, as whenever Ghat has no
-    nilpotent part.
+    feed one pipeline, each on the difference equation its plan names
+    (``SolvePlan.equation``): on the null-recurrent path the shifted one,
+    which ``sigma1`` and ``y`` belong to; on the
+    :func:`solve_nonsingular_a1` path ``y`` multiplies W R^{-r} instead of
+    L V1^{-r}, and ``sigma1`` is zero, as whenever Ghat has no nilpotent
+    part.
     """
 
     classification: Classification
@@ -297,27 +298,29 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
 class SolvePlan:
     """The part of a solve that does not depend on g, built once per model.
 
-    Holds the records of the difference equation being solved (``sols``,
-    ``split``, ``wdata``) or of the shifted one, whose ``shift`` gives
-    (Gt, Gddot) for (G, Ghat), the boundary block B + A1 Q and the map back
-    u_k = ut_k + Q sum_{i<k} ut_i; and the boundary operator
-    (B + A1 Q - I) Ghat + A1, the group inverse of I - P* (P* = B + A1 G, the
-    original G) in the form its class picks, and, recurrent only, its pi_0 of
-    unit sum, the hyperplane direction and pi_0's stationarity defect.  It
-    keeps its own copy of the blocks, so a cached plan does not refer back.
-    Per g, one :func:`backward_pass` gives y*, sigma_1 and the series tail.
+    ``equation`` names the difference equation the plan solves: a
+    :class:`QbdModel` of its blocks and the :class:`~qbdpoisson.qme.QmeSolutions`
+    of its solvents, which ``split`` and ``wdata`` belong to.  It is the
+    chain's own (model, sols), or, with ``shift``, the right-shifted blocks
+    (B + A1 Q, A_neg (I - Q), A0 + A1 Q, A1) with (Gt, Gddot) for (G, Ghat);
+    the levels then map back by u_k = ut_k + Q sum_{i<k} ut_i.  The plan
+    holds that equation's boundary operator (B - I) Ghat + A1, the group
+    inverse of the chain's I - P* (P* = B + A1 G) in the form its class
+    picks, and, recurrent only, its pi_0 of unit sum, the hyperplane
+    direction and pi_0's stationarity defect.  ``model`` is the plan's own
+    copy of the blocks, so a cached plan does not refer back.  Per g, one
+    :func:`backward_pass` gives y*, sigma_1 and the series tail.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
+                 equation: tuple[QbdModel, qme.QmeSolutions],
                  split: SpectralSplit, wdata: ResolventData,
                  shift: ShiftData | None = None):
-        eye = np.eye(model.m)
-        self.model = replace(model)
-        self.sols, self.split, self.wdata, self.shift = sols, split, wdata, shift
-        self.G, Ghat, B = sols.G, sols.Ghat, model.B
-        if shift is not None:
-            self.G, Ghat, B = shift.Gt, shift.Gddot, model.B + model.A1 @ shift.Q
-        self.boundary = (B - eye) @ Ghat + model.A1
+        self.model, self.sols, self.equation = model, sols, equation
+        self.split, self.wdata, self.shift = split, wdata, shift
+        eq, eq_sols = equation
+        self.G = eq_sols.G
+        self.boundary = (eq.B - np.eye(model.m)) @ eq_sols.Ghat + eq.A1
         gi = group_inverse(
             model.B + model.A1 @ sols.G,
             recurrent=sols.classification is not Classification.TRANSIENT)
@@ -333,7 +336,7 @@ class SolvePlan:
     @cached_property
     def corollary(self) -> SolvePlan:
         """This plan on the corollary's split M = W, V1 = R of Ghat."""
-        return SolvePlan(self.model, self.sols,
+        return SolvePlan(self.model, self.sols, self.equation,
                          _corollary_split(self.wdata, self.sols.R), self.wdata)
 
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
@@ -389,14 +392,19 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
-        G, Ghat, sd = sols.G, sols.Ghat, None
+        # the plan is kept on ``model``, so it holds a copy, not ``model``
+        own, sd = replace(model), None
+        equation = (own, sols)
         if sols.classification is Classification.NULL_RECURRENT:
             sd = shift.right_shift(model, sols)
-            G, Ghat = sd.Gt, sd.Gddot
-        # the shifted equation shares U and R with the original one
-        plans[key] = SolvePlan(model, sols,
-                               spectral.split(Ghat, eps_zero=opt.eps_zero),
-                               triple.compute_w(G, sols.U, sols.R, Ghat), sd)
+            # the shifted equation shares U and R with the original one
+            equation = (QbdModel(B=model.B + model.A1 @ sd.Q, A_neg=sd.At_neg,
+                                 A0=sd.At0, A1=sd.At1),
+                        replace(sols, G=sd.Gt, Ghat=sd.Gddot))
+        s = equation[1]
+        plans[key] = SolvePlan(own, sols, equation,
+                               spectral.split(s.Ghat, eps_zero=opt.eps_zero),
+                               triple.compute_w(s.G, s.U, s.R, s.Ghat), sd)
     return plans[key]
 
 

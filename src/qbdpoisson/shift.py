@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poisson, qme, triple
-# condition_number, unit_eigenvector: unused here, bound for bench/spans.py
+from . import poisson, qme
+# condition_number, spectral_radius, unit_eigenvector: unused here, bound for
+# bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      norm_inf, spectral_radius, unit_eigenvector)  # noqa: F401
+                      spectral_radius, unit_eigenvector)  # noqa: F401
 from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
 from .qme import Classification
@@ -62,22 +63,6 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
                     "separate the unit roots")
     return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt,
                      Gddot=Gddot)
-
-
-def shift_identity_report(model: QbdModel, sols: qme.QmeSolutions,
-                          sd: ShiftData) -> dict[str, float]:
-    """Residuals of the shifted-block identities, for diagnostics."""
-    # the shifted chain shares U and R with the original model
-    wt = triple.compute_w(sd.Gt, sols.U, sols.R, sd.Gddot)
-    return {
-        "shifted_down_equation": qme.qme_residual(sd.At_neg, sd.At0, sd.At1,
-                                                  sd.Gt),
-        "shifted_up_equation": qme.qme_residual(sd.At1, sd.At0, sd.At_neg,
-                                                sd.Gddot),
-        "shifted_w_inverse": norm_inf(wt.W @ wt.W_inv - np.eye(model.m)),
-        "sp_Gt": spectral_radius(sd.Gt),
-        "sp_Gddot": spectral_radius(sd.Gddot),
-    }
 
 
 def solve_null_recurrent(model: QbdModel, g: RhsSpec,

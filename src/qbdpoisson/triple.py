@@ -62,10 +62,6 @@ class ResolventTriple(FrozenRecord):
     Z1: Array
     Z2: Array
 
-    @property
-    def m(self) -> int:
-        return self.X1.shape[0]
-
     def pair_matrix(self) -> Array:
         """[[X1, X2 T2], [X1 T1, X2]]; nonsingular for a decomposable pair."""
         return np.block([[self.X1, self.X2 @ self.T2],

@@ -11,9 +11,9 @@ import pytest
 from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
-from qbdpoisson import poisson, triple
+from qbdpoisson import poisson, qme, shift, spectral, triple
 from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
-from conftest import nilpotent_model, random_rhs, with_drift
+from conftest import balanced_rhs, nilpotent_model, random_rhs, with_drift
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -172,6 +172,29 @@ def test_infeasible_constraint_exit_code(tmp_path, capsys):
     assert err["error"] == "InfeasibleConstraintError"
 
 
+def test_non_numeric_vector_flag_exits_1(capsys):
+    assert run(["solve", "--y-free", "a,b", str(MODELS / "tr1.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "_CliArgumentError"
+    assert "expected comma-separated floats, got 'a,b'" in err["message"]
+
+
+def test_oracle_refuses_a_correct_near_critical_solution(tmp_path, capsys):
+    # the forward recurrence amplifies rounding along growing modes: near a
+    # critical chain it disagrees with a solution that solve accepts
+    model = with_drift(random_model(0, 8, Classification.POSITIVE_RECURRENT),
+                       -1e-4)
+    path = tmp_path / "near.json"
+    path.write_text(serialize_problem(model, balanced_rhs(model, 3)),
+                    encoding="utf-8")
+    assert run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 0
+    capsys.readouterr()
+    assert run(["oracle", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["pass"] is False
+    assert "forward recurrence disagrees" in json.loads(captured.err)["message"]
+
+
 def test_unknown_flag_is_validation_error(tmp_path, capsys):
     path = write(tmp_path, "pr1.json", PR1)
     assert run(["solve", "--no-such-flag", str(path)]) == 1
@@ -259,7 +282,8 @@ def test_lemmas_command(tmp_path, capsys):
     path = write(tmp_path, "nr1.json", NR1)
     assert run(["lemmas", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["shift"]["shifted_down_equation"] < 1e-10
+    assert all(v < 1e-10 for k, v in payload["identities"].items()
+               if k != "pair_condition_number")
 
 
 def test_compare_prob_command(tmp_path, capsys):
@@ -520,7 +544,32 @@ def test_lemmas_reports_on_the_plan_solve_uses(stem, monkeypatch, capsys):
     assert run(["lemmas", str(MODELS / f"{stem}.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(plans) == 1
-    assert ("shift" in payload) == (plans[0].shift is not None) == (stem == "nr1")
+    # one report for every class, on the equation the plan solves
+    assert sorted(payload) == ["class", "identities"]
+    assert (plans[0].shift is not None) == (stem == "nr1")
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_lemmas_builds_each_stage_once(path, monkeypatch, capsys):
+    # the report reads the plan's split and W; it builds no second W
+    calls = []
+    for mod, name in ((qme, "solve_model"), (spectral, "split"),
+                      (triple, "compute_w"), (poisson, "group_inverse"),
+                      (shift, "right_shift")):
+        original = getattr(mod, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    assert run(["lemmas", str(path)]) == 0
+    capsys.readouterr()
+    expected = ["solve_model", "split", "compute_w", "group_inverse"]
+    if path.stem == "nr1":
+        expected.append("right_shift")
+    assert sorted(calls) == sorted(expected)
 
 
 def test_lemmas_takes_the_pair_condition_number_once(monkeypatch, capsys):

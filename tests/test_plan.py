@@ -4,15 +4,17 @@ import gc
 import re
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         QbdModel, SolveOptions, _linalg, poisson, qme,
                         random_model, solve_nonsingular_a1,
                         solve_null_recurrent, solve_poisson, spectral, triple)
-from conftest import random_rhs
+from conftest import nilpotent_model, random_rhs
 
 CLASSES = list(Classification)
 IDS = [cls.value for cls in CLASSES]
@@ -224,6 +226,15 @@ def test_checked_inverse_gates_on_frobenius_not_2_norm():
     assert str(info.value) == "I_4 (Frobenius condition number 4.000e+00, limit 2e+00)"
 
 
+def _split_with_singular_sylvester(Ghat):
+    """spectral.split with a Sylvester solver that finds its system singular."""
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular Sylvester system")
+
+    with mock.patch.object(scipy.linalg, "solve_sylvester", singular):
+        return spectral.split(Ghat)
+
+
 def _gate_cases():
     """One call past each numerical gate's limit: (call, what, measure)."""
     model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
@@ -232,6 +243,7 @@ def _gate_cases():
     R_nan = s.R.copy()
     R_nan[1, 2] = np.nan
     coupled = np.array([[1e-6, 1e7], [0.0, 0.0]])    # S = -1e7 / 1e-6
+    nilpotent = qme.solve_model(nilpotent_model(0, 4)).Ghat   # p = 2, nu = 2
     return {
         "inverse": (lambda: _linalg.checked_inverse(np.eye(4), 2.0, "I_4"),
                     "I_4", "Frobenius condition number"),
@@ -255,6 +267,9 @@ def _gate_cases():
             "pair matrix is ill-conditioned", "condition number"),
         "split_coupling": (lambda: spectral.split(coupled, eps_zero=1e-7),
                            "decoupling transform blew up", "||S||"),
+        "split_singular_sylvester": (
+            lambda: _split_with_singular_sylvester(nilpotent),
+            "cutoff (||S|| inf, limit 1e+12)", "||S||"),
     }
 
 

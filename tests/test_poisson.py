@@ -564,6 +564,27 @@ def test_non_finite_option_is_refused(field, options):
         SolveOptions(**options)
 
 
+def _nilpotent_plan():
+    """(G, split, W) of ``nilpotent_model(0, 4)``, whose split has p = 2."""
+    s = solve_model(nilpotent_model(0, 4))
+    return s.G, split(s.Ghat), compute_w(s.G, s.U, s.R, s.Ghat).W
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolveOptions(y_perp_mode="bogus"), "y_perp_mode must be one of"),
+    (lambda: group_inverse(np.array([[0.7, 0.4], [0.1, 0.2]])),
+     r"P\* must be substochastic"),
+    (lambda: compute_sigma(*_nilpotent_plan(), random_rhs(0, 4), -1),
+     "level index must be nonnegative, got -1"),
+    (lambda: evaluate_u_sequence(np.zeros(4), np.zeros(4), *_nilpotent_plan(),
+                                 random_rhs(0, 4), 5),
+     r"y must have length p = 2, got shape \(4,\)"),
+], ids=["y_perp_mode", "superstochastic_pstar", "negative_level", "y_length"])
+def test_bad_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_zero_tolerances_are_allowed():
     opt = SolveOptions(null_band=0.0, eps_zero=0.0, residual_tol=0.0)
     assert (opt.null_band, opt.eps_zero, opt.residual_tol) == (0.0, 0.0, 0.0)

@@ -8,7 +8,7 @@ from qbdpoisson import (Classification, ClassificationError, Normalization,
                         drift, random_model, solve_model, solve_poisson,
                         solve_qme, stationary)
 from qbdpoisson._linalg import spectral_radius
-from qbdpoisson.qme import _cross_checked, qme_residual
+from qbdpoisson.qme import _cross_checked, _cyclic_reduction, qme_residual
 
 from conftest import (balanced_rhs, minimal_nonneg_root, scalar_model,
                       scaled_interior_residual, with_drift)
@@ -99,6 +99,13 @@ def test_solve_qme_reports_non_convergence():
     with pytest.raises(NumericalError, match="last residual"):
         solve_qme(model.A_neg, model.A0, model.A1, max_iter=3)
     solve_qme(model.A_neg, model.A0, model.A1, max_iter=5)
+
+
+def test_cyclic_reduction_refuses_singular_i_minus_a0():
+    # A_mid = I leaves I - A_mid exactly singular at the first step
+    zero = np.zeros((2, 2))
+    with pytest.raises(NumericalError, match="I - A0 became singular"):
+        _cyclic_reduction(zero, np.eye(2), zero, 10)
 
 
 def test_r_u_relations(pr1, tr1, nr1):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
-                        SolveOptions, compute_w, pi_dot_g, random_model,
-                        residuals, right_shift, shift_identity_report,
+                        SolveOptions, check_identities, compute_w, pi_dot_g,
+                        poisson, random_model, residuals, right_shift,
                         solve_model, solve_null_recurrent, solve_poisson,
                         split, stationary)
-from qbdpoisson.qme import Normalization
+from qbdpoisson.qme import Normalization, qme_residual
 
 import qbdpoisson._linalg as linalg
 import qbdpoisson.shift as shift_module
@@ -20,6 +20,12 @@ def null_rhs(seed: int, m: int, n_blocks: int = 3):
     return random_rhs(seed, m, n_blocks)
 
 
+def plan_identities(model):
+    """check_identities on the difference equation the model's plan solves."""
+    plan = poisson._plan(model, SolveOptions())
+    return check_identities(*plan.equation, plan.split, plan.wdata)
+
+
 def test_shift_data_scalar(nr1):
     s = solve_model(nr1)
     sd = right_shift(nr1, s)
@@ -31,8 +37,9 @@ def test_shift_data_scalar(nr1):
     assert compute_w(sd.Gt, s.U, s.R, sd.Gddot).W[0, 0] == pytest.approx(
         -2.5, abs=1e-10)
     # shifted residual: 0 + (0.6 - 1) * 0 + 0.4 * 0 = 0
-    report = shift_identity_report(nr1, s, sd)
-    assert report["shifted_down_equation"] < 1e-12
+    report = plan_identities(nr1)
+    assert report.pop("pair_condition_number") < 1e12
+    assert max(report.values()) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
@@ -85,14 +92,16 @@ def test_right_shift_rejects_wrong_class(pr1):
 def test_shift_invariants_random(seed):
     m = seed % 3 + 1
     model = random_model(seed, m, Classification.NULL_RECURRENT)
-    s = solve_model(model)
-    sd = right_shift(model, s)
-    report = shift_identity_report(model, s, sd)
-    assert report["shifted_down_equation"] <= 1e-12
-    assert report["shifted_up_equation"] <= 1e-12
-    assert report["shifted_w_inverse"] <= 1e-12
-    assert report["sp_Gt"] < 1 - 1e-6
-    assert report["sp_Gddot"] == pytest.approx(1.0, abs=1e-8)
+    sd = poisson._plan(model, SolveOptions()).shift
+    # the plan's equation includes the shifted down equation (pair_down) and
+    # the inverse of the shifted W (w_inverse)
+    report = plan_identities(model)
+    assert report.pop("pair_condition_number") < 1e12
+    assert max(report.values()) <= 1e-12
+    assert qme_residual(sd.At_neg, sd.At0, sd.At1, sd.Gt) <= 1e-12
+    assert qme_residual(sd.At1, sd.At0, sd.At_neg, sd.Gddot) <= 1e-12
+    assert linalg.spectral_radius(sd.Gt) < 1 - 1e-6
+    assert linalg.spectral_radius(sd.Gddot) == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.det(np.eye(m) - sd.Gt @ sd.Gddot) != 0.0
 
 

@@ -32,6 +32,17 @@ def test_residuals_requires_three_blocks(pr1):
         residuals(pr1, rhs([0.0]), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda model: residuals(model, rhs([0.0]), np.zeros((3, 2))),
+     "solution blocks have length 2, model has m = 1"),
+    (lambda model: forward_oracle(model, rhs([0.0]), [0.0], [0.0], 0),
+     "horizon must cover both seeds, got R_max = 0"),
+], ids=["residuals_width", "oracle_horizon"])
+def test_bad_argument_is_refused(call, message, pr1):
+    with pytest.raises(ValueError, match=message):
+        call(pr1)
+
+
 def test_residuals_scaled_per_equation():
     # the family grows to 2.9e228 by level 200, so 1 + max_r ||u_r|| would
     # hide any boundary error; the boundary's own scale is 1 + ||u_0|| + ||u_1||
