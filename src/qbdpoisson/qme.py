@@ -5,9 +5,10 @@ the first-passage probabilities one level down; Ghat is the analogous matrix
 of the level-reversed chain, solving A1 + (A0 - I)X + A_neg X^2 = 0.  From G
 follow U = A0 + A1 G and the rate matrix R = A1 (I - U)^{-1}.
 
-The sign of the mean drift theta^T (A1 - A_neg) 1, with theta the stationary
-vector of A_neg + A0 + A1, classifies the chain as positive recurrent
-(negative drift), transient (positive) or null recurrent (zero).
+The sign of the mean drift theta^T (A1 - A_neg) 1, theta the stationary vector
+of A_neg + A0 + A1, classifies the chain as positive recurrent (negative
+drift), transient (positive) or null recurrent (zero); outside the null band
+one cyclic reduction gives both G and Ghat.
 """
 
 from __future__ import annotations
@@ -138,14 +139,14 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
     """
     m = A_low.shape[0]
     if theta is None:
-        X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)
+        X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)[0]
     elif _drift(A_low, A_high, theta) <= 0.0:
         Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
-        X = _cyclic_reduction(low, mid, A_high, max_iter) + Q
+        X = _cyclic_reduction(low, mid, A_high, max_iter)[0] + Q
     else:
         Q = np.outer(np.ones(m), theta)
         X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
-                              max_iter)
+                              max_iter)[0]
     gate(qme_residual(A_low, A_mid, A_high, X), tol, "shifted cyclic "
          "reduction: the shift needs A_low + A_mid + A_high row-stochastic to "
          "rounding", "residual")
@@ -162,10 +163,41 @@ def _right_shifted_blocks(A_low: Array, A_mid: Array, A_high: Array
     return Q, A_low @ (np.eye(m) - Q), A_mid + A_high @ Q
 
 
+def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array,
+                tol: float = QME_TOL, max_iter: int = QME_MAX_ITER
+                ) -> tuple[Array, Array]:
+    """Minimal solvents X, Z of the equation and of its level reversal when
+    Z owns the unit root: X from the left shift of :func:`_solve_shifted`,
+    Z from the reduction's dual with the root restored (see the README).
+    Each is checked against its own equation, to ``tol``."""
+    eye, Q = np.eye(len(theta)), np.outer(np.ones(len(theta)), theta)
+    high = (eye - Q) @ A_high
+    X, mid_dual = _cyclic_reduction(A_low, A_mid + Q @ A_low, high, max_iter)
+    gate(qme_residual(A_low, A_mid, A_high, X), tol, "left-shifted cyclic "
+         "reduction", "residual")
+    Y = _solve(eye - mid_dual, high)
+    ell = theta @ (A_high - A_low @ Y)
+    w = ell / ell.sum()
+    Z0 = (Y - np.outer(Y.sum(axis=1), w)) + w
+    Qu, low_u, mid_u = _right_shifted_blocks(A_high, A_mid, A_low)
+    Z = _solve(eye - mid_u - A_low @ (Z0 - Qu), low_u) + Qu
+    gate(qme_residual(A_high, A_mid, A_low, Z), tol, "unit root restored to "
+         "the dual solvent", "residual")
+    return X, Z
+
+
+def _solve(M: Array, rhs: Array, what: str = "I - U is singular") -> Array:
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"cyclic reduction: {what}") from exc
+
+
 def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
-                      max_iter: int) -> Array:
+                      max_iter: int) -> tuple[Array, Array]:
     """Canonical solvent of A_low + (A_mid - I)X + A_high X^2 = 0 by cyclic
-    reduction.
+    reduction, and the dual mid_dual, A_mid plus the sum of the down @ high
+    steps: (I - mid_dual)^{-1} A_high is the canonical reversed solvent.
 
     Works on general (not necessarily nonnegative) blocks, which is what the
     shifted equations of :func:`_solve_shifted` are; converges to the solvent
@@ -177,32 +209,20 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
     m = A_low.shape[0]
     eye = np.eye(m)
     low, mid, high, mid_hat = A_low, A_mid, A_high, A_mid
-
-    def solvent():
-        try:
-            return np.linalg.solve(eye - mid_hat, A_low)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("cyclic reduction: I - U is singular") from exc
-
     recent: list[float] = []
     for _ in range(max_iter):
-        try:
-            S = np.linalg.solve(eye - mid, eye)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("cyclic reduction: I - A0 became singular") from exc
-        up = high @ S
-        down = low @ S
+        S = _solve(eye - mid, eye, "I - A0 became singular")
+        up, down = high @ S, low @ S
         step = up @ low
         mid_hat = mid_hat + step
         mid = mid + step + down @ high
-        high = up @ high
-        low = down @ low
+        high, low = up @ high, down @ low
         inc = norm_inf(step)
         recent.append(inc)
         stagnated = len(recent) >= 8 and inc >= 0.25 * max(recent[-8:])
         if inc <= 1e-15 * (1.0 + norm_inf(mid_hat)) or stagnated:
-            return solvent()
-    residual = qme_residual(A_low, A_mid, A_high, solvent())
+            return _solve(eye - mid_hat, A_low), mid - mid_hat + A_mid
+    residual = qme_residual(A_low, A_mid, A_high, _solve(eye - mid_hat, A_low))
     raise NumericalError(
         f"cyclic reduction: no convergence after {max_iter} iterations "
         f"(last residual {residual:.3e})")
@@ -278,16 +298,21 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     """Solve the quadratic equations for G and Ghat, derive U and R, and
     classify the chain.
 
-    G and Ghat both come from the shifted cyclic reduction of
-    :func:`_solve_shifted`, with the stationary vector theta of
-    A_neg + A0 + A1 computed once; the sign of the drift decides which of
-    them owns the unit root, and :func:`_cross_checked` checks that owner
-    for stochastic rows.  The null band only labels the class.
+    With theta, the stationary vector of A_neg + A0 + A1, computed once,
+    the sign of the drift decides which solvent owns the unit root; outside
+    the null band :func:`_solve_pair` gives both from one reduction, inside
+    it each comes from :func:`_solve_shifted`.  :func:`_cross_checked`
+    checks the owner for stochastic rows.
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    G = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
-    Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)
+    if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
+        G = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
+        Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)
+    elif d > 0.0:
+        G, Ghat = _solve_pair(model.A_neg, model.A0, model.A1, theta)
+    else:
+        Ghat, G = _solve_pair(model.A1, model.A0, model.A_neg, theta)
     U, R = compute_r_u(model, G)
     cls = _cross_checked(d, G, Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)

@@ -163,6 +163,22 @@ def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
     assert inverses == [fixture != "tr1"]
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, monkeypatch):
+    # one left-shifted reduction gives G and Ghat; a null recurrent plan
+    # runs one per orientation and a third for the shift
+    calls = []
+    reduction = qme._cyclic_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return reduction(*args, **kwargs)
+
+    monkeypatch.setattr(qme, "_cyclic_reduction", counted)
+    poisson._plan(random_model(0, 4, cls), SolveOptions())
+    assert len(calls) == (3 if cls is Classification.NULL_RECURRENT else 1)
+
+
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
 def test_cold_solve_runs_no_eigensolver(fixture, request, monkeypatch):
     calls = []
@@ -235,6 +251,14 @@ def _split_with_singular_sylvester(Ghat):
         return spectral.split(Ghat)
 
 
+def _pair_without_theta(model):
+    """qme._solve_pair with theta = 0 for the positive recurrent ``model``:
+    the reduction runs unshifted, so Ghat is right, but l^T 1 = 0 leaves the
+    restored G NaN."""
+    with np.errstate(invalid="ignore"):
+        return qme._solve_pair(model.A1, model.A0, model.A_neg, np.zeros(model.m))
+
+
 def _gate_cases():
     """One call past each numerical gate's limit: (call, what, measure)."""
     model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
@@ -258,6 +282,8 @@ def _gate_cases():
         "shifted_cr_nan": (lambda: qme._solve_shifted(
             model.A_neg, model.A0, model.A1, theta, np.nan),
             "row-stochastic to rounding", "residual"),
+        "restored_owner": (lambda: _pair_without_theta(model),
+                           "unit root restored to the dual solvent", "residual"),
         "rate_matrix": (lambda: qme.compute_r_u(model, s.G + 0.01),
                         "rate matrix fails its defining equation", "residual"),
         "w_similarity_nan": (lambda: triple.compute_w(s.G, s.U, R_nan, s.Ghat),

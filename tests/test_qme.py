@@ -8,10 +8,12 @@ from qbdpoisson import (Classification, ClassificationError, Normalization,
                         drift, random_model, solve_model, solve_poisson,
                         solve_qme, stationary)
 from qbdpoisson._linalg import spectral_radius
-from qbdpoisson.qme import _cross_checked, _cyclic_reduction, qme_residual
+from qbdpoisson.qme import (NULL_BAND, _cross_checked, _cyclic_reduction,
+                            qme_residual)
 
-from conftest import (balanced_rhs, minimal_nonneg_root, scalar_model,
-                      scaled_interior_residual, with_drift)
+from conftest import (balanced_rhs, minimal_nonneg_root, near_singular_model,
+                      nilpotent_model, scalar_model, scaled_interior_residual,
+                      with_drift)
 
 SWEEP_DRIFTS = [sign * mag for mag in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 2e-9, 1e-10, 1e-12)
                 for sign in (-1.0, 1.0)]
@@ -193,6 +195,56 @@ def test_qme_invariants_on_random_models(seed):
         assert abs(sp_Ghat - 1) <= 1e-8 and sp_G < 1 - 1e-8
     else:
         assert abs(sp_G - 1) <= 1e-8 and abs(sp_Ghat - 1) <= 1e-8
+
+
+def _pair_cases():
+    """(id, model, null band): random chains of every class, near-critical
+    drifts under a zero band (so that one reduction runs), singular and
+    nearly singular A1, and m = 64."""
+    cases = [(f"{cls.value}-s{s}-m{m}", random_model(s, m, cls), NULL_BAND)
+             for cls in Classification for s in (0, 1, 2)
+             for m in (1, 2, 3, 8, 32)]
+    cases += [(f"drift{sign * mag:g}-m{m}", with_drift(random_model(
+        1, m, Classification.POSITIVE_RECURRENT), sign * mag), 0.0)
+        for mag in (1e-3, 1e-7, 2e-9, 1e-12) for sign in (-1.0, 1.0)
+        for m in (3, 8)]
+    cases += [(f"nilpotent-s{s}", nilpotent_model(s, 4), NULL_BAND)
+              for s in (0, 1, 2)]
+    cases += [(f"near_singular-s{s}", near_singular_model(s, 8, 1e-7), NULL_BAND)
+              for s in (0, 1, 2)]
+    cases += [(f"{cls.value}-m64", random_model(3, 64, cls), NULL_BAND)
+              for cls in (Classification.POSITIVE_RECURRENT,
+                          Classification.TRANSIENT)]
+    return cases
+
+
+PAIR_CASES = _pair_cases()
+
+
+@pytest.mark.parametrize("model, band", [c[1:] for c in PAIR_CASES],
+                         ids=[c[0] for c in PAIR_CASES])
+def test_solve_model_agrees_with_one_run_per_orientation(model, band):
+    # outside the band G and Ghat come from one reduction; solve_qme runs
+    # one shifted reduction per orientation
+    s = solve_model(model, null_band=band)
+    two_runs = (solve_qme(model.A_neg, model.A0, model.A1),
+                solve_qme(model.A1, model.A0, model.A_neg))
+    for X, X_ref, blocks in ((s.G, two_runs[0], (model.A_neg, model.A0, model.A1)),
+                             (s.Ghat, two_runs[1], (model.A1, model.A0, model.A_neg))):
+        assert np.abs(X - X_ref).max() <= 1e-15
+        assert qme_residual(*blocks, X) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_owner_keeps_unit_row_sums_over_many_levels(seed, m):
+    # G^1000 1 = 1 needs G 1 = 1 to rounding, which the restored dual solvent
+    # gets from its fixed-point step
+    G = solve_model(random_model(seed, m, Classification.POSITIVE_RECURRENT)).G
+    v = np.ones(m)
+    for _ in range(1000):
+        v = G @ v
+    assert np.abs(v - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
