@@ -8,9 +8,9 @@ zero: with Q = 1 u^T, u uniform, the shifted blocks
     At_neg = A_neg (I - Q),   At0 = A0 + A1 Q,   At1 = A1
 
 have the solvents Gt = G - Q (sp < 1) and, on the level-reversed side,
-Gddot (sp = 1) from cyclic reduction.  They share U and R with the original
-blocks, so (Gt, Gddot) go through the one pipeline in place of (G, Ghat),
-and the levels map back via
+Gddot (sp = 1), from the dual of G's reduction when that ran right-shifted.
+They share U and R with the original blocks, so (Gt, Gddot) go through the
+one pipeline in place of (G, Ghat), and the levels map back via
 
     u_0 = ut_0,   u_k = ut_k + Q sum_{i<k} ut_i.
 """
@@ -46,10 +46,10 @@ class ShiftData(FrozenRecord):
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
-    Gddot comes from the cyclic-reduction kernel on the level-reversed
-    shifted blocks, which checks its own residual.  An I - Gt Gddot of
-    Frobenius condition number above 1e12 (no shifted W) raises
-    :class:`NumericalError`.
+    Gddot comes from the dual that :func:`~qbdpoisson.qme.solve_model` keeps
+    at d <= 0, else from a reduction on the level-reversed shifted blocks;
+    its residual is checked.  An I - Gt Gddot of Frobenius condition number
+    above 1e12 (no shifted W) raises :class:`NumericalError`.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError(
@@ -57,7 +57,8 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
             f"{sols.classification.value}")
     Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
     Gt = sols.G - Q
-    Gddot = qme._solve_shifted(model.A1, At0, At_neg, None)
+    Gddot = qme._solve_shifted(model.A1, At0, At_neg, None,
+                               dual=vars(sols).get("_mid_dual"))[0]
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, QbdModel, RhsSpec, drift, random_model,
-                        validate)
+from qbdpoisson import (Classification, QbdModel, RhsSpec, drift, qme,
+                        random_model, validate)
+
+
+@pytest.fixture
+def reduction_calls(monkeypatch):
+    """Shapes of the qme._cyclic_reduction calls made while the test runs."""
+    calls = []
+    reduction = qme._cyclic_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return reduction(*args, **kwargs)
+
+    monkeypatch.setattr(qme, "_cyclic_reduction", counted)
+    return calls
 
 
 def scalar_model(a_neg: float, a0: float, a1: float, b: float) -> QbdModel:

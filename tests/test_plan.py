@@ -14,7 +14,7 @@ from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         QbdModel, SolveOptions, _linalg, poisson, qme,
                         random_model, solve_nonsingular_a1,
                         solve_null_recurrent, solve_poisson, spectral, triple)
-from conftest import nilpotent_model, random_rhs
+from conftest import nilpotent_model, random_rhs, with_drift
 
 CLASSES = list(Classification)
 IDS = [cls.value for cls in CLASSES]
@@ -164,19 +164,20 @@ def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
-def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, monkeypatch):
+def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, reduction_calls):
     # one left-shifted reduction gives G and Ghat; a null recurrent plan
-    # runs one per orientation and a third for the shift
-    calls = []
-    reduction = qme._cyclic_reduction
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return reduction(*args, **kwargs)
-
-    monkeypatch.setattr(qme, "_cyclic_reduction", counted)
+    # runs one per orientation, and at d <= 0 the dual of G's gives Gddot
     poisson._plan(random_model(0, 4, cls), SolveOptions())
-    assert len(calls) == (3 if cls is Classification.NULL_RECURRENT else 1)
+    assert len(reduction_calls) == (2 if cls is Classification.NULL_RECURRENT else 1)
+
+
+def test_cold_plan_in_band_above_zero_drift_reduces_for_gddot(reduction_calls):
+    # at 0 < d <= null_band G comes from the left shift, which has no dual
+    # for Gddot: the shift runs a third reduction
+    model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), 1e-10)
+    assert 0.0 < qme.drift(model) <= qme.NULL_BAND
+    poisson._plan(model, SolveOptions())
+    assert len(reduction_calls) == 3
 
 
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
@@ -268,6 +269,8 @@ def _gate_cases():
     R_nan[1, 2] = np.nan
     coupled = np.array([[1e-6, 1e7], [0.0, 0.0]])    # S = -1e7 / 1e-6
     nilpotent = qme.solve_model(nilpotent_model(0, 4)).Ghat   # p = 2, nu = 2
+    nr = random_model(0, 3, Classification.NULL_RECURRENT)
+    _, At_neg, At0 = qme._right_shifted_blocks(nr.A_neg, nr.A0, nr.A1)
     return {
         "inverse": (lambda: _linalg.checked_inverse(np.eye(4), 2.0, "I_4"),
                     "I_4", "Frobenius condition number"),
@@ -281,6 +284,9 @@ def _gate_cases():
             "row-stochastic to rounding", "residual"),
         "shifted_cr_nan": (lambda: qme._solve_shifted(
             model.A_neg, model.A0, model.A1, theta, np.nan),
+            "row-stochastic to rounding", "residual"),
+        "shifted_dual_nan": (lambda: qme._solve_shifted(
+            nr.A1, At0, At_neg, None, dual=np.full((3, 3), np.nan)),
             "row-stochastic to rounding", "residual"),
         "restored_owner": (lambda: _pair_without_theta(model),
                            "unit root restored to the dual solvent", "residual"),

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
-                        SolveOptions, check_identities, compute_w, pi_dot_g,
-                        poisson, random_model, residuals, right_shift,
-                        solve_model, solve_null_recurrent, solve_poisson,
-                        split, stationary)
+                        QbdModel, SolveOptions, check_identities, compute_w,
+                        pi_dot_g, poisson, qme, random_model, residuals,
+                        right_shift, solve_model, solve_null_recurrent,
+                        solve_poisson, split, stationary)
 from qbdpoisson.qme import Normalization, qme_residual
 
 import qbdpoisson._linalg as linalg
@@ -80,6 +82,59 @@ def test_in_band_drift_solves_on_shift_path(m, d):
     h[:8] = balanced_h(m, key=m)
     c = (u - h).mean()
     assert np.abs(u - h - c).max() <= 1e-11 + 10.0 * abs(d) * (1.0 + np.abs(h).max())
+
+
+def _bench_style_null(seed: int, m: int) -> QbdModel:
+    """A null recurrent chain drawn like the benchmark's: dense random rows,
+    down mass in [0.2, 0.45] per row, A1 = A_neg, B + A1 stochastic."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def rows(mass):
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        return raw * (mass / raw.sum(axis=1))[:, None]
+
+    down = rng.uniform(0.2, 0.45, size=m)
+    A_neg = rows(down)
+    return QbdModel(B=rows(1.0 - down), A_neg=A_neg, A0=rows(1.0 - 2.0 * down),
+                    A1=A_neg.copy())
+
+
+DUAL_CASES = {
+    **{f"nr-s{s}-m{m}": (lambda s=s, m=m: random_model(
+        s, m, Classification.NULL_RECURRENT))
+       for s in (0, 1, 2) for m in (1, 2, 3, 8, 32, 64)},
+    **{f"bench-m{m}": (lambda m=m: _bench_style_null(m, m)) for m in (4, 16, 64)},
+    **{f"drift{d:g}-m{m}": (lambda d=d, m=m: with_drift(random_model(
+        1, m, Classification.POSITIVE_RECURRENT), d))
+       for d in (-1e-10, -1e-12, -1e-15) for m in (2, 3, 8)},
+}
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_gddot_from_the_dual_matches_its_own_reduction(case):
+    # at d <= 0 in the band Gddot comes from the dual of G's right-shifted
+    # reduction; a reduction of its own on the level-reversed blocks agrees
+    model = DUAL_CASES[case]()
+    plan = poisson._plan(model, SolveOptions())
+    assert plan.sols.drift <= 0.0
+    assert vars(plan.sols)["_mid_dual"] is not None
+    sd = plan.shift
+    reference = qme._solve_shifted(model.A1, sd.At0, sd.At_neg, None)[0]
+    assert np.abs(sd.Gddot - reference).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_right_shift_without_the_dual_runs_a_reduction(seed, reduction_calls):
+    # a QmeSolutions built anew carries no dual: right_shift then solves for
+    # Gddot by a reduction of its own, and both routes agree
+    model = random_model(seed, 8, Classification.NULL_RECURRENT)
+    s = solve_model(model)
+    reduction_calls.clear()
+    from_dual = right_shift(model, s).Gddot
+    assert reduction_calls == []
+    from_reduction = right_shift(model, dataclasses.replace(s)).Gddot
+    assert reduction_calls == [(8, 8)]
+    assert np.abs(from_dual - from_reduction).max() <= 1e-15
 
 
 def test_right_shift_rejects_wrong_class(pr1):
