@@ -401,10 +401,10 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
             equation = (QbdModel(B=model.B + model.A1 @ sd.Q, A_neg=sd.At_neg,
                                  A0=sd.At0, A1=sd.At1),
                         replace(sols, G=sd.Gt, Ghat=sd.Gddot))
-        s = equation[1]
-        plans[key] = SolvePlan(own, sols, equation,
-                               spectral.split(s.Ghat, eps_zero=opt.eps_zero),
-                               triple.compute_w(s.G, s.U, s.R, s.Ghat), sd)
+        wdata = (triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
+                 if sd is None else sd.wdata)
+        plans[key] = SolvePlan(own, sols, equation, spectral.split(
+            equation[1].Ghat, eps_zero=opt.eps_zero), wdata, sd)
     return plans[key]
 
 

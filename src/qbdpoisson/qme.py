@@ -111,13 +111,12 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
         theta = stationary_vector(A_low + A_mid + A_high)
     except NumericalError:
         theta = None
-    return _solve_shifted(A_low, A_mid, A_high, theta, tol, max_iter)[0]
+    return _solve_shifted(A_low, A_mid, A_high, theta, tol, max_iter)
 
 
 def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
                    theta: Array | None, tol: float = QME_TOL,
-                   max_iter: int = QME_MAX_ITER, dual: Array | None = None
-                   ) -> tuple[Array, Array | None]:
+                   max_iter: int = QME_MAX_ITER) -> Array:
     """Minimal nonnegative solvent by cyclic reduction with the unit root
     shifted away (He, Meini & Rhee, SIAM J. Matrix Anal. Appl. 23, 2001;
     Bini, Latouche & Meini, Numerical Methods for Structured Markov Chains,
@@ -135,19 +134,14 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
       blocks (A_low, A_mid + Q A_low, (I - Q) A_high) keep the right factor
       (zI - X) of the matrix polynomial, so their solvent is X itself.
 
-    ``theta=None`` runs the reduction unshifted, or, given the ``dual`` of
-    one run on the level-reversed blocks, takes X = (I - dual)^{-1} A_low
-    from it.  X is checked against the original equation, to ``tol``.  The
-    right shift also returns its reduction's dual; the others return None.
+    ``theta=None`` runs it unshifted; X must solve the equation to ``tol``.
     """
-    m, mid_dual = A_low.shape[0], None
+    m = A_low.shape[0]
     if theta is None:
-        X = (_cyclic_reduction(A_low, A_mid, A_high, max_iter)[0] if dual is None
-             else _solve(np.eye(m) - dual, A_low))
+        X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)[0]
     elif _drift(A_low, A_high, theta) <= 0.0:
         Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
-        X, mid_dual = _cyclic_reduction(low, mid, A_high, max_iter)
-        X = X + Q
+        X = _cyclic_reduction(low, mid, A_high, max_iter)[0] + Q
     else:
         Q = np.outer(np.ones(m), theta)
         X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
@@ -155,7 +149,7 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
     gate(qme_residual(A_low, A_mid, A_high, X), tol, "shifted cyclic "
          "reduction: the shift needs A_low + A_mid + A_high row-stochastic to "
          "rounding", "residual")
-    return X, mid_dual
+    return X
 
 
 def _right_shifted_blocks(A_low: Array, A_mid: Array, A_high: Array
@@ -306,25 +300,21 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     With theta, the stationary vector of A_neg + A0 + A1, computed once,
     the sign of the drift decides which solvent owns the unit root; outside
     the null band :func:`_solve_pair` gives both from one reduction, inside
-    it each comes from :func:`_solve_shifted`, and at d <= 0 the result keeps
-    the dual of G's reduction, for :func:`~qbdpoisson.shift.right_shift`.
-    :func:`_cross_checked` checks the owner for stochastic rows.
+    it each comes from :func:`_solve_shifted`.  :func:`_cross_checked`
+    checks the owner for stochastic rows.
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    mid_dual = None
     if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
-        G, mid_dual = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
-        Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)[0]
+        G = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
+        Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)
     elif d > 0.0:
         G, Ghat = _solve_pair(model.A_neg, model.A0, model.A1, theta)
     else:
         Ghat, G = _solve_pair(model.A1, model.A0, model.A_neg, theta)
     U, R = compute_r_u(model, G)
     cls = _cross_checked(d, G, Ghat, null_band)
-    sols = QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
-    vars(sols).update(_mid_dual=mid_dual)
-    return sols
+    return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
 
 
 def char_roots(sols: QmeSolutions) -> Array:

@@ -8,9 +8,9 @@ zero: with Q = 1 u^T, u uniform, the shifted blocks
     At_neg = A_neg (I - Q),   At0 = A0 + A1 Q,   At1 = A1
 
 have the solvents Gt = G - Q (sp < 1) and, on the level-reversed side,
-Gddot (sp = 1), from the dual of G's reduction when that ran right-shifted.
-They share U and R with the original blocks, so (Gt, Gddot) go through the
-one pipeline in place of (G, Ghat), and the levels map back via
+Gddot (sp = 1).  They share U and R with the original blocks, so (Gt, Gddot)
+and the convergent Wt = sum_j Gt^j (U - I)^{-1} R^j go through the one
+pipeline in place of (G, Ghat) and W, and the levels map back via
 
     u_0 = ut_0,   u_k = ut_k + Q sum_{i<k} ut_i.
 """
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poisson, qme
+from . import poisson, qme, triple
 # condition_number, spectral_radius, unit_eigenvector: unused here, bound for
 # bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      spectral_radius, unit_eigenvector)  # noqa: F401
+                      gate, spectral_radius, unit_eigenvector)  # noqa: F401
 from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
 from .qme import Classification
@@ -33,7 +33,7 @@ from .qme import Classification
 
 @dataclass(frozen=True)
 class ShiftData(FrozenRecord):
-    """The shift Q, the shifted blocks and their solutions."""
+    """The shift Q, the shifted blocks, their solutions and their W."""
 
     Q: Array
     At_neg: Array
@@ -41,15 +41,18 @@ class ShiftData(FrozenRecord):
     At1: Array
     Gt: Array
     Gddot: Array
+    wdata: triple.ResolventData
 
 
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
-    Gddot comes from the dual that :func:`~qbdpoisson.qme.solve_model` keeps
-    at d <= 0, else from a reduction on the level-reversed shifted blocks;
-    its residual is checked.  An I - Gt Gddot of Frobenius condition number
-    above 1e12 (no shifted W) raises :class:`NumericalError`.
+    At d <= 0 Wt = :func:`~qbdpoisson.triple.w_series` (Gt, U, R), the
+    solution of Wt - Gt Wt R = (U - I)^{-1}, and Gddot = Wt R Wt^{-1}; they
+    need cond_F(Wt) <= 1e14 and a shifted residual <= ``QME_TOL``.  At
+    0 < d <= band, where Gt is a solvent only to O(d), a reduction gives
+    Gddot and :func:`~qbdpoisson.triple.compute_w` Wt.  Both raise
+    :class:`NumericalError` when cond_F(I - Gt Gddot) > 1e12.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError(
@@ -57,13 +60,21 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
             f"{sols.classification.value}")
     Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
     Gt = sols.G - Q
-    Gddot = qme._solve_shifted(model.A1, At0, At_neg, None,
-                               dual=vars(sols).get("_mid_dual"))[0]
+    if sols.drift > 0.0:
+        Gddot = qme._solve_shifted(model.A1, At0, At_neg, None)
+        wdata = triple.compute_w(Gt, sols.U, sols.R, Gddot)
+    else:
+        W = triple.w_series(Gt, sols.U, sols.R)
+        W_inv = checked_inverse(W, 1e14, "the shifted W is numerically singular")
+        Gddot = W @ sols.R @ W_inv
+        gate(qme.qme_residual(model.A1, At0, At_neg, Gddot), qme.QME_TOL,
+             "Gddot = Wt R Wt^-1 fails its shifted equation", "residual")
+        wdata = triple.ResolventData(W=W, W_inv=W_inv)
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")
     return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt,
-                     Gddot=Gddot)
+                     Gddot=Gddot, wdata=wdata)
 
 
 def solve_null_recurrent(model: QbdModel, g: RhsSpec,

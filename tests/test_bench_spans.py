@@ -50,7 +50,8 @@ def test_level_spans_reached_once_per_solve(fixture, request, monkeypatch):
 
 
 PLAN_STAGES = ("qme.solve_model", "spectral.split", "triple.compute_w",
-               "shift.right_shift", "qme.stationary", "poisson.group_inverse")
+               "triple.w_series", "shift.right_shift", "qme.stationary",
+               "poisson.group_inverse")
 
 
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
@@ -71,11 +72,14 @@ def test_plan_stages_reached_once_per_model(fixture, request, monkeypatch):
     model = request.getfixturevalue(fixture)
     g = request.getfixturevalue(f"{fixture}_rhs")
     solve_poisson(model, g)
-    # one group inverse of I - P* for every class, its pi_star being pi_0
-    expected = {"qme.solve_model": 1, "spectral.split": 1, "triple.compute_w": 1,
+    # one group inverse of I - P* for every class, its pi_star being pi_0;
+    # the shift sums its W as a series in place of the closed form
+    expected = {"qme.solve_model": 1, "spectral.split": 1,
                 "poisson.group_inverse": 1}
     if fixture == "nr1":
-        expected["shift.right_shift"] = 1
+        expected.update({"shift.right_shift": 1, "triple.w_series": 1})
+    else:
+        expected["triple.compute_w"] = 1
     assert calls == expected
     calls.clear()
     solve_poisson(model, g)

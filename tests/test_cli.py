@@ -555,8 +555,8 @@ def test_lemmas_builds_each_stage_once(path, monkeypatch, capsys):
     # the report reads the plan's split and W; it builds no second W
     calls = []
     for mod, name in ((qme, "solve_model"), (spectral, "split"),
-                      (triple, "compute_w"), (poisson, "group_inverse"),
-                      (shift, "right_shift")):
+                      (triple, "compute_w"), (triple, "w_series"),
+                      (poisson, "group_inverse"), (shift, "right_shift")):
         original = getattr(mod, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -566,9 +566,11 @@ def test_lemmas_builds_each_stage_once(path, monkeypatch, capsys):
         monkeypatch.setattr(mod, name, counted)
     assert run(["lemmas", str(path)]) == 0
     capsys.readouterr()
-    expected = ["solve_model", "split", "compute_w", "group_inverse"]
+    expected = ["solve_model", "split", "group_inverse"]
     if path.stem == "nr1":
-        expected.append("right_shift")
+        expected += ["right_shift", "w_series"]
+    else:
+        expected.append("compute_w")
     assert sorted(calls) == sorted(expected)
 
 

@@ -4,6 +4,7 @@ import gc
 import re
 import sys
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         QbdModel, SolveOptions, _linalg, poisson, qme,
-                        random_model, solve_nonsingular_a1,
+                        random_model, shift, solve_nonsingular_a1,
                         solve_null_recurrent, solve_poisson, spectral, triple)
 from conftest import nilpotent_model, random_rhs, with_drift
 
@@ -166,7 +167,7 @@ def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, reduction_calls):
     # one left-shifted reduction gives G and Ghat; a null recurrent plan
-    # runs one per orientation, and at d <= 0 the dual of G's gives Gddot
+    # runs one per orientation, and at d <= 0 Gddot comes from the shifted W
     poisson._plan(random_model(0, 4, cls), SolveOptions())
     assert len(reduction_calls) == (2 if cls is Classification.NULL_RECURRENT else 1)
 
@@ -270,7 +271,9 @@ def _gate_cases():
     coupled = np.array([[1e-6, 1e7], [0.0, 0.0]])    # S = -1e7 / 1e-6
     nilpotent = qme.solve_model(nilpotent_model(0, 4)).Ghat   # p = 2, nu = 2
     nr = random_model(0, 3, Classification.NULL_RECURRENT)
-    _, At_neg, At0 = qme._right_shifted_blocks(nr.A_neg, nr.A0, nr.A1)
+    s_nr = qme.solve_model(nr)
+    # (U - I)^{-1} of condition number 1e16, and R = 0: the series is W = it
+    u_singular = np.eye(3) - np.diag([1.0, 1.0, 1e-16])
     return {
         "inverse": (lambda: _linalg.checked_inverse(np.eye(4), 2.0, "I_4"),
                     "I_4", "Frobenius condition number"),
@@ -285,9 +288,13 @@ def _gate_cases():
         "shifted_cr_nan": (lambda: qme._solve_shifted(
             model.A_neg, model.A0, model.A1, theta, np.nan),
             "row-stochastic to rounding", "residual"),
-        "shifted_dual_nan": (lambda: qme._solve_shifted(
-            nr.A1, At0, At_neg, None, dual=np.full((3, 3), np.nan)),
-            "row-stochastic to rounding", "residual"),
+        "shifted_gddot_residual": (lambda: shift.right_shift(
+            nr, replace(s_nr, R=s_nr.R + 1e-6)),
+            "Gddot = Wt R Wt^-1 fails its shifted equation", "residual"),
+        "shifted_w_inverse": (lambda: shift.right_shift(
+            nr, replace(s_nr, U=u_singular, R=np.zeros((3, 3)))),
+            "the shifted W is numerically singular",
+            "Frobenius condition number"),
         "restored_owner": (lambda: _pair_without_theta(model),
                            "unit root restored to the dual solvent", "residual"),
         "rate_matrix": (lambda: qme.compute_r_u(model, s.G + 0.01),

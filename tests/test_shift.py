@@ -7,7 +7,7 @@ from qbdpoisson import (Classification, ClassificationError, NumericalError,
                         QbdModel, SolveOptions, check_identities, compute_w,
                         pi_dot_g, poisson, qme, random_model, residuals,
                         right_shift, solve_model, solve_null_recurrent,
-                        solve_poisson, split, stationary)
+                        solve_poisson, split, stationary, triple)
 from qbdpoisson.qme import Normalization, qme_residual
 
 import qbdpoisson._linalg as linalg
@@ -112,29 +112,65 @@ DUAL_CASES = {
 
 @pytest.mark.parametrize("case", DUAL_CASES)
 def test_gddot_from_the_dual_matches_its_own_reduction(case):
-    # at d <= 0 in the band Gddot comes from the dual of G's right-shifted
-    # reduction; a reduction of its own on the level-reversed blocks agrees
+    # at d <= 0 in the band Gddot, the solvent of the dual (level-reversed
+    # shifted) equation, is Wt R Wt^{-1}: a reduction of its own on those
+    # blocks agrees, and so does the closed-form Wt
     model = DUAL_CASES[case]()
     plan = poisson._plan(model, SolveOptions())
     assert plan.sols.drift <= 0.0
-    assert vars(plan.sols)["_mid_dual"] is not None
     sd = plan.shift
-    reference = qme._solve_shifted(model.A1, sd.At0, sd.At_neg, None)[0]
+    reference = qme._solve_shifted(model.A1, sd.At0, sd.At_neg, None)
     assert np.abs(sd.Gddot - reference).max() <= 1e-15
+    s = plan.sols
+    W = compute_w(sd.Gt, s.U, s.R, sd.Gddot).W
+    assert np.abs(sd.wdata.W - W).max() <= 1e-14 * np.abs(W).max()
+    assert plan.wdata is sd.wdata
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_right_shift_without_the_dual_runs_a_reduction(seed, reduction_calls):
-    # a QmeSolutions built anew carries no dual: right_shift then solves for
-    # Gddot by a reduction of its own, and both routes agree
+def test_right_shift_reads_only_the_solutions_fields(seed, reduction_calls):
+    # a QmeSolutions built anew gives the same shift, bit for bit, and
+    # neither runs a reduction
     model = random_model(seed, 8, Classification.NULL_RECURRENT)
     s = solve_model(model)
     reduction_calls.clear()
-    from_dual = right_shift(model, s).Gddot
+    sd, anew = right_shift(model, s), right_shift(model, dataclasses.replace(s))
     assert reduction_calls == []
-    from_reduction = right_shift(model, dataclasses.replace(s)).Gddot
-    assert reduction_calls == [(8, 8)]
-    assert np.abs(from_dual - from_reduction).max() <= 1e-15
+    for name in ("Q", "At_neg", "At0", "At1", "Gt", "Gddot"):
+        assert np.array_equal(getattr(sd, name), getattr(anew, name)), name
+    assert np.array_equal(sd.wdata.W, anew.wdata.W)
+    assert np.array_equal(sd.wdata.W_inv, anew.wdata.W_inv)
+
+
+def _slow_mixing_null(eps: float) -> QbdModel:
+    """A null recurrent chain on two phases that swap with probability eps
+    per step: A_neg = A1 = [[0.3 - eps, eps], [eps, 0.3 - eps]], A0 = 0.4 I,
+    B = A_neg + A0.  The smaller eps, the more doublings the shifted W
+    takes."""
+    A_neg = np.array([[0.3 - eps, eps], [eps, 0.3 - eps]])
+    return QbdModel(B=A_neg + 0.4 * np.eye(2), A_neg=A_neg, A0=0.4 * np.eye(2),
+                    A1=A_neg.copy())
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_slow_mixing_null_chain_solves(eps):
+    model = _slow_mixing_null(eps)
+    g = balanced_rhs(model, key=2)
+    sol = solve_poisson(model, g)
+    assert sol.classification is Classification.NULL_RECURRENT
+    assert sol.diagnostics.passed
+    u = np.asarray(sol.u)
+    h = np.zeros_like(u)
+    h[:8] = balanced_h(2, key=2)
+    c = (u - h).mean()
+    assert np.abs(u - h - c).max() <= 1e-12 * (1.0 + np.abs(h).max())
+
+
+def test_slow_mixing_null_chain_needs_more_than_eight_doublings(monkeypatch):
+    # the first 2^8 = 256 terms of the series do not sum it
+    monkeypatch.setattr(triple, "W_SERIES_MAX_STEPS", 8)
+    with pytest.raises(NumericalError, match="within 8 doubling steps"):
+        poisson._plan(_slow_mixing_null(1e-4), SolveOptions())
 
 
 def test_right_shift_rejects_wrong_class(pr1):
