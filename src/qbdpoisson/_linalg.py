@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import NumericalError
 
@@ -45,6 +46,7 @@ def check_tolerance(name: str, value: float | None) -> None:
 
 
 def norm_inf(a) -> float:
+    """Largest |entry| of ``a``: for a matrix the max norm, not the max row sum."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
@@ -79,7 +81,7 @@ def unit_eigenvector(X: Array, *, left: bool = False) -> Array:
     u = np.full(n, 1.0 / n)
     M = np.eye(n) - A + np.outer(u, np.ones(n))
     try:
-        z = np.linalg.solve(M, u)
+        z = solve(M, u)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("unit eigenvector: bordered system is singular "
                              "(matrix appears reducible)") from exc
@@ -98,12 +100,35 @@ def checked_inverse(a: Array, limit: float, what: str) -> Array:
     <= ``limit``; NaN and a singular ``a`` fail.  cond_2 <= cond_F <= m cond_2:
     no gate is looser than cond_2's."""
     try:
-        inv = np.linalg.inv(a)
+        inv = inverse(a)
         cond = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
     except np.linalg.LinAlgError:
         cond = np.inf
     gate(cond, limit, what, "Frobenius condition number")
     return inv
+
+
+def inverse(a: Array) -> Array:
+    """a^{-1} by LAPACK getrf + getri: about twice as fast at m = 64 as
+    np.linalg.inv, gesv on m identity columns.  LinAlgError when ``a`` is
+    exactly singular; a 0 x 0 ``a`` skips LAPACK, which refuses it on stderr."""
+    if a.size == 0:
+        return np.zeros(a.shape)
+    lu, piv, info = lapack.dgetrf(a)
+    inv, info = lapack.dgetri(lu, piv) if info == 0 else (lu, info)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"getrf/getri: singular matrix (info {info})")
+    return inv
+
+
+def solve(a: Array, b: Array) -> Array:
+    """a^{-1} b by LAPACK gesv, as :func:`inverse` on a singular or empty a."""
+    if a.size == 0:
+        return np.zeros(np.shape(b))
+    x, info = lapack.dgesv(a, b)[2:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesv: singular matrix (info {info})")
+    return x
 
 
 def condition_number(a: Array) -> float:

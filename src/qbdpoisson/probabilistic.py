@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson, qme
-from ._linalg import Array, FrozenRecord, norm_inf
+from ._linalg import Array, FrozenRecord, norm_inf, solve
 from .exceptions import InfeasibleConstraintError
 from .model import QbdModel, RhsSpec
 
@@ -71,7 +71,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
                 f"recurrent chain; got {mismatch:.6e}")
     gamma = gi.sharp @ tails[0]
 
-    z = np.linalg.solve(np.eye(m) - sols.U, tails[:N + 1].T).T  # z_0 unused
+    z = solve(np.eye(m) - sols.U, tails[:N + 1].T).T  # z_0 unused
 
     y_seq = np.zeros((R_max + 1, m))
     omega = np.empty((R_max + 1, m))

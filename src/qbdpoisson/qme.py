@@ -21,7 +21,7 @@ import numpy as np
 
 # condition_number, spectral_radius: unused here, bound for bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      gate, norm_inf, spectral_radius,
+                      gate, inverse, norm_inf, solve, spectral_radius,
                       stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
@@ -80,7 +80,7 @@ class StationaryData(FrozenRecord):
 
 
 def qme_residual(A_low: Array, A_mid: Array, A_high: Array, X: Array) -> float:
-    """Infinity-norm residual of A_low + (A_mid - I)X + A_high X^2."""
+    """Largest |entry| (:func:`norm_inf`) of A_low + (A_mid - I)X + A_high X^2."""
     m = A_low.shape[0]
     return norm_inf(A_low + (A_mid - np.eye(m)) @ X + A_high @ X @ X)
 
@@ -185,9 +185,9 @@ def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array,
     return X, Z
 
 
-def _solve(M: Array, rhs: Array, what: str = "I - U is singular") -> Array:
+def _solve(M: Array, rhs: Array | None, what: str = "I - U is singular") -> Array:
     try:
-        return np.linalg.solve(M, rhs)
+        return inverse(M) if rhs is None else solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"cyclic reduction: {what}") from exc
 
@@ -200,17 +200,17 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
 
     Works on general (not necessarily nonnegative) blocks, which is what the
     shifted equations of :func:`_solve_shifted` are; converges to the solvent
-    whose spectrum consists of the m smallest characteristic roots.  Stops
+    whose spectrum consists of the m smallest characteristic roots.  Each
+    step's two products share one getrf + getri inverse of I - mid.  Stops
     once the increments reach machine level or stagnate; raises
-    :class:`NumericalError`, with the last residual, when that takes more
-    than ``max_iter`` steps.
+    :class:`NumericalError`, with the last residual, past ``max_iter`` steps.
     """
     m = A_low.shape[0]
     eye = np.eye(m)
     low, mid, high, mid_hat = A_low, A_mid, A_high, A_mid
     recent: list[float] = []
     for _ in range(max_iter):
-        S = _solve(eye - mid, eye, "I - A0 became singular")
+        S = _solve(eye - mid, None, "I - A0 became singular")
         up, down = high @ S, low @ S
         step = up @ low
         mid_hat = mid_hat + step
@@ -357,7 +357,6 @@ def stationary(model: QbdModel, sols: QmeSolutions,
             raise ClassificationError(
                 "Probability normalization requires a positive recurrent chain, "
                 f"got {sols.classification.value}")
-        mass = float(pi0 @ np.linalg.solve(np.eye(model.m) - sols.R,
-                                           np.ones(model.m)))
+        mass = float(pi0 @ solve(np.eye(model.m) - sols.R, np.ones(model.m)))
         pi0 = pi0 / mass
     return StationaryData(pi0=pi0, mode=mode, R=sols.R)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import Array, FrozenRecord, as_readonly, gate, norm_inf
+from ._linalg import Array, FrozenRecord, as_readonly, gate, inverse, norm_inf
 from .exceptions import NumericalError
 
 # decoupling transforms with entries beyond this magnitude signal eigenvalues
@@ -72,7 +72,7 @@ class SpectralSplit(FrozenRecord):
     @cached_property
     def v1_inv(self) -> Array:
         """V1^{-1}, inverted once per split."""
-        return as_readonly(np.linalg.inv(self.V1))
+        return as_readonly(inverse(self.V1))
 
     @cached_property
     def _v1_lu(self):

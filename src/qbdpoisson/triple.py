@@ -25,7 +25,7 @@ import numpy as np
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      gate, norm_inf, spectral_radius)  # noqa: F401
+                      gate, inverse, norm_inf, spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
 from .spectral import SpectralSplit
@@ -76,6 +76,7 @@ class ResolventTriple(FrozenRecord):
         """X T(lam)^{-1} Z = X1 (lam I - T1)^{-1} Z1 + X2 (lam T2 - I)^{-1} Z2."""
         q = self.T1.shape[0]
         r = self.T2.shape[0]
+        # complex, so numpy: the LAPACK kernel of _linalg is real-only
         out = self.X1 @ np.linalg.solve(lam * np.eye(q) - self.T1,
                                         self.Z1.astype(complex))
         if r:
@@ -98,7 +99,7 @@ def w_series(G: Array, U: Array, R: Array) -> Array:
     :data:`W_SERIES_MAX_STEPS` steps (sp(G) sp(R) >= 1: an unshifted chain
     that is null recurrent or too close to it)."""
     eye = np.eye(G.shape[0])
-    X, A, B = np.linalg.solve(U - eye, eye), G, R
+    X, A, B = inverse(U - eye), G, R
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(W_SERIES_MAX_STEPS):
             step = A @ X @ B
@@ -192,7 +193,7 @@ def check_identities(model: QbdModel, sols: qme.QmeSolutions,
 
     worst = 0.0
     for lam in _filtered_lambdas(qme.char_roots(sols)):
-        eta_inv = np.linalg.inv(eta(model, lam).astype(complex))
+        eta_inv = np.linalg.inv(eta(model, lam).astype(complex))  # complex
         err = norm_inf(eta_inv - triple.resolvent(lam)) / (1.0 + norm_inf(eta_inv))
         worst = max(worst, err)
     report["resolvent_max_rel_err"] = worst

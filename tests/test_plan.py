@@ -5,6 +5,7 @@ import re
 import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,13 +13,15 @@ import pytest
 import scipy.linalg
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
-                        QbdModel, SolveOptions, _linalg, poisson, qme,
-                        random_model, shift, solve_nonsingular_a1,
-                        solve_null_recurrent, solve_poisson, spectral, triple)
+                        QbdModel, SolveOptions, _linalg, load_problem, poisson,
+                        probabilistic, qme, random_model, shift,
+                        solve_nonsingular_a1, solve_null_recurrent,
+                        solve_poisson, spectral, triple)
 from conftest import nilpotent_model, random_rhs, with_drift
 
 CLASSES = list(Classification)
 IDS = [cls.value for cls in CLASSES]
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _copy(model):
@@ -217,6 +220,53 @@ def test_cold_solve_runs_no_svd(case, request, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     assert solve_poisson(model, g).diagnostics.passed
     assert calls == []
+
+
+def _refuse_numpy_factorizations(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.solve or inv on a real solve path")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refused)
+
+
+_PR = Classification.POSITIVE_RECURRENT
+# (model, g) of each cold solve that must not reach np.linalg.solve or inv
+NO_NUMPY_CASES = {
+    "near_pr": lambda: load_problem((MODELS / "near_pr.json").read_text()),
+    "schur_split": lambda: (nilpotent_model(0, 4), random_rhs(0, 4)),
+    "near_critical": lambda: (with_drift(random_model(1, 8, _PR), -1e-6),
+                              random_rhs(1, 8)),
+    "nonsingular_a1": lambda: (random_model(1, 8, _PR), random_rhs(1, 8)),
+    **{f"{cls.value}_64": (lambda cls=cls: (random_model(1, 64, cls),
+                                            random_rhs(1, 64)))
+       for cls in CLASSES},
+}
+
+
+@pytest.mark.parametrize("case", ["pr1", "tr1", "nr1", *NO_NUMPY_CASES])
+def test_cold_solve_runs_no_numpy_factorization(case, request, monkeypatch):
+    # every real solve and inverse goes through _linalg.inverse / solve
+    # (LAPACK getrf + getri, gesv); a path falling back to numpy fails here
+    if case in NO_NUMPY_CASES:
+        model, g = NO_NUMPY_CASES[case]()
+    else:
+        model = request.getfixturevalue(case)
+        g = request.getfixturevalue(f"{case}_rhs")
+    solver = solve_nonsingular_a1 if case == "nonsingular_a1" else solve_poisson
+    _refuse_numpy_factorizations(monkeypatch)
+    assert solver(model, g).diagnostics.passed
+
+
+def test_off_path_real_solves_run_no_numpy_factorization(pr1, pr1_rhs,
+                                                         monkeypatch):
+    sols = qme.solve_model(pr1)
+    nilpotent = spectral.split(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    _refuse_numpy_factorizations(monkeypatch)
+    pi0 = qme.stationary(pr1, sols).pi0
+    assert float(pi0 @ np.ones(pr1.m)) > 0.0
+    assert probabilistic.omega_solution(pr1, pr1_rhs).omega.shape[1] == pr1.m
+    assert nilpotent.v1_inv.shape == (0, 0)
 
 
 def test_checked_inverse_returns_the_inverse():
