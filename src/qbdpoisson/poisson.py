@@ -19,6 +19,7 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -178,9 +179,10 @@ def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
 
 def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
                         W: Array, g: RhsSpec, R_max: int, *,
-                        tail: Array | None = None) -> Array:
-    """Solution blocks u_0 ... u_{R_max} for parameters (x, y); ``tail`` is
-    the h of :func:`backward_pass`, when the caller already has it.
+                        tail: Array | None = None,
+                        powers: Array | None = None) -> Array:
+    """Solution blocks u_0 ... u_{R_max} for parameters (x, y); ``tail`` (the
+    h of :func:`backward_pass`) and ``powers`` are the caller's, if it has them.
 
     Evaluated in the numerically convenient regrouping
 
@@ -195,7 +197,8 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
 
     On g's support, r <= n = min(N, R_max), a_r = G a_{r-1} - W g_r; then
     a_r = G^{r-n} a_n, K = isqrt(R_max - n) levels per product with [G; ...;
-    G^K].  V1^{-r} (y - y*) runs by LU solves, and only when y - y* is not 0.
+    G^K], the first K of ``powers`` ((k, m, m), extended when k < K).  V1^{-r}
+    (y - y*) runs by LU solves, and only when y - y* is not 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -207,10 +210,8 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     u[0] = x
     for r in range(1, n + 1):
         u[r] = G @ u[r - 1] - Wg[r]
-    powers = [G]                    # G ... G^K; K = 1 when R_max = n
-    while (len(powers) + 1) ** 2 <= R_max - n:
-        powers.append(G @ powers[-1])
-    stack, K = np.concatenate(powers), len(powers)
+    powers, K = _g_powers(G, R_max, n, powers)     # K = 1: G itself
+    stack = G if K == 1 else powers[:K].reshape(K * m, m)
     for r in range(n, R_max, K):
         k = min(K, R_max - r)
         u[r + 1:r + k + 1] = (stack[:k * m] @ u[r]).reshape(k, m)
@@ -223,15 +224,32 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     return u
 
 
-def backward_pass(split: SpectralSplit, W: Array,
-                  g: RhsSpec) -> tuple[Array, Array]:
+def _grown(stack: Array, n: int, step) -> Array:
+    """``stack`` with at least n rows, each next one step(the last): a new array."""
+    if len(stack) >= n:
+        return stack
+    rows = list(stack)
+    while len(rows) < n:
+        rows.append(step(rows[-1]))
+    return np.array(rows)
+
+
+def _g_powers(G: Array, R_max: int, n: int, powers: Array | None = None):
+    """(``powers`` [G; G^2; ...] grown to K rows, K = max(1, isqrt(R_max - n)))."""
+    K = max(1, int(np.sqrt(R_max - n)))
+    return _grown(np.array([G]) if powers is None else powers, K, G.__matmul__), K
+
+
+def backward_pass(split: SpectralSplit, W: Array, g: RhsSpec, *,
+                  ops: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
     """(h_0 ... h_N, sigma_1) from one pass down g's levels in the split's
     coordinates, J = diag(V1, V0): h_N = 0, h_r = J s_r, s_r = M^{-1} W g_{r+1}
     + h_{r+1}.  M h_r is the series tail of :func:`evaluate_u_sequence`,
     y* = -h_0[:p] and sigma_1 = -K s_0[p:] = -sum_{j<nu} K V0^j F W g_{j+1},
-    the paper's sigma_r at r = 1 (exactly zero when p = m)."""
-    MWg = g.blocks @ (split.m_inv() @ W).T       # rows M^{-1} W g_k
-    J, h, s = split.j_matrix(), np.zeros_like(MWg), np.zeros(split.m)
+    the paper's sigma_r at r = 1 (exactly zero when p = m).  ``ops``: (M^{-1} W, J)."""
+    MW, J = ops or (split.m_inv() @ W, split.j_matrix())
+    MWg = g.blocks @ MW.T                   # rows M^{-1} W g_k
+    h, s = np.zeros_like(MWg), np.zeros(split.m)
     for r in range(g.N - 1, -1, -1):
         s = MWg[r + 1] + h[r + 1]
         h[r] = J @ s
@@ -245,13 +263,10 @@ def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
 
 
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
-    """pi^T g = sum_{k=0}^{N} pi_0^T R^k g_k."""
-    v = np.asarray(pi0, dtype=float)
-    total = 0.0
-    for k in range(g.N + 1):
-        total += float(v @ g.block(k))
-        v = v @ R
-    return total
+    """pi^T g = sum_{k=0}^{N} pi_0^T R^k g_k, one dot of g's blocks with the
+    rows pi_0 R^k, k <= N; ``pi0`` may be a longer stack of them (a plan's)."""
+    rows = _grown(np.atleast_2d(np.asarray(pi0, dtype=float)), g.N + 1, R.__rmatmul__)
+    return float(np.vdot(rows[:g.N + 1], g.blocks))
 
 
 def _solve_hyperplane(direction: Array, target: float, target_noise: float,
@@ -307,9 +322,9 @@ class SolvePlan:
     holds that equation's boundary operator (B - I) Ghat + A1, the group
     inverse of the chain's I - P* (P* = B + A1 G) in the form its class
     picks, and, recurrent only, its pi_0 of unit sum, the hyperplane
-    direction and pi_0's stationarity defect.  ``model`` is the plan's own
-    copy of the blocks, so a cached plan does not refer back.  Per g, one
-    :func:`backward_pass` gives y*, sigma_1 and the series tail.
+    direction and pi_0's stationarity defect; the ``ops`` of :func:`backward_pass`;
+    and the stacks pi_0 R^k and G^k, regrown into new arrays as g or R_max needs.
+    ``model`` is its own copy of the blocks, so a cached plan does not refer back.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
@@ -317,34 +332,39 @@ class SolvePlan:
                  split: SpectralSplit, wdata: ResolventData,
                  shift: ShiftData | None = None):
         self.model, self.sols, self.equation = model, sols, equation
-        self.split, self.wdata, self.shift = split, wdata, shift
+        self.wdata, self.shift = wdata, shift
         eq, eq_sols = equation
-        self.G = eq_sols.G
+        self.G, self._powers = eq_sols.G, np.array([eq_sols.G])
         self.boundary = (eq.B - np.eye(model.m)) @ eq_sols.Ghat + eq.A1
         gi = group_inverse(
             model.B + model.A1 @ sols.G,
             recurrent=sols.classification is not Classification.TRANSIENT)
         self.sharp = gi.sharp
-        if not gi.recurrent:
-            return
-        # the constraint is scale invariant in pi_0; a unit sum keeps the
-        # direction away from the drift^2 scale of the probability mass
-        self.pi0 = gi.pi_star
-        self.direction = split.L.T @ (wdata.W_inv.T @ self.pi0)
-        self.defect = float(np.abs(self.pi0 - self.pi0 @ gi.Pstar).sum())
+        if gi.recurrent:
+            # the constraint is scale invariant in pi_0; a unit sum keeps the
+            # direction away from the drift^2 scale of the probability mass
+            self.pi0, self._pi_rows = gi.pi_star, gi.pi_star[None]
+            self.defect = float(np.abs(self.pi0 - self.pi0 @ gi.Pstar).sum())
+        self._with_split(split)
+
+    def _with_split(self, split: SpectralSplit) -> SolvePlan:
+        self.split = split
+        self._ops = split.m_inv() @ self.wdata.W, split.j_matrix()
+        if hasattr(self, "pi0"):
+            self.direction = split.L.T @ (self.wdata.W_inv.T @ self.pi0)
+        return self
 
     @cached_property
     def corollary(self) -> SolvePlan:
-        """This plan on the corollary's split M = W, V1 = R of Ghat."""
-        return SolvePlan(self.model, self.sols, self.equation,
-                         _corollary_split(self.wdata, self.sols.R), self.wdata)
+        """This plan on the corollary's split M = W, V1 = R of Ghat, all else shared."""
+        return copy.copy(self)._with_split(_corollary_split(self.wdata, self.sols.R))
 
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.wdata.W, self.sols.classification
         if g.m != W.shape[0]:
             raise ValueError(f"g has width {g.m}, the model has m = {W.shape[0]}")
-        h, sigma1 = backward_pass(split, W, g)
+        h, sigma1 = backward_pass(split, W, g, ops=self._ops)
         y_star = -h[0, :split.p]
         if cls is Classification.TRANSIENT:
             y = y_star
@@ -354,7 +374,8 @@ class SolvePlan:
                     raise ValueError(f"y_free must have length p = {split.p}, "
                                      f"got shape {y.shape}")
         else:
-            pig = pi_dot_g(self.pi0, self.sols.R, g)
+            self._pi_rows = _grown(self._pi_rows, g.N + 1, self.sols.R.__rmatmul__)
+            pig = pi_dot_g(self._pi_rows, self.sols.R, g)
             # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target is
             # known only to within pi_0's stationarity defect times ||u_0||, for
             # which 1 + ||g|| stands in; the defect is rounding-level except for
@@ -371,7 +392,9 @@ class SolvePlan:
         R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
         # a growing family may overflow; that is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h)
+            self._powers, _ = _g_powers(self.G, R_max, min(g.N, R_max), self._powers)
+            u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h,
+                                    powers=self._powers)
             if self.shift is not None:
                 u[1:] += np.cumsum(u[:-1], axis=0) @ self.shift.Q.T
         bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
@@ -414,8 +437,8 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
 
     Positive recurrent and transient chains are handled here; a null
     recurrent chain goes through the right shift of
-    :mod:`qbdpoisson.shift`.  The work that does not depend on g (QME,
-    split, W, shift, boundary operator, group inverse, pi_0) is done on the
+    :mod:`qbdpoisson.shift`.  The work that does not depend on g (QME, W,
+    shift, split and all else a :class:`SolvePlan` holds) is done on the
     first call for a :class:`QbdModel` object and reused by later calls on
     the same object, which is immutable; ``null_band`` and ``eps_zero``
     select the plan, the other options apply per call.

@@ -123,6 +123,8 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         raise ValueError(f"target must be square, got shape {C.shape}")
     if eps_zero is None:
         eps_zero = m * np.finfo(float).eps * norm_inf(C)
+    if m == 0:          # LAPACK's getrf refuses n = 0 with a message on fd 1
+        return SpectralSplit(C, C, C, C, C, C, C, 0, 1, float(eps_zero))
     # |lambda| >= sigma_min(C) >= 1 / ||C^{-1}||_F > eps_zero: p = m, M = I
     lu, piv, info = scipy.linalg.lapack.dgetrf(C)
     if info == 0:

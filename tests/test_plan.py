@@ -13,14 +13,15 @@ import pytest
 import scipy.linalg
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
-                        QbdModel, SolveOptions, _linalg, load_problem, poisson,
-                        probabilistic, qme, random_model, shift,
+                        QbdModel, RhsSpec, SolveOptions, _linalg, load_problem,
+                        poisson, probabilistic, qme, random_model, shift,
                         solve_nonsingular_a1, solve_null_recurrent,
                         solve_poisson, spectral, triple)
 from conftest import nilpotent_model, random_rhs, with_drift
 
 CLASSES = list(Classification)
 IDS = [cls.value for cls in CLASSES]
+_PR, _TR = Classification.POSITIVE_RECURRENT, Classification.TRANSIENT
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
@@ -58,8 +59,8 @@ def test_model_stages_run_once_per_model(cls, qme_calls):
                                  Classification.TRANSIENT],
                          ids=lambda cls: cls.value)
 def test_corollary_solves_on_the_cached_plan(cls, monkeypatch):
-    # after solve_poisson, the corollary builds no W; from its second call on
-    # it builds no group inverse either, and answers bitwise as the first
+    # after solve_poisson, the corollary builds no W and no group inverse: it
+    # takes its parent's, and answers bitwise the same on every call
     calls = []
     for mod, name in ((triple, "compute_w"), (poisson, "group_inverse")):
         original = getattr(mod, name)
@@ -73,11 +74,10 @@ def test_corollary_solves_on_the_cached_plan(cls, monkeypatch):
     solve_poisson(model, g)
     assert calls == ["compute_w", "group_inverse"]
     first = solve_nonsingular_a1(model, g)
-    assert calls[2:] == ["group_inverse"]
     for _ in range(4):
         again = solve_nonsingular_a1(model, g)
         assert np.array_equal(again.u, first.u)
-    assert len(calls) == 3
+    assert calls == ["compute_w", "group_inverse"]
 
 
 @pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
@@ -121,6 +121,140 @@ def test_warm_solve_equals_cold_bitwise(cls):
     cold = solve_poisson(_copy(model), g)
     for name in ("u", "x", "y", "sigma1"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+
+
+def _zero_target(model, g):
+    """g with g_0 moved so that pi^T g = 0 (recurrent model; pi_0 of unit sum)."""
+    plan = poisson._plan(model, SolveOptions())
+    blocks = np.array(g.blocks)
+    blocks[0] -= poisson.pi_dot_g(plan.pi0, plan.sols.R, g)
+    return RhsSpec(blocks)
+
+
+def _assert_same_solution(warm, fresh):
+    # bit for bit, except that a nonzero hyperplane target (y_perp != 0) may
+    # move u, x and y by rounding, at most 1e-14 (1 + ||u||)
+    assert warm.R_max == fresh.R_max
+    exact = ["y_star", "sigma1"]
+    if (fresh.classification is Classification.TRANSIENT
+            or np.array_equal(fresh.y, fresh.y_star)):
+        exact += ["u", "x", "y"]
+    for name in ("u", "x", "y", "y_star", "sigma1"):
+        got, want = getattr(warm, name), getattr(fresh, name)
+        if name in exact:
+            assert np.array_equal(got, want), name
+        else:
+            bound = 1e-14 * (1.0 + np.abs(fresh.u).max())
+            assert np.abs(got - want).max() <= bound, name
+
+
+_Y_FREE = SolveOptions(y_free=(0.5, -1.0, 0.25, 2.0, -0.75), R_max=25)
+# (model, g, options, solver) of each warm-against-fresh comparison, given a
+# fixture getter; the corollary solves on Ghat = W R W^-1, "schur" on an
+# M != I split, "y_free" runs the V1^-r loop and "nonzero_target" the
+# hyperplane's y_perp
+WARM_CASES = {
+    **{name: (lambda fx, name=name: (fx(name), fx(f"{name}_rhs"), SolveOptions(),
+                                     solve_poisson))
+       for name in ("pr1", "tr1", "nr1")},
+    "nr_m5": lambda fx: (random_model(1, 5, Classification.NULL_RECURRENT),
+                         random_rhs(1, 5), SolveOptions(), solve_poisson),
+    "schur": lambda fx: (nilpotent_model(0, 4), random_rhs(1, 4), SolveOptions(),
+                         solve_poisson),
+    "corollary_pr": lambda fx: (random_model(1, 6, _PR), random_rhs(1, 6),
+                                SolveOptions(R_max=30), solve_nonsingular_a1),
+    "corollary_tr": lambda fx: (random_model(1, 6, _TR), random_rhs(1, 6),
+                                SolveOptions(R_max=30), solve_nonsingular_a1),
+    "y_free": lambda fx: (random_model(2, 5, _TR), random_rhs(2, 5, 4), _Y_FREE,
+                          solve_poisson),
+    "nonzero_target": lambda fx: (random_model(3, 5, _PR), random_rhs(3, 5),
+                                  SolveOptions(R_max=20), solve_poisson),
+}
+
+
+@pytest.mark.parametrize("case", list(WARM_CASES))
+def test_warm_solve_equals_fresh_model(case, request):
+    model, g, opt, solver = WARM_CASES[case](request.getfixturevalue)
+    # the warm plan has grown its stacks past what g and opt need, and has
+    # served the corollary or the main path before
+    recurrent = poisson._plan(model, opt).sols.classification is not _TR
+    for n_blocks, R_max in ((9, 90), (1, 2), (5, 40)):
+        h = random_rhs(10 + n_blocks, model.m, n_blocks)
+        h = _zero_target(model, h) if recurrent else h
+        solve_poisson(model, h, SolveOptions(R_max=R_max))
+        if solver is solve_nonsingular_a1:
+            solver(model, h, SolveOptions(R_max=R_max))
+    fresh = solver(_copy(model), g, opt)
+    _assert_same_solution(solver(model, g, opt), fresh)
+    if case == "nonzero_target":
+        assert not np.array_equal(fresh.y, fresh.y_star)        # y_perp != 0
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_plan_stacks_grow_and_serve_prefixes(cls):
+    # g.N and R_max alternate up and down: each stack grows into a new array
+    # when a solve needs more, serves a prefix otherwise, and every solve
+    # equals the one on a fresh model
+    model = random_model(2, 4, cls)
+    plan = poisson._plan(model, SolveOptions())
+    recurrent = cls is not _TR
+    most_rows, most_powers = 1, 1
+    for n_blocks, R_max in ((4, 30), (13, 150), (2, 5), (21, 400), (1, 2),
+                            (8, 60), (13, 150)):
+        g = random_rhs(n_blocks, 4, n_blocks)
+        g = _zero_target(model, g) if recurrent else g
+        powers, rows = plan._powers, getattr(plan, "_pi_rows", None)
+        held = [np.array(powers), np.array(rows)]
+        opt = SolveOptions(R_max=R_max)
+        _assert_same_solution(solve_poisson(model, g, opt),
+                              solve_poisson(_copy(model), g, opt))
+        for old, kept in zip((powers, rows), held):
+            assert np.array_equal(old, kept)            # never edited in place
+        most_powers = max(most_powers, int(np.sqrt(R_max - min(g.N, R_max))))
+        assert len(plan._powers) == most_powers
+        assert (plan._powers is powers) == (len(powers) == most_powers)
+        if recurrent:
+            most_rows = max(most_rows, g.N + 1)
+            assert len(plan._pi_rows) == most_rows
+            assert (plan._pi_rows is rows) == (len(rows) == most_rows)
+
+
+WORK_CASES = {**{cls.value: (cls, solve_poisson) for cls in CLASSES},
+              "schur": (None, solve_poisson),
+              "corollary_pr": (_PR, solve_nonsingular_a1),
+              "corollary_tr": (_TR, solve_nonsingular_a1)}
+
+
+@pytest.mark.parametrize("case", list(WORK_CASES))
+def test_warm_solve_does_only_g_dependent_work(case, monkeypatch):
+    # after the first solve, a solve with the same g.N and R_max forms no
+    # M^-1, no J and no new row of either stack (no power of G, no pi_0 R^k)
+    cls, solver = WORK_CASES[case]
+    model = nilpotent_model(0, 4) if cls is None else random_model(4, 4, cls)
+    calls = []
+    for name in ("m_inv", "j_matrix"):
+        original = getattr(spectral.SpectralSplit, name)
+
+        def counted(self, _name=name, _fn=original):
+            calls.append(_name)
+            return _fn(self)
+
+        monkeypatch.setattr(spectral.SpectralSplit, name, counted)
+    grown = poisson._grown
+
+    def counted_grown(stack, n, step):
+        out = grown(stack, n, step)
+        if out is not stack:
+            calls.append(f"{len(out) - len(stack)} rows")
+        return out
+
+    monkeypatch.setattr(poisson, "_grown", counted_grown)
+    solver(model, random_rhs(0, 4, 6), SolveOptions(R_max=40))
+    assert calls
+    calls.clear()
+    for k in range(1, 4):
+        solver(model, random_rhs(k, 4, 6), SolveOptions(R_max=40))
+    assert calls == []
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -230,7 +364,6 @@ def _refuse_numpy_factorizations(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refused)
 
 
-_PR = Classification.POSITIVE_RECURRENT
 # (model, g) of each cold solve that must not reach np.linalg.solve or inv
 NO_NUMPY_CASES = {
     "near_pr": lambda: load_problem((MODELS / "near_pr.json").read_text()),

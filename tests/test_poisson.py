@@ -401,6 +401,38 @@ def test_pi_dot_g_matches_brute_force(pr1, pr1_rhs):
     assert pi_dot_g(st.pi0, s.R, pr1_rhs) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_pi_dot_g_reads_a_prefix_of_longer_rows():
+    # a plan passes its stack of rows pi_0 R^k, grown for an earlier, longer
+    # g; the first N + 1 of them give pi^T g bit for bit
+    model = random_model(1, 4, Classification.POSITIVE_RECURRENT)
+    plan = poisson._plan(model, SolveOptions())
+    R = plan.sols.R
+    rows = poisson._grown(plan.pi0[None], 30, R.__rmatmul__)
+    for n_blocks in (1, 2, 7, 30):
+        g = random_rhs(n_blocks, 4, n_blocks)
+        assert pi_dot_g(rows, R, g) == pi_dot_g(plan.pi0, R, g)
+        assert pi_dot_g(rows[:1], R, g) == pi_dot_g(plan.pi0, R, g)
+
+
+@pytest.mark.parametrize("cls", list(Classification), ids=lambda c: c.value)
+def test_evaluate_u_sequence_reads_a_prefix_of_longer_powers(cls):
+    # a longer stack of powers of G, or a shorter one it extends, gives the
+    # levels evaluate_u_sequence builds with none, bit for bit
+    model = random_model(1, 4, cls)
+    plan = poisson._plan(model, SolveOptions())
+    g = random_rhs(1, 4, 3)
+    sol = plan.solve(g, SolveOptions())
+    args = (sol.x, sol.y_star, plan.G, plan.split, plan.wdata.W, g)
+    longer = poisson._g_powers(plan.G, 10_000, 0)[0]
+    assert len(longer) == 100
+    for R_max in (2, 3, 4, 7, 40, 500):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = evaluate_u_sequence(*args, R_max)
+            for powers in (longer, np.array([plan.G])):
+                got = evaluate_u_sequence(*args, R_max, powers=powers)
+                np.testing.assert_array_equal(got, want)
+
+
 SIGMA1_CASES = [*((f"nu2-m{m}", m) for m in (3, 4, 6)),
                 *((f"{cls.name[:2]}-m{m}", m) for cls in
                   (Classification.POSITIVE_RECURRENT, Classification.TRANSIENT)

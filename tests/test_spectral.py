@@ -169,3 +169,15 @@ def test_v1_solve_without_invertible_part():
     sp = split(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert sp.p == 0
     assert sp.v1_solve(np.zeros(0)).shape == (0,)
+
+
+def test_empty_target_splits_without_a_lapack_message(capfd):
+    # LAPACK's getrf refuses n = 0 with a message its xerbla writes straight
+    # to a file descriptor (fd 1 with scipy's LAPACK); the empty split is
+    # p = 0, nu = 1 without asking it
+    sp = split(np.zeros((0, 0)))
+    assert (sp.p, sp.nu, sp.m) == (0, 1, 0)
+    for block in (sp.M, sp.V1, sp.V0, sp.L, sp.K, sp.E, sp.F):
+        assert block.shape == (0, 0)
+    assert sp.v1_solve(np.zeros(0)).shape == (0,)
+    assert capfd.readouterr() == ("", "")
