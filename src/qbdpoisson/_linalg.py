@@ -39,9 +39,9 @@ def gate(value: float, limit: float, what: str, measure: str) -> None:
         raise NumericalError(f"{what} ({measure} {value:.3e}, limit {limit_text})")
 
 
-def check_tolerance(name: str, value: float | None) -> None:
-    """ValueError naming ``name`` for a NaN, infinite or negative tolerance."""
-    if value is not None and not 0.0 <= value < np.inf:
+def check_tolerance(name: str, value: float) -> None:
+    """ValueError naming ``name`` for a None, NaN, infinite or negative tolerance."""
+    if value is None or not 0.0 <= value < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
@@ -111,7 +111,7 @@ def checked_inverse(a: Array, limit: float, what: str) -> Array:
 def inverse(a: Array) -> Array:
     """a^{-1} by LAPACK getrf + getri: about twice as fast at m = 64 as
     np.linalg.inv, gesv on m identity columns.  LinAlgError when ``a`` is
-    exactly singular; a 0 x 0 ``a`` skips LAPACK, which refuses it on stderr."""
+    exactly singular; a 0 x 0 ``a`` skips LAPACK, which refuses it on stdout."""
     if a.size == 0:
         return np.zeros(a.shape)
     lu, piv, info = lapack.dgetrf(a)

@@ -54,11 +54,11 @@ class SolveOptions:
     then multiplies a zero deviation y - y*).
     ``y_perp_mode`` selects the recurrent-case hyperplane solution:
     ``minimal_norm`` (default), ``zero``, or ``explicit`` with ``y_perp``
-    supplied.  ``R_max`` defaults to N + 10 and must be at least 2, so that
-    the residual report sees an interior equation.  y, y*, ``y_free`` and
-    ``y_perp`` are in the columns of the split's L: the phases when Ghat has
-    1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the ordered Schur basis.
-    Tolerances that are NaN, infinite or negative are refused.
+    supplied.  ``R_max`` defaults to N + 10 and must be an integer >= 2, so
+    that the residual report sees an interior equation.  y, y*, ``y_free``
+    and ``y_perp`` are in the columns of the split's L: the phases when Ghat
+    has 1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the ordered Schur
+    basis.  Refused: None but as a default, and NaN, infinite or negative tolerances.
     """
 
     y_free: tuple | None = None
@@ -76,14 +76,17 @@ class SolveOptions:
                              f"got {self.y_perp_mode!r}")
         if self.y_perp_mode == "explicit" and self.y_perp is None:
             raise ValueError("y_perp_mode 'explicit' requires a y_perp vector")
-        if self.R_max is not None and self.R_max < 2:
-            raise ValueError(f"R_max must be at least 2, got {self.R_max}")
+        R_max = self.R_max      # a bool is an int below 2
+        if R_max is not None and not (isinstance(R_max, (int, np.integer)) and R_max >= 2):
+            raise ValueError(f"R_max must be at least 2 and an integer, got {R_max!r}")
         for name in ("y_free", "y_perp", "alpha"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(np.asarray(value, float)).all():
+            value = getattr(self, name)     # np.asarray(None, float) is NaN
+            if (value is not None or name == "alpha") and not np.isfinite(
+                    np.asarray(value, float)).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("null_band", "eps_zero", "residual_tol"):
-            check_tolerance(name, getattr(self, name))
+            if name != "eps_zero" or self.eps_zero is not None:
+                check_tolerance(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,9 @@ class PoissonSolution(FrozenRecord):
     particular-solution block entering the boundary equation.  All paths
     feed one pipeline, each on the difference equation its plan names
     (``SolvePlan.equation``): on the null-recurrent path the shifted one,
-    which ``sigma1`` and ``y`` belong to; on the
-    :func:`solve_nonsingular_a1` path ``y`` multiplies W R^{-r} instead of
-    L V1^{-r}, and ``sigma1`` is zero, as whenever Ghat has no nilpotent
-    part.
+    which ``sigma1`` and ``y`` belong to; on the :func:`solve_nonsingular_a1`
+    path ``y`` multiplies W R^{-r} instead of L V1^{-r}, and ``sigma1`` is
+    zero, as whenever Ghat has no nilpotent part.
     """
 
     classification: Classification
@@ -317,14 +319,15 @@ class SolvePlan:
     :class:`QbdModel` of its blocks and the :class:`~qbdpoisson.qme.QmeSolutions`
     of its solvents, which ``split`` and ``wdata`` belong to.  It is the
     chain's own (model, sols), or, with ``shift``, the right-shifted blocks
-    (B + A1 Q, A_neg (I - Q), A0 + A1 Q, A1) with (Gt, Gddot) for (G, Ghat);
-    the levels then map back by u_k = ut_k + Q sum_{i<k} ut_i.  The plan
-    holds that equation's boundary operator (B - I) Ghat + A1, the group
-    inverse of the chain's I - P* (P* = B + A1 G) in the form its class
-    picks, and, recurrent only, its pi_0 of unit sum, the hyperplane
-    direction and pi_0's stationarity defect; the ``ops`` of :func:`backward_pass`;
-    and the stacks pi_0 R^k and G^k, regrown into new arrays as g or R_max needs.
-    ``model`` is its own copy of the blocks, so a cached plan does not refer back.
+    (B + A1 Q, A_neg (I - Q), A0 + A1 Q, A1) with (Gt, Gddot) for (G, Ghat)
+    and ``shift.sols`` for ``sols``; levels map back by u_k = ut_k + Q
+    sum_{i<k} ut_i.  The plan holds that equation's boundary operator
+    (B - I) Ghat + A1, the group inverse of the chain's I - P* (P* = B + A1 G,
+    stochastic if recurrent) in the form its class picks, and, recurrent
+    only, its pi_0 of unit sum and the hyperplane direction; the ``ops`` of
+    :func:`backward_pass`; and the stacks pi_0 R^k and G^k, regrown as g or
+    R_max needs.  ``model`` is its own copy of the blocks, so a cached plan
+    does not refer back.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
@@ -344,7 +347,6 @@ class SolvePlan:
             # the constraint is scale invariant in pi_0; a unit sum keeps the
             # direction away from the drift^2 scale of the probability mass
             self.pi0, self._pi_rows = gi.pi_star, gi.pi_star[None]
-            self.defect = float(np.abs(self.pi0 - self.pi0 @ gi.Pstar).sum())
         self._with_split(split)
 
     def _with_split(self, split: SpectralSplit) -> SolvePlan:
@@ -376,13 +378,11 @@ class SolvePlan:
         else:
             self._pi_rows = _grown(self._pi_rows, g.N + 1, self.sols.R.__rmatmul__)
             pig = pi_dot_g(self._pi_rows, self.sols.R, g)
-            # pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target is
-            # known only to within pi_0's stationarity defect times ||u_0||, for
-            # which 1 + ||g|| stands in; the defect is rounding-level except for
-            # a null-band chain with a substochastic P*
+            # pi^T g = pi_0^T (I - P*) u_0 for every solution u: the target is
+            # known only to rounding times ||u_0||, for which 1 + ||g|| stands in
             g_scale = norm_inf(g.blocks)
-            y = y_star + _solve_hyperplane(self.direction, pig, (
-                1e-12 + self.defect) * (1.0 + g_scale), g_scale, opt)
+            y = y_star + _solve_hyperplane(self.direction, pig, 1e-12 * (
+                1.0 + g_scale), g_scale, opt)
 
         rhs = self.boundary @ (sigma1 + split.L @ split.v1_solve(y)) + g.block(0)
         x, alpha = self.sharp @ rhs, None
@@ -415,17 +415,17 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
-        # the plan is kept on ``model``, so it holds a copy, not ``model``
-        own, sd = replace(model), None
-        equation = (own, sols)
+        own = replace(model)    # the plan is kept on ``model``: a copy, not it
         if sols.classification is Classification.NULL_RECURRENT:
+            # sd.sols: the stochastic G shifted, with the U and R both share
             sd = shift.right_shift(model, sols)
-            # the shifted equation shares U and R with the original one
+            sols, wdata = sd.sols, sd.wdata
             equation = (QbdModel(B=model.B + model.A1 @ sd.Q, A_neg=sd.At_neg,
                                  A0=sd.At0, A1=sd.At1),
                         replace(sols, G=sd.Gt, Ghat=sd.Gddot))
-        wdata = (triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-                 if sd is None else sd.wdata)
+        else:
+            sd, equation = None, (own, sols)
+            wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         plans[key] = SolvePlan(own, sols, equation, spectral.split(
             equation[1].Ghat, eps_zero=opt.eps_zero), wdata, sd)
     return plans[key]

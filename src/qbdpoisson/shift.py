@@ -2,22 +2,22 @@
 
 For a null recurrent chain both unit characteristic roots coincide, the
 coupling series W diverges, and no resolvent triple exists.  The right
-shift of the QME kernel (He, Meini & Rhee 2001) moves the unit root of G to
-zero: with Q = 1 u^T, u uniform, the shifted blocks
+shift of the QME kernel (He, Meini & Rhee 2001) moves the unit root of the
+stochastic solvent G to zero: with Q = 1 u^T, u uniform, the shifted blocks
 
     At_neg = A_neg (I - Q),   At0 = A0 + A1 Q,   At1 = A1
 
 have the solvents Gt = G - Q (sp < 1) and, on the level-reversed side,
-Gddot (sp = 1).  They share U and R with the original blocks, so (Gt, Gddot)
-and the convergent Wt = sum_j Gt^j (U - I)^{-1} R^j go through the one
-pipeline in place of (G, Ghat) and W, and the levels map back via
+Gddot (sp = 1 to O(d)).  They share G's U and R, so (Gt, Gddot) and the
+convergent Wt = sum_j Gt^j (U - I)^{-1} R^j go through the one pipeline in
+place of (G, Ghat) and W, and the levels map back via
 
     u_0 = ut_0,   u_k = ut_k + Q sum_{i<k} ut_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .qme import Classification
 
 @dataclass(frozen=True)
 class ShiftData(FrozenRecord):
-    """The shift Q, the shifted blocks, their solutions and their W."""
+    """Q, the shifted blocks, their solvents and W, and ``sols`` with the G shifted."""
 
     Q: Array
     At_neg: Array
@@ -42,39 +42,40 @@ class ShiftData(FrozenRecord):
     Gt: Array
     Gddot: Array
     wdata: triple.ResolventData
+    sols: qme.QmeSolutions
 
 
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
-    At d <= 0 Wt = :func:`~qbdpoisson.triple.w_series` (Gt, U, R), the
-    solution of Wt - Gt Wt R = (U - I)^{-1}, and Gddot = Wt R Wt^{-1}; they
-    need cond_F(Wt) <= 1e14 and a shifted residual <= ``QME_TOL``.  At
-    0 < d <= band, where Gt is a solvent only to O(d), a reduction gives
-    Gddot and :func:`~qbdpoisson.triple.compute_w` Wt.  Both raise
-    :class:`NumericalError` when cond_F(I - Gt Gddot) > 1e12.
+    G is the stochastic solvent: ``sols.G`` at d <= 0, else the right-shifted
+    reduction plus Q, with its own U and R.  Wt = :func:`~qbdpoisson.triple.w_series`
+    (G - Q, U, R) solves Wt - Gt Wt R = (U - I)^{-1}, and Gddot = Wt R Wt^{-1}.
+    :class:`NumericalError` unless G and Gddot solve their equations to
+    ``QME_TOL``, cond_F(Wt) <= 1e14 and cond_F(I - Gt Gddot) <= 1e12.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
-        raise ClassificationError(
-            f"right shift requires a null recurrent chain, got "
-            f"{sols.classification.value}")
+        raise ClassificationError("right shift requires a null recurrent chain, "
+                                  f"got {sols.classification.value}")
     Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
-    Gt = sols.G - Q
     if sols.drift > 0.0:
-        Gddot = qme._solve_shifted(model.A1, At0, At_neg, None)
-        wdata = triple.compute_w(Gt, sols.U, sols.R, Gddot)
-    else:
-        W = triple.w_series(Gt, sols.U, sols.R)
-        W_inv = checked_inverse(W, 1e14, "the shifted W is numerically singular")
-        Gddot = W @ sols.R @ W_inv
-        gate(qme.qme_residual(model.A1, At0, At_neg, Gddot), qme.QME_TOL,
-             "Gddot = Wt R Wt^-1 fails its shifted equation", "residual")
-        wdata = triple.ResolventData(W=W, W_inv=W_inv)
+        # the minimal G is stochastic only to O(d): shift the stochastic one
+        G = qme._cyclic_reduction(At_neg, At0, model.A1, qme.QME_MAX_ITER)[0] + Q
+        gate(qme.qme_residual(model.A_neg, model.A0, model.A1, G), qme.QME_TOL,
+             "the stochastic solvent fails its equation", "residual")
+        U, R = qme.compute_r_u(model, G)
+        sols = replace(sols, G=G, U=U, R=R)
+    Gt = sols.G - Q
+    W = triple.w_series(Gt, sols.U, sols.R)
+    W_inv = checked_inverse(W, 1e14, "the shifted W is numerically singular")
+    Gddot = W @ sols.R @ W_inv
+    gate(qme.qme_residual(model.A1, At0, At_neg, Gddot), qme.QME_TOL,
+         "Gddot = Wt R Wt^-1 fails its shifted equation", "residual")
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")
-    return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt,
-                     Gddot=Gddot, wdata=wdata)
+    return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt, Gddot=Gddot,
+                     wdata=triple.ResolventData(W=W, W_inv=W_inv), sols=sols)
 
 
 def solve_null_recurrent(model: QbdModel, g: RhsSpec,
@@ -89,8 +90,7 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
     """
     opt = options or poisson.SolveOptions()
     plan = poisson._plan(model, opt)
-    if plan.sols.classification is not Classification.NULL_RECURRENT:
-        raise ClassificationError(
-            f"solve_null_recurrent requires a null recurrent chain, got "
-            f"{plan.sols.classification.value}")
+    if plan.shift is None:
+        raise ClassificationError("solve_null_recurrent requires a null recurrent "
+                                  f"chain, got {plan.sols.classification.value}")
     return plan.solve(g, opt)

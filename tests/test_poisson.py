@@ -190,9 +190,10 @@ def test_transient_free_parameter_is_in_phase_coordinates():
                                    atol=1e-9 * np.abs(sol.u[r]).max())
 
 
-@pytest.mark.parametrize("R_max", [1, 0, -5])
+@pytest.mark.parametrize("R_max", [1, 0, -5, 30.7, 30.0, np.inf, True, "30"])
 def test_r_max_below_two_is_refused(R_max):
-    # the residual report needs an interior equation; no silent clamp
+    # the residual report needs an interior equation; no silent clamp, and
+    # no truncation of a non-integer
     with pytest.raises(ValueError, match="R_max must be at least 2"):
         SolveOptions(R_max=R_max)
 
@@ -589,6 +590,10 @@ def test_g_of_wrong_width_is_refused(solver, cls):
     ("residual_tol", dict(residual_tol=np.inf)),
     ("residual_tol", dict(residual_tol=np.nan)),
     ("residual_tol", dict(residual_tol=-1e-7)),
+    # None is a default only for eps_zero, y_free and y_perp
+    ("alpha", dict(alpha=None)),
+    ("null_band", dict(null_band=None)),
+    ("residual_tol", dict(residual_tol=None)),
 ])
 def test_non_finite_option_is_refused(field, options):
     with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -63,25 +63,30 @@ def test_unit_eigenvector_refuses_matrix_without_unit_eigenvalue(m):
         unit_eigenvector(0.99 * P)
 
 
-@pytest.mark.parametrize("d", [-1e-10, -1e-12, 1e-12, 1e-10])
+@pytest.mark.parametrize("d", [-9e-10, -1e-10, -1e-12, -1e-15,
+                               1e-15, 1e-12, 1e-10, 9e-10])
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_in_band_drift_solves_on_shift_path(m, d):
-    # drift inside the null band but not zero: one of G, Ghat (and so P*) is
-    # stochastic only to O(d), and the null recurrent solution is O(d) exact
+    # drift inside the null band but not zero: the minimal G or Ghat is
+    # stochastic only to O(d), but the shift takes the chain's stochastic
+    # solvent, so the solution is exact to rounding for either sign
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
     g = balanced_rhs(model, key=m)
     sol = solve_poisson(model, g)
     u = np.asarray(sol.u)
     assert sol.classification is Classification.NULL_RECURRENT
     assert sol.diagnostics.passed
-    assert sol.diagnostics.boundary_residual <= (1e-12 + abs(d)) * (
-        1.0 + np.abs(u[:2]).max())
-    assert scaled_interior_residual(model, g, u) <= 1e-12 + abs(d)
+    assert sol.diagnostics.boundary_residual <= 1e-12 * (1.0 + np.abs(u[:2]).max())
+    assert scaled_interior_residual(model, g, u) <= 1e-13
     # the exact solution h, continued by zeros, up to a constant
     h = np.zeros_like(u)
     h[:8] = balanced_h(m, key=m)
     c = (u - h).mean()
-    assert np.abs(u - h - c).max() <= 1e-11 + 10.0 * abs(d) * (1.0 + np.abs(h).max())
+    assert np.abs(u - h - c).max() <= 1e-12 * (1.0 + np.abs(h).max())
+    # the identities of the shifted equation the plan solves
+    report = plan_identities(model)
+    assert report.pop("pair_condition_number") < 1e12
+    assert max(report.values()) <= 1e-11
 
 
 def _bench_style_null(seed: int, m: int) -> QbdModel:
@@ -106,22 +111,23 @@ DUAL_CASES = {
     **{f"bench-m{m}": (lambda m=m: _bench_style_null(m, m)) for m in (4, 16, 64)},
     **{f"drift{d:g}-m{m}": (lambda d=d, m=m: with_drift(random_model(
         1, m, Classification.POSITIVE_RECURRENT), d))
-       for d in (-1e-10, -1e-12, -1e-15) for m in (2, 3, 8)},
+       for d in (-1e-10, -1e-12, -1e-15, 1e-15, 1e-12, 1e-10) for m in (2, 3, 8)},
 }
 
 
 @pytest.mark.parametrize("case", DUAL_CASES)
 def test_gddot_from_the_dual_matches_its_own_reduction(case):
-    # at d <= 0 in the band Gddot, the solvent of the dual (level-reversed
-    # shifted) equation, is Wt R Wt^{-1}: a reduction of its own on those
-    # blocks agrees, and so does the closed-form Wt
+    # at every drift in the band Gddot, the solvent of the dual
+    # (level-reversed shifted) equation, is Wt R Wt^{-1}: a reduction of its
+    # own on those blocks agrees, and so does the closed-form Wt, both with
+    # the U and R of the stochastic G the shift took
     model = DUAL_CASES[case]()
     plan = poisson._plan(model, SolveOptions())
-    assert plan.sols.drift <= 0.0
     sd = plan.shift
     reference = qme._solve_shifted(model.A1, sd.At0, sd.At_neg, None)
     assert np.abs(sd.Gddot - reference).max() <= 1e-15
-    s = plan.sols
+    s = sd.sols
+    assert plan.sols is s
     W = compute_w(sd.Gt, s.U, s.R, sd.Gddot).W
     assert np.abs(sd.wdata.W - W).max() <= 1e-14 * np.abs(W).max()
     assert plan.wdata is sd.wdata
@@ -282,12 +288,12 @@ def test_constraint_scale_invariance(nr1, nr1_rhs):
             np.testing.assert_allclose(y_perp, reference, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [-1e-6, -1e-7])
+@pytest.mark.parametrize("d", [-1e-6, -1e-7, 1e-7, 1e-6])
 @pytest.mark.parametrize("m", [3, 8])
 def test_widened_null_band_solves_on_shift_path(m, d):
-    # a band wider than the drift routes a recurrent chain through the shift;
-    # Ghat's eigenvalue is then 1 - O(d), which the kernel's Gddot does not
-    # need to be exactly 1
+    # a band wider than the drift routes a recurrent or transient chain
+    # through the shift; the eigenvalue of Gddot next to 1 is then 1 + O(d),
+    # which the kernel does not need to be exactly 1
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
     g = balanced_rhs(model, key=m)
     sol = solve_poisson(model, g, SolveOptions(null_band=1e-5))
