@@ -51,14 +51,16 @@ class SolveOptions:
 
     ``y_free`` is the free homogeneous parameter of the transient case
     (length p, default y*, which gives the bounded representative: V1^{-r}
-    then multiplies a zero deviation y - y*).
-    ``y_perp_mode`` selects the recurrent-case hyperplane solution:
-    ``minimal_norm`` (default), ``zero``, or ``explicit`` with ``y_perp``
-    supplied.  ``R_max`` defaults to N + 10 and must be an integer >= 2, so
-    that the residual report sees an interior equation.  y, y*, ``y_free``
-    and ``y_perp`` are in the columns of the split's L: the phases when Ghat
-    has 1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the ordered Schur
-    basis.  Refused: None but as a default, and NaN, infinite or negative tolerances.
+    then multiplies a zero deviation y - y*).  ``y_perp_mode`` selects the
+    recurrent-case hyperplane solution: ``minimal_norm`` (default), ``zero``,
+    or ``explicit`` with ``y_perp``, which is refused in the other modes; a
+    solve refuses ``y_free`` on a recurrent chain, ``y_perp`` and a nonzero
+    ``alpha`` on a transient one.  ``R_max`` defaults to N + 10 and must be
+    an integer >= 2, so that the residual report sees an interior equation.
+    y, y*, ``y_free`` and ``y_perp`` are in the columns of the split's L: the
+    phases when Ghat has 1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the
+    ordered Schur basis.  Refused: None but as a default, and NaN, infinite
+    or negative tolerances.
     """
 
     y_free: tuple | None = None
@@ -74,8 +76,9 @@ class SolveOptions:
         if self.y_perp_mode not in Y_PERP_MODES:
             raise ValueError(f"y_perp_mode must be one of {Y_PERP_MODES}, "
                              f"got {self.y_perp_mode!r}")
-        if self.y_perp_mode == "explicit" and self.y_perp is None:
-            raise ValueError("y_perp_mode 'explicit' requires a y_perp vector")
+        if (self.y_perp_mode == "explicit") != (self.y_perp is not None):
+            raise ValueError("y_perp_mode 'explicit' requires a y_perp vector, "
+                             "and a y_perp requires y_perp_mode 'explicit'")
         R_max = self.R_max      # a bool is an int below 2
         if R_max is not None and not (isinstance(R_max, (int, np.integer)) and R_max >= 2):
             raise ValueError(f"R_max must be at least 2 and an integer, got {R_max!r}")
@@ -320,7 +323,7 @@ class SolvePlan:
     of its solvents, which ``split`` and ``wdata`` belong to.  It is the
     chain's own (model, sols), or, with ``shift``, the right-shifted blocks
     (B + A1 Q, A_neg (I - Q), A0 + A1 Q, A1) with (Gt, Gddot) for (G, Ghat)
-    and ``shift.sols`` for ``sols``; levels map back by u_k = ut_k + Q
+    and the U and R of ``sols``; levels map back by u_k = ut_k + Q
     sum_{i<k} ut_i.  The plan holds that equation's boundary operator
     (B - I) Ghat + A1, the group inverse of the chain's I - P* (P* = B + A1 G,
     stochastic if recurrent) in the form its class picks, and, recurrent
@@ -366,6 +369,13 @@ class SolvePlan:
         split, W, cls = self.split, self.wdata.W, self.sols.classification
         if g.m != W.shape[0]:
             raise ValueError(f"g has width {g.m}, the model has m = {W.shape[0]}")
+        tr = cls is Classification.TRANSIENT
+        for name, refused in (("y_free", not tr and opt.y_free is not None),
+                              ("y_perp", tr and opt.y_perp is not None),
+                              ("alpha", tr and opt.alpha != 0.0)):
+            if refused:
+                raise ValueError(f"{name} is not a free parameter of the "
+                                 f"solutions of a {cls.value} chain")
         h, sigma1 = backward_pass(split, W, g, ops=self._ops)
         y_star = -h[0, :split.p]
         if cls is Classification.TRANSIENT:
@@ -416,16 +426,13 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
         own = replace(model)    # the plan is kept on ``model``: a copy, not it
+        sd, equation = None, (own, sols)
         if sols.classification is Classification.NULL_RECURRENT:
-            # sd.sols: the stochastic G shifted, with the U and R both share
             sd = shift.right_shift(model, sols)
-            sols, wdata = sd.sols, sd.wdata
             equation = (QbdModel(B=model.B + model.A1 @ sd.Q, A_neg=sd.At_neg,
                                  A0=sd.At0, A1=sd.At1),
                         replace(sols, G=sd.Gt, Ghat=sd.Gddot))
-        else:
-            sd, equation = None, (own, sols)
-            wdata = triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
+        wdata = sd.wdata if sd else triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         plans[key] = SolvePlan(own, sols, equation, spectral.split(
             equation[1].Ghat, eps_zero=opt.eps_zero), wdata, sd)
     return plans[key]

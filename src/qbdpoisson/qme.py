@@ -8,7 +8,8 @@ follow U = A0 + A1 G and the rate matrix R = A1 (I - U)^{-1}.
 The sign of the mean drift theta^T (A1 - A_neg) 1, theta the stationary vector
 of A_neg + A0 + A1, classifies the chain as positive recurrent (negative
 drift), transient (positive) or null recurrent (zero); outside the null band
-one cyclic reduction gives both G and Ghat.
+one cyclic reduction gives both G and Ghat; inside it G and Ghat are the
+stochastic solvents, which the right shift of :mod:`qbdpoisson.shift` needs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class QmeSolutions(FrozenRecord):
-    """G, Ghat, R and U, with the class and the drift that decided it."""
+    """G, Ghat, R and U, with the class and the drift that decided it; G and
+    Ghat are the minimal solvents, the stochastic ones when null recurrent."""
 
     G: Array
     Ghat: Array
@@ -137,15 +139,23 @@ def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
     ``theta=None`` runs it unshifted; X must solve the equation to ``tol``.
     """
     m = A_low.shape[0]
-    if theta is None:
-        X = _cyclic_reduction(A_low, A_mid, A_high, max_iter)[0]
-    elif _drift(A_low, A_high, theta) <= 0.0:
-        Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
-        X = _cyclic_reduction(low, mid, A_high, max_iter)[0] + Q
-    else:
-        Q = np.outer(np.ones(m), theta)
-        X = _cyclic_reduction(A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high,
-                              max_iter)[0]
+    if theta is not None and _drift(A_low, A_high, theta) <= 0.0:
+        return _stochastic_solvent(A_low, A_mid, A_high, tol, max_iter)
+    Q = np.zeros((m, m)) if theta is None else np.outer(np.ones(m), theta)
+    return _checked(A_low, A_mid, A_high, _cyclic_reduction(
+        A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high, max_iter)[0], tol)
+
+
+def _stochastic_solvent(A_low: Array, A_mid: Array, A_high: Array,
+                        tol: float = QME_TOL, max_iter: int = QME_MAX_ITER):
+    """The solvent X with X 1 = 1, by the right shift of :func:`_solve_shifted`;
+    the minimal one iff theta^T (A_high - A_low) 1 <= 0."""
+    Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
+    return _checked(A_low, A_mid, A_high,
+                    _cyclic_reduction(low, mid, A_high, max_iter)[0] + Q, tol)
+
+
+def _checked(A_low: Array, A_mid: Array, A_high: Array, X: Array, tol: float):
     gate(qme_residual(A_low, A_mid, A_high, X), tol, "shifted cyclic "
          "reduction: the shift needs A_low + A_mid + A_high row-stochastic to "
          "rounding", "residual")
@@ -261,17 +271,18 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
                    null_band: float) -> Classification:
     """Class of drift ``d``; warns when the solvents' row sums contradict it.
 
-    The sign assigns the unit root to G when d <= 0 and to Ghat when d >= 0.
-    A minimal nonnegative solvent owns it iff it is stochastic, and
-    min row sum <= sp(X) <= max row sum: so the owner's row sums must be 1
+    The class gives the unit root to G unless transient and to Ghat unless
+    positive recurrent.  A solvent owns it iff it is stochastic, and
+    min row sum <= sp(X) <= max row sum: so an owner's row sums must be 1
     and the other's absolute row sums at most 1, both to within
     :data:`_UNIT_TOL`.  A NaN row sum counts as a contradiction.
     """
     cls = _classify_drift(d, null_band)
     consistent = all(
-        np.all(np.abs(X.sum(axis=1) - 1.0) <= _UNIT_TOL) if owns_unit_root
+        np.all(np.abs(X.sum(axis=1) - 1.0) <= _UNIT_TOL) if cls is not foreign
         else np.all(np.abs(X).sum(axis=1) <= 1.0 + _UNIT_TOL)
-        for X, owns_unit_root in ((G, d <= 0.0), (Ghat, d >= 0.0)))
+        for X, foreign in ((G, Classification.TRANSIENT),
+                           (Ghat, Classification.POSITIVE_RECURRENT)))
     if not consistent:
         rows = ", ".join(f"{name} {r.min():.15f} ... {r.max():.15f}" for name, r
                          in (("G", G.sum(axis=1)), ("Ghat", Ghat.sum(axis=1))))
@@ -284,7 +295,8 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
 def classify(model: QbdModel, sols: "QmeSolutions",
              null_band: float = NULL_BAND) -> Classification:
     """Drift-based classification, cross-checked against the row sums of
-    ``sols.G`` and ``sols.Ghat``.
+    ``sols.G`` and ``sols.Ghat``, the solvents of :func:`solve_model`: G
+    stochastic unless transient, Ghat unless positive recurrent.
 
     The drift ``sols.drift`` decides; a disagreement with the row sums is
     reported as a :class:`RuntimeWarning`, not an error.
@@ -299,15 +311,15 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
 
     With theta, the stationary vector of A_neg + A0 + A1, computed once,
     the sign of the drift decides which solvent owns the unit root; outside
-    the null band :func:`_solve_pair` gives both from one reduction, inside
-    it each comes from :func:`_solve_shifted`.  :func:`_cross_checked`
-    checks the owner for stochastic rows.
+    the null band :func:`_solve_pair` gives both minimal solvents from one
+    reduction, inside it :func:`_stochastic_solvent` each stochastic one
+    (O(d) from the minimal).  :func:`_cross_checked` checks the owners.
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
     if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
-        G = _solve_shifted(model.A_neg, model.A0, model.A1, theta)
-        Ghat = _solve_shifted(model.A1, model.A0, model.A_neg, theta)
+        G = _stochastic_solvent(model.A_neg, model.A0, model.A1)
+        Ghat = _stochastic_solvent(model.A1, model.A0, model.A_neg)
     elif d > 0.0:
         G, Ghat = _solve_pair(model.A_neg, model.A0, model.A1, theta)
     else:

@@ -3,7 +3,9 @@
 For a null recurrent chain both unit characteristic roots coincide, the
 coupling series W diverges, and no resolvent triple exists.  The right
 shift of the QME kernel (He, Meini & Rhee 2001) moves the unit root of the
-stochastic solvent G to zero: with Q = 1 u^T, u uniform, the shifted blocks
+stochastic solvent G, which :func:`~qbdpoisson.qme.solve_model` gives for
+every drift in the null band, to zero: with Q = 1 u^T, u uniform, the
+shifted blocks
 
     At_neg = A_neg (I - Q),   At0 = A0 + A1 Q,   At1 = A1
 
@@ -17,7 +19,7 @@ place of (G, Ghat) and W, and the levels map back via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .qme import Classification
 
 @dataclass(frozen=True)
 class ShiftData(FrozenRecord):
-    """Q, the shifted blocks, their solvents and W, and ``sols`` with the G shifted."""
+    """Q, the shifted blocks, their solvents and W."""
 
     Q: Array
     At_neg: Array
@@ -42,29 +44,21 @@ class ShiftData(FrozenRecord):
     Gt: Array
     Gddot: Array
     wdata: triple.ResolventData
-    sols: qme.QmeSolutions
 
 
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     """Build the right-shift data for a null recurrent chain.
 
-    G is the stochastic solvent: ``sols.G`` at d <= 0, else the right-shifted
-    reduction plus Q, with its own U and R.  Wt = :func:`~qbdpoisson.triple.w_series`
+    ``sols.G`` is the stochastic solvent at every drift in the band, and
+    ``sols`` holds its U and R.  Wt = :func:`~qbdpoisson.triple.w_series`
     (G - Q, U, R) solves Wt - Gt Wt R = (U - I)^{-1}, and Gddot = Wt R Wt^{-1}.
-    :class:`NumericalError` unless G and Gddot solve their equations to
-    ``QME_TOL``, cond_F(Wt) <= 1e14 and cond_F(I - Gt Gddot) <= 1e12.
+    :class:`NumericalError` unless Gddot solves its equation to ``QME_TOL``,
+    cond_F(Wt) <= 1e14 and cond_F(I - Gt Gddot) <= 1e12.
     """
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError("right shift requires a null recurrent chain, "
                                   f"got {sols.classification.value}")
     Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
-    if sols.drift > 0.0:
-        # the minimal G is stochastic only to O(d): shift the stochastic one
-        G = qme._cyclic_reduction(At_neg, At0, model.A1, qme.QME_MAX_ITER)[0] + Q
-        gate(qme.qme_residual(model.A_neg, model.A0, model.A1, G), qme.QME_TOL,
-             "the stochastic solvent fails its equation", "residual")
-        U, R = qme.compute_r_u(model, G)
-        sols = replace(sols, G=G, U=U, R=R)
     Gt = sols.G - Q
     W = triple.w_series(Gt, sols.U, sols.R)
     W_inv = checked_inverse(W, 1e14, "the shifted W is numerically singular")
@@ -75,7 +69,7 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")
     return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt, Gddot=Gddot,
-                     wdata=triple.ResolventData(W=W, W_inv=W_inv), sols=sols)
+                     wdata=triple.ResolventData(W=W, W_inv=W_inv))
 
 
 def solve_null_recurrent(model: QbdModel, g: RhsSpec,

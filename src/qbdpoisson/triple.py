@@ -132,17 +132,13 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
 def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     """Assemble the resolvent triple from G, the splitting of Ghat, and W;
     NumericalError when its pair matrix has condition number above 1e12."""
-    m = G.shape[0]
-    p = split.p
+    m, p = G.shape[0], split.p
     T1 = np.zeros((m + p, m + p))
     T1[:m, :m] = G
     T1[m:, m:] = split.v1_inv
-    X1 = np.hstack([np.eye(m), split.L])
-    X2 = split.K
-    T2 = split.V0
-    Z1 = np.vstack([W, -split.E @ W])
-    Z2 = -split.V0 @ split.F @ W
-    triple = ResolventTriple(X1=X1, X2=X2, T1=T1, T2=T2, Z1=Z1, Z2=Z2)
+    triple = ResolventTriple(X1=np.hstack([np.eye(m), split.L]), X2=split.K,
+                             T1=T1, T2=split.V0, Z1=np.vstack([W, -split.E @ W]),
+                             Z2=-split.V0 @ split.F @ W)
     gate(triple.pair_condition, 1e12, "decomposable pair "
          "matrix is ill-conditioned: likely a near-critical chain or a nearly "
          "singular Ghat", "condition number")
@@ -151,11 +147,8 @@ def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
 
 def _filtered_lambdas(roots: Array) -> list[complex]:
     finite = roots[np.isfinite(roots)]
-    kept = []
-    for lam in SAMPLE_LAMBDAS:
-        if finite.size == 0 or np.min(np.abs(finite - lam)) > _LAMBDA_MARGIN:
-            kept.append(lam)
-    return kept
+    return [lam for lam in SAMPLE_LAMBDAS
+            if finite.size == 0 or np.min(np.abs(finite - lam)) > _LAMBDA_MARGIN]
 
 
 def check_identities(model: QbdModel, sols: qme.QmeSolutions,
@@ -168,8 +161,7 @@ def check_identities(model: QbdModel, sols: qme.QmeSolutions,
     pair conditions, the pair condition number, and the worst relative error
     of the resolvent identity over the retained sample points.
     """
-    m = model.m
-    eye = np.eye(m)
+    eye = np.eye(model.m)
     G, Ghat, U, R = sols.G, sols.Ghat, sols.U, sols.R
     W = wdata.W
     L, K, V0 = split.L, split.K, split.V0

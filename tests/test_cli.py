@@ -381,6 +381,16 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     (["--eps-zero", "nan"], "pr1", "eps_zero must be finite"),
     (["--residual-tol", "inf"], "pr1", "residual_tol must be finite"),
     (["--stochastic-tol", "inf"], "pr1", "stochastic_tol must be finite"),
+    # a parameter the class's solution family does not have is refused
+    (["--y-perp", "5"], "nr1", "a y_perp requires y_perp_mode 'explicit'"),
+    (["--y-free", "5"], "nr1",
+     "y_free is not a free parameter of the solutions of a NullRecurrent chain"),
+    (["--y-free", "5"], "pr1",
+     "y_free is not a free parameter of the solutions of a PositiveRecurrent chain"),
+    (["--y-perp-mode", "explicit", "--y-perp", "5"], "tr1",
+     "y_perp is not a free parameter of the solutions of a Transient chain"),
+    (["--alpha", "1"], "tr1",
+     "alpha is not a free parameter of the solutions of a Transient chain"),
 ])
 def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
                                          capsys):

@@ -309,17 +309,19 @@ def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, reduction_calls
     assert len(reduction_calls) == (2 if cls is Classification.NULL_RECURRENT else 1)
 
 
-def test_cold_plan_in_band_above_zero_drift_reduces_for_the_stochastic_g(
+def test_cold_plan_in_band_above_zero_drift_runs_two_reductions(
         reduction_calls, monkeypatch):
-    # at 0 < d <= null_band the minimal G, from the left shift, is stochastic
-    # only to O(d): the shift runs a third reduction, right-shifted, for the
-    # chain's stochastic solvent, and takes Wt and Gddot from its series as at
-    # d <= 0, with no closed-form W
+    # at 0 < d <= null_band solve_model takes the stochastic G and Ghat, one
+    # right-shifted reduction each, and derives U and R once; the shift reads
+    # that G and takes Wt and Gddot from its series as at d <= 0, with no
+    # closed-form W
     monkeypatch.setattr(triple, "compute_w", mock.Mock(wraps=triple.compute_w))
+    monkeypatch.setattr(qme, "compute_r_u", mock.Mock(wraps=qme.compute_r_u))
     model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), 1e-10)
     assert 0.0 < qme.drift(model) <= qme.NULL_BAND
     poisson._plan(model, SolveOptions())
-    assert len(reduction_calls) == 3
+    assert len(reduction_calls) == 2
+    assert qme.compute_r_u.call_count == 1
     assert not triple.compute_w.called
 
 

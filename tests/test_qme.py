@@ -288,11 +288,18 @@ def test_root_interlacing_on_random_models(seed):
 
 @pytest.mark.parametrize("d", SWEEP_DRIFTS)
 def test_scalar_drift_sweep_matches_exact_roots(d):
+    # solve_qme gives the minimal roots at every drift; solve_model gives
+    # them outside the null band and the stochastic root 1 inside it
     p = 0.3
     q = p - d
-    s = solve_quietly(scalar_model(q, 1.0 - p - q, p, 1.0 - p))
-    assert abs(s.G[0, 0] - min(1.0, q / p)) <= 1e-13
-    assert abs(s.Ghat[0, 0] - min(1.0, p / q)) <= 1e-13
+    model = scalar_model(q, 1.0 - p - q, p, 1.0 - p)
+    s = solve_quietly(model)
+    in_band = abs(d) <= NULL_BAND
+    for X, blocks, minimal in (
+            (s.G, (model.A_neg, model.A0, model.A1), min(1.0, q / p)),
+            (s.Ghat, (model.A1, model.A0, model.A_neg), min(1.0, p / q))):
+        assert abs(solve_qme(*blocks)[0, 0] - minimal) <= 1e-13
+        assert abs(X[0, 0] - (1.0 if in_band else minimal)) <= 1e-13
 
 
 def test_with_drift_refuses_invalid_models():
@@ -302,14 +309,46 @@ def test_with_drift_refuses_invalid_models():
         with_drift(base, 1e-1)
 
 
+def _non_unit_eigenvalues(X):
+    """The eigenvalues of X but the one nearest 1."""
+    eig = np.linalg.eigvals(X)
+    return np.delete(eig, np.argmin(np.abs(eig - 1.0)))
+
+
 @pytest.mark.parametrize("d", SWEEP_DRIFTS)
 def test_random_drift_sweep_matches_extended_precision(d):
+    # solve_qme gives the minimal solvents at every drift; solve_model gives
+    # them outside the null band, and inside it the stochastic solvents: unit
+    # row sums, and the minimal solvent's eigenvalues but the one near 1
     model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), d)
     s = solve_quietly(model)
-    G = mp_minimal_solution(model.A_neg, model.A0, model.A1)
-    Ghat = mp_minimal_solution(model.A1, model.A0, model.A_neg)
-    assert np.abs(s.G - G).max() <= 1e-13
-    assert np.abs(s.Ghat - Ghat).max() <= 1e-13
+    for X, blocks in ((s.G, (model.A_neg, model.A0, model.A1)),
+                      (s.Ghat, (model.A1, model.A0, model.A_neg))):
+        minimal = mp_minimal_solution(*blocks)
+        assert np.abs(solve_qme(*blocks) - minimal).max() <= 1e-13
+        if abs(d) > NULL_BAND:
+            assert np.abs(X - minimal).max() <= 1e-13
+            continue
+        assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-13
+        assert qme_residual(*blocks, X) <= 1e-13
+        got, want = _non_unit_eigenvalues(X), _non_unit_eigenvalues(minimal)
+        assert np.abs(got[:, None] - want[None, :]).min(axis=0).max() <= 1e-13
+        assert np.abs(got[:, None] - want[None, :]).min(axis=1).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [sign * mag for mag in (1e-15, 1e-12, 1e-10, 9e-10)
+                               for sign in (-1.0, 1.0)])
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_in_band_solvents_hold_both_unit_roots(m, d):
+    # null recurrent: xi_m = xi_{m+1} = 1, and pi_0 of P* = B + A1 G solves
+    # pi_0^T (I - P*) = 0, to rounding at every drift in the band
+    model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
+    s = solve_quietly(model)
+    assert s.classification is Classification.NULL_RECURRENT
+    roots = char_roots(s)
+    assert np.abs(roots[m - 1:m + 1] - 1.0).max() <= 1e-12
+    pi0 = stationary(model, s, Normalization.UNIT_SUM).pi0
+    assert np.abs(pi0 @ (np.eye(m) - model.B - model.A1 @ s.G)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d", [-2e-9, -1e-8])
@@ -349,6 +388,16 @@ def test_cross_check_reads_row_sums():
                     (G_nan, s.Ghat)):
         with pytest.warns(RuntimeWarning, match="disagrees"):
             _cross_checked(s.drift, G, Ghat, 1e-9)
+    # in the null band G owns the unit root at d > 0 too: the minimal G,
+    # stochastic only to O(d), contradicts the class
+    model = with_drift(random_model(2, 5, Classification.POSITIVE_RECURRENT), 1e-10)
+    s = solve_model(model, null_band=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
+    with pytest.warns(RuntimeWarning, match="disagrees"):
+        _cross_checked(s.drift, solve_qme(model.A_neg, model.A0, model.A1),
+                       s.Ghat, 1e-9)
 
 
 @pytest.mark.parametrize("drift_, band", [(2e-10, 1e-12), (5e-9, 1e-9)],

@@ -120,17 +120,22 @@ def test_gddot_from_the_dual_matches_its_own_reduction(case):
     # at every drift in the band Gddot, the solvent of the dual
     # (level-reversed shifted) equation, is Wt R Wt^{-1}: a reduction of its
     # own on those blocks agrees, and so does the closed-form Wt, both with
-    # the U and R of the stochastic G the shift took
+    # the U and R of the stochastic G that solve_model gives and the plan
+    # keeps; the plan's shift is the one right_shift builds from them
     model = DUAL_CASES[case]()
     plan = poisson._plan(model, SolveOptions())
     sd = plan.shift
     reference = qme._solve_shifted(model.A1, sd.At0, sd.At_neg, None)
     assert np.abs(sd.Gddot - reference).max() <= 1e-15
-    s = sd.sols
-    assert plan.sols is s
+    s = plan.sols
     W = compute_w(sd.Gt, s.U, s.R, sd.Gddot).W
     assert np.abs(sd.wdata.W - W).max() <= 1e-14 * np.abs(W).max()
     assert plan.wdata is sd.wdata
+    anew = right_shift(model, solve_model(model))
+    for name in ("Q", "At_neg", "At0", "At1", "Gt", "Gddot"):
+        assert np.array_equal(getattr(anew, name), getattr(sd, name)), name
+    assert np.array_equal(anew.wdata.W, sd.wdata.W)
+    assert np.array_equal(anew.wdata.W_inv, sd.wdata.W_inv)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
