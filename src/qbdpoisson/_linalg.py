@@ -9,8 +9,8 @@ from .exceptions import NumericalError
 
 Array = np.ndarray
 
-# an eigenvalue within 1e-8 of 1 counts as the unit one (null-band chains
-# with nonzero drift are off by O(drift))
+# an eigenvalue within 1e-8 of 1 counts as the unit one (inputs are validated
+# only to STOCHASTIC_TOL, so a valid chain's unit eigenvalue is not exact)
 _UNIT_EIGEN_TOL = 1e-8
 
 

@@ -59,8 +59,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
         tails[n] = g.block(n) + sols.R @ tails[n + 1]
 
     Pstar = model.B + model.A1 @ sols.G
-    # the class, not P*'s row sums, picks the branch: inside the null band
-    # P* is stochastic only to O(drift)
+    # the class, not P*'s row sums, picks the branch, as in the solve plan
     gi = poisson.group_inverse(
         Pstar, recurrent=sols.classification is not qme.Classification.TRANSIENT)
     if gi.recurrent:

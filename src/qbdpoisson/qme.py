@@ -8,8 +8,8 @@ follow U = A0 + A1 G and the rate matrix R = A1 (I - U)^{-1}.
 The sign of the mean drift theta^T (A1 - A_neg) 1, theta the stationary vector
 of A_neg + A0 + A1, classifies the chain as positive recurrent (negative
 drift), transient (positive) or null recurrent (zero); outside the null band
-one cyclic reduction gives both G and Ghat; inside it G and Ghat are the
-stochastic solvents, which the right shift of :mod:`qbdpoisson.shift` needs.
+one cyclic reduction gives both G and Ghat; inside it they are the stochastic
+solvents, G for the right shift of :mod:`qbdpoisson.shift`, Ghat on first read.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 # condition_number, spectral_radius: unused here, bound for bench/spans.py
-from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      gate, inverse, norm_inf, solve, spectral_radius,
-                      stationary_vector)  # noqa: F401
+from ._linalg import (Array, FrozenRecord, as_readonly, checked_inverse,
+                      condition_number, gate, inverse, norm_inf, solve,
+                      spectral_radius, stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
 
@@ -50,7 +51,9 @@ class Normalization(enum.Enum):
 @dataclass(frozen=True)
 class QmeSolutions(FrozenRecord):
     """G, Ghat, R and U, with the class and the drift that decided it; G and
-    Ghat are the minimal solvents, the stochastic ones when null recurrent."""
+    Ghat are the minimal solvents, the stochastic ones when null recurrent.
+    A field given as a :func:`functools.partial` (a null-recurrent Ghat) is
+    called on its first read, which keeps the result, read-only, in its place."""
 
     G: Array
     Ghat: Array
@@ -58,6 +61,11 @@ class QmeSolutions(FrozenRecord):
     U: Array
     classification: Classification
     drift: float
+
+    def __getattribute__(self, name):
+        if isinstance(value := object.__getattribute__(self, name), partial):
+            value = vars(self)[name] = as_readonly(value())
+        return value
 
 
 @dataclass(frozen=True)
@@ -275,17 +283,20 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
     positive recurrent.  A solvent owns it iff it is stochastic, and
     min row sum <= sp(X) <= max row sum: so an owner's row sums must be 1
     and the other's absolute row sums at most 1, both to within
-    :data:`_UNIT_TOL`.  A NaN row sum counts as a contradiction.
+    :data:`_UNIT_TOL`.  A NaN row sum counts as a contradiction; a solvent
+    that is not an array (None, or a Ghat not solved yet) is not checked.
     """
     cls = _classify_drift(d, null_band)
+    solved = [(name, X, foreign) for name, X, foreign in (
+        ("G", G, Classification.TRANSIENT),
+        ("Ghat", Ghat, Classification.POSITIVE_RECURRENT)) if isinstance(X, np.ndarray)]
     consistent = all(
         np.all(np.abs(X.sum(axis=1) - 1.0) <= _UNIT_TOL) if cls is not foreign
         else np.all(np.abs(X).sum(axis=1) <= 1.0 + _UNIT_TOL)
-        for X, foreign in ((G, Classification.TRANSIENT),
-                           (Ghat, Classification.POSITIVE_RECURRENT)))
+        for _, X, foreign in solved)
     if not consistent:
-        rows = ", ".join(f"{name} {r.min():.15f} ... {r.max():.15f}" for name, r
-                         in (("G", G.sum(axis=1)), ("Ghat", Ghat.sum(axis=1))))
+        rows = ", ".join(f"{name} {X.sum(axis=1).min():.15f} ... "
+                         f"{X.sum(axis=1).max():.15f}" for name, X, _ in solved)
         warnings.warn(
             f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
             f"the solvents' row sums: {rows}", RuntimeWarning, stacklevel=3)
@@ -296,7 +307,8 @@ def classify(model: QbdModel, sols: "QmeSolutions",
              null_band: float = NULL_BAND) -> Classification:
     """Drift-based classification, cross-checked against the row sums of
     ``sols.G`` and ``sols.Ghat``, the solvents of :func:`solve_model`: G
-    stochastic unless transient, Ghat unless positive recurrent.
+    stochastic unless transient, Ghat unless positive recurrent.  Reading a
+    null-recurrent ``sols.Ghat`` the first time solves it and checks it.
 
     The drift ``sols.drift`` decides; a disagreement with the row sums is
     reported as a :class:`RuntimeWarning`, not an error.
@@ -313,13 +325,14 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     the sign of the drift decides which solvent owns the unit root; outside
     the null band :func:`_solve_pair` gives both minimal solvents from one
     reduction, inside it :func:`_stochastic_solvent` each stochastic one
-    (O(d) from the minimal).  :func:`_cross_checked` checks the owners.
+    (O(d) from the minimal), Ghat, which the shifted plan does not read, on
+    its first read (:func:`_in_band_Ghat`).  :func:`_cross_checked` checks them.
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
     if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
         G = _stochastic_solvent(model.A_neg, model.A0, model.A1)
-        Ghat = _stochastic_solvent(model.A1, model.A0, model.A_neg)
+        Ghat = partial(_in_band_Ghat, model.A_neg, model.A0, model.A1, d, null_band)
     elif d > 0.0:
         G, Ghat = _solve_pair(model.A_neg, model.A0, model.A1, theta)
     else:
@@ -327,6 +340,13 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     U, R = compute_r_u(model, G)
     cls = _cross_checked(d, G, Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
+
+
+def _in_band_Ghat(A_neg: Array, A0: Array, A1: Array, d: float, null_band: float):
+    """The stochastic Ghat, gated, with its row sums cross-checked."""
+    Ghat = _stochastic_solvent(A1, A0, A_neg)
+    _cross_checked(d, None, Ghat, null_band)
+    return Ghat
 
 
 def char_roots(sols: QmeSolutions) -> Array:

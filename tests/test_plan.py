@@ -304,23 +304,24 @@ def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, reduction_calls):
     # one left-shifted reduction gives G and Ghat; a null recurrent plan
-    # runs one per orientation, and at d <= 0 Gddot comes from the shifted W
+    # reduces for G alone, the stochastic Ghat waits for a read the plan
+    # does not make, and Gddot comes from the shifted W
     poisson._plan(random_model(0, 4, cls), SolveOptions())
-    assert len(reduction_calls) == (2 if cls is Classification.NULL_RECURRENT else 1)
+    assert len(reduction_calls) == 1
 
 
-def test_cold_plan_in_band_above_zero_drift_runs_two_reductions(
+def test_cold_plan_in_band_above_zero_drift_runs_one_reduction(
         reduction_calls, monkeypatch):
-    # at 0 < d <= null_band solve_model takes the stochastic G and Ghat, one
-    # right-shifted reduction each, and derives U and R once; the shift reads
-    # that G and takes Wt and Gddot from its series as at d <= 0, with no
-    # closed-form W
+    # at 0 < d <= null_band solve_model takes the stochastic G by one
+    # right-shifted reduction and derives U and R once; the shift reads that
+    # G and takes Wt and Gddot from its series as at d <= 0, with no
+    # closed-form W and no reduction for the stochastic Ghat
     monkeypatch.setattr(triple, "compute_w", mock.Mock(wraps=triple.compute_w))
     monkeypatch.setattr(qme, "compute_r_u", mock.Mock(wraps=qme.compute_r_u))
     model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), 1e-10)
     assert 0.0 < qme.drift(model) <= qme.NULL_BAND
     poisson._plan(model, SolveOptions())
-    assert len(reduction_calls) == 2
+    assert len(reduction_calls) == 1
     assert qme.compute_r_u.call_count == 1
     assert not triple.compute_w.called
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from qbdpoisson import (Classification, ClassificationError, Normalization,
                         NumericalError, QbdModel, char_roots, classify,
-                        drift, random_model, solve_model, solve_poisson,
+                        drift, qme, random_model, solve_model, solve_poisson,
                         solve_qme, stationary)
 from qbdpoisson._linalg import spectral_radius
 from qbdpoisson.qme import (NULL_BAND, _cross_checked, _cyclic_reduction,
@@ -398,6 +399,64 @@ def test_cross_check_reads_row_sums():
     with pytest.warns(RuntimeWarning, match="disagrees"):
         _cross_checked(s.drift, solve_qme(model.A_neg, model.A0, model.A1),
                        s.Ghat, 1e-9)
+
+
+@pytest.mark.parametrize("d", [-1e-10, 0.0, 1e-10, None],
+                         ids=["minus", "zero", "plus", "nr1"])
+def test_in_band_ghat_is_solved_on_first_read(d, nr1, reduction_calls):
+    # solve_model reduces for G alone; the first read of Ghat runs the one
+    # reduction of the reversed equation, later reads none, and the value
+    # is the eager one bit for bit, so classify and char_roots are too
+    model = nr1 if d is None else with_drift(
+        random_model(1, 4, Classification.POSITIVE_RECURRENT), d)
+    s = solve_quietly(model)
+    assert s.classification is Classification.NULL_RECURRENT
+    assert len(reduction_calls) == 1
+    reduction_calls.clear()
+    Ghat = s.Ghat
+    assert len(reduction_calls) == 1
+    assert s.Ghat is Ghat and len(reduction_calls) == 1
+    assert not Ghat.flags.writeable
+    eager = qme._stochastic_solvent(model.A1, model.A0, model.A_neg)
+    assert Ghat.dtype == eager.dtype and np.array_equal(Ghat, eager)
+    built = dataclasses.replace(solve_quietly(model), Ghat=eager)
+    reduction_calls.clear()
+    assert np.array_equal(char_roots(solve_quietly(model)), char_roots(built))
+    assert classify(model, solve_quietly(model)) is classify(model, built)
+    assert len(reduction_calls) == 4    # per fresh record: G, then Ghat's read
+
+
+def test_in_band_ghat_row_sums_are_checked_on_first_read(monkeypatch):
+    # the cross-check of Ghat's row sums runs where Ghat is solved: a Ghat
+    # off by 1e-10 passes solve_model quietly and warns when first read
+    model = with_drift(random_model(2, 5, Classification.POSITIVE_RECURRENT), 1e-10)
+    solvent = qme._stochastic_solvent
+
+    def off(A_low, A_mid, A_high, *args):
+        X = solvent(A_low, A_mid, A_high, *args)
+        return X * (1.0 - 1e-10) if A_low is model.A1 else X
+
+    monkeypatch.setattr(qme, "_stochastic_solvent", off)
+    s = solve_quietly(model)
+    with pytest.warns(RuntimeWarning, match="disagrees.*Ghat 0.99999"):
+        assert s.Ghat.shape == (5, 5)
+
+
+@pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
+                                 Classification.TRANSIENT],
+                         ids=lambda cls: cls.value)
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 32])
+def test_in_band_solvents_are_stochastic_to_rounding(m, cls):
+    # the right-shifted low block annihilates 1, so both in-band solvents
+    # have unit row sums to rounding, far inside the cross-check's 1e-12:
+    # Ghat's check can wait for its first read without missing a solve
+    for seed in (0, 1):
+        for d in (-9e-10, -1e-10, 0.0, 1e-10, 9e-10):
+            model = with_drift(random_model(seed, m, cls), d)
+            s = solve_quietly(model)
+            assert s.classification is Classification.NULL_RECURRENT
+            for X in (s.G, s.Ghat):
+                assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-14, (seed, d)
 
 
 @pytest.mark.parametrize("drift_, band", [(2e-10, 1e-12), (5e-9, 1e-9)],
