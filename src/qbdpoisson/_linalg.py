@@ -15,14 +15,28 @@ _UNIT_EIGEN_TOL = 1e-8
 
 
 def as_readonly(a, *, dtype=float) -> Array:
+    """``a`` itself when it is a read-only ndarray of ``dtype`` that owns its
+    memory, else a read-only copy (of a writeable array, a view or another
+    dtype); only ``a.setflags(write=True)`` by its holder can then change it."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
+def frozen(a: Array) -> Array:
+    """``a`` marked read-only in place, so that a record adopts it uncopied;
+    for an array the caller has just computed, never for one it was passed."""
+    a.setflags(write=False)
+    return a
+
+
 class FrozenRecord:
     """Base of the frozen result dataclasses: every field that holds an
-    ndarray is replaced by a read-only copy of it (:func:`as_readonly`)."""
+    ndarray is replaced by :func:`as_readonly` of it, the array itself when
+    it is already read-only and owns its memory, else a read-only copy."""
 
     def __post_init__(self):
         # the instance dict holds exactly the fields until __init__ returns

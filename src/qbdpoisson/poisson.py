@@ -28,7 +28,8 @@ import numpy as np
 from . import qme, shift, spectral, triple, verify
 # condition_number is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import (Array, FrozenRecord, check_tolerance, checked_inverse,
-                      condition_number, norm_inf, stationary_vector)  # noqa: F401
+                      condition_number, frozen, norm_inf,
+                      stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
 from .model import QbdModel, RhsSpec
@@ -157,8 +158,8 @@ def group_inverse(Pstar: Array, *,
     sharp = checked_inverse(np.eye(m) - Pstar + one_pi, 1e14,
                             "group inverse: I - P* + 1 pi^T is numerically "
                             "singular (P* appears reducible)") - one_pi
-    return GroupInverseData(Pstar=Pstar, sharp=sharp, recurrent=recurrent,
-                            pi_star=pi if recurrent else None)
+    return GroupInverseData(Pstar=Pstar, sharp=frozen(sharp), recurrent=recurrent,
+                            pi_star=frozen(pi) if recurrent else None)
 
 
 def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,
@@ -329,8 +330,8 @@ class SolvePlan:
     stochastic if recurrent) in the form its class picks, and, recurrent
     only, its pi_0 of unit sum and the hyperplane direction; the ``ops`` of
     :func:`backward_pass`; and the stacks pi_0 R^k and G^k, regrown as g or
-    R_max needs.  ``model`` is its own copy of the blocks, so a cached plan
-    does not refer back.
+    R_max needs.  ``model`` is its own :class:`QbdModel` on the model's
+    read-only blocks, so a cached plan does not refer back.
     """
 
     def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
@@ -343,7 +344,7 @@ class SolvePlan:
         self.G, self._powers = eq_sols.G, np.array([eq_sols.G])
         self.boundary = (eq.B - np.eye(model.m)) @ eq_sols.Ghat + eq.A1
         gi = group_inverse(
-            model.B + model.A1 @ sols.G,
+            frozen(model.B + model.A1 @ sols.G),
             recurrent=sols.classification is not Classification.TRANSIENT)
         self.sharp = gi.sharp
         if gi.recurrent:
@@ -377,7 +378,7 @@ class SolvePlan:
                 raise ValueError(f"{name} is not a free parameter of the "
                                  f"solutions of a {cls.value} chain")
         h, sigma1 = backward_pass(split, W, g, ops=self._ops)
-        y_star = -h[0, :split.p]
+        y_star = frozen(-h[0, :split.p])
         if cls is Classification.TRANSIENT:
             y = y_star
             if opt.y_free is not None:
@@ -391,8 +392,8 @@ class SolvePlan:
             # pi^T g = pi_0^T (I - P*) u_0 for every solution u: the target is
             # known only to rounding times ||u_0||, for which 1 + ||g|| stands in
             g_scale = norm_inf(g.blocks)
-            y = y_star + _solve_hyperplane(self.direction, pig, 1e-12 * (
-                1.0 + g_scale), g_scale, opt)
+            y = frozen(y_star + _solve_hyperplane(self.direction, pig, 1e-12 * (
+                1.0 + g_scale), g_scale, opt))
 
         rhs = self.boundary @ (sigma1 + split.L @ split.v1_solve(y)) + g.block(0)
         x, alpha = self.sharp @ rhs, None
@@ -413,9 +414,9 @@ class SolvePlan:
                 f"solution is not finite from level {bad[0]} on (R_max = {R_max}); "
                 "the solution family overflows, choose fewer levels")
         report = verify.residuals(self.model, g, u, tol=opt.residual_tol)
-        return PoissonSolution(classification=cls, x=x, y=y, y_star=y_star,
-                               alpha=alpha, sigma1=sigma1, R_max=R_max, u=u,
-                               diagnostics=report)
+        return PoissonSolution(classification=cls, x=frozen(x), y=y,
+                               y_star=y_star, alpha=alpha, sigma1=frozen(sigma1),
+                               R_max=R_max, u=frozen(u), diagnostics=report)
 
 
 def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
@@ -425,12 +426,12 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
         sols = qme.solve_model(model, null_band=opt.null_band)
-        own = replace(model)    # the plan is kept on ``model``: a copy, not it
+        own = replace(model)    # kept on ``model``: its blocks, not it
         sd, equation = None, (own, sols)
         if sols.classification is Classification.NULL_RECURRENT:
             sd = shift.right_shift(model, sols)
-            equation = (QbdModel(B=model.B + model.A1 @ sd.Q, A_neg=sd.At_neg,
-                                 A0=sd.At0, A1=sd.At1),
+            equation = (QbdModel(B=frozen(model.B + model.A1 @ sd.Q),
+                                 A_neg=sd.At_neg, A0=sd.At0, A1=sd.At1),
                         replace(sols, G=sd.Gt, Ghat=sd.Gddot))
         wdata = sd.wdata if sd else triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         plans[key] = SolvePlan(own, sols, equation, spectral.split(

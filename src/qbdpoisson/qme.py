@@ -15,6 +15,8 @@ solvents, G for the right shift of :mod:`qbdpoisson.shift`, Ghat on first read.
 from __future__ import annotations
 
 import enum
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -23,7 +25,7 @@ import numpy as np
 
 # condition_number, spectral_radius: unused here, bound for bench/spans.py
 from ._linalg import (Array, FrozenRecord, as_readonly, checked_inverse,
-                      condition_number, gate, inverse, norm_inf, solve,
+                      condition_number, frozen, gate, inverse, norm_inf, solve,
                       spectral_radius, stationary_vector)  # noqa: F401
 from .exceptions import ClassificationError, NumericalError
 from .model import STOCHASTIC_TOL, QbdModel
@@ -299,8 +301,18 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
                          f"{X.sum(axis=1).max():.15f}" for name, X, _ in solved)
         warnings.warn(
             f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
-            f"the solvents' row sums: {rows}", RuntimeWarning, stacklevel=3)
+            f"the solvents' row sums: {rows}", RuntimeWarning,
+            stacklevel=_outside_stacklevel())
     return cls
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that names, for a warning its caller issues, the
+    first frame outside this package: the user's call into it."""
+    package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def classify(model: QbdModel, sols: "QmeSolutions",
@@ -331,20 +343,20 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
     if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
-        G = _stochastic_solvent(model.A_neg, model.A0, model.A1)
+        G = frozen(_stochastic_solvent(model.A_neg, model.A0, model.A1))
         Ghat = partial(_in_band_Ghat, model.A_neg, model.A0, model.A1, d, null_band)
     elif d > 0.0:
-        G, Ghat = _solve_pair(model.A_neg, model.A0, model.A1, theta)
+        G, Ghat = map(frozen, _solve_pair(model.A_neg, model.A0, model.A1, theta))
     else:
-        Ghat, G = _solve_pair(model.A1, model.A0, model.A_neg, theta)
-    U, R = compute_r_u(model, G)
+        Ghat, G = map(frozen, _solve_pair(model.A1, model.A0, model.A_neg, theta))
+    U, R = map(frozen, compute_r_u(model, G))
     cls = _cross_checked(d, G, Ghat, null_band)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
 
 
 def _in_band_Ghat(A_neg: Array, A0: Array, A1: Array, d: float, null_band: float):
     """The stochastic Ghat, gated, with its row sums cross-checked."""
-    Ghat = _stochastic_solvent(A1, A0, A_neg)
+    Ghat = frozen(_stochastic_solvent(A1, A0, A_neg))
     _cross_checked(d, None, Ghat, null_band)
     return Ghat
 

@@ -27,7 +27,7 @@ from . import poisson, qme, triple
 # condition_number, spectral_radius, unit_eigenvector: unused here, bound for
 # bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      gate, spectral_radius, unit_eigenvector)  # noqa: F401
+                      frozen, gate, spectral_radius, unit_eigenvector)  # noqa: F401
 from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
 from .qme import Classification
@@ -58,11 +58,12 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     if sols.classification is not Classification.NULL_RECURRENT:
         raise ClassificationError("right shift requires a null recurrent chain, "
                                   f"got {sols.classification.value}")
-    Q, At_neg, At0 = qme._right_shifted_blocks(model.A_neg, model.A0, model.A1)
-    Gt = sols.G - Q
-    W = triple.w_series(Gt, sols.U, sols.R)
-    W_inv = checked_inverse(W, 1e14, "the shifted W is numerically singular")
-    Gddot = W @ sols.R @ W_inv
+    Q, At_neg, At0 = map(frozen, qme._right_shifted_blocks(
+        model.A_neg, model.A0, model.A1))
+    Gt = frozen(sols.G - Q)
+    W = frozen(triple.w_series(Gt, sols.U, sols.R))
+    W_inv = frozen(checked_inverse(W, 1e14, "the shifted W is numerically singular"))
+    Gddot = frozen(W @ sols.R @ W_inv)
     gate(qme.qme_residual(model.A1, At0, At_neg, Gddot), qme.QME_TOL,
          "Gddot = Wt R Wt^-1 fails its shifted equation", "residual")
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,

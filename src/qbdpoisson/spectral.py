@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import Array, FrozenRecord, as_readonly, gate, inverse, norm_inf
+from ._linalg import Array, FrozenRecord, frozen, gate, inverse, norm_inf
 from .exceptions import NumericalError
 
 # decoupling transforms with entries beyond this magnitude signal eigenvalues
@@ -72,7 +72,7 @@ class SpectralSplit(FrozenRecord):
     @cached_property
     def v1_inv(self) -> Array:
         """V1^{-1}, inverted once per split."""
-        return as_readonly(inverse(self.V1))
+        return frozen(inverse(self.V1))
 
     @cached_property
     def _v1_lu(self):
@@ -138,12 +138,11 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
 
     # make the trailing block exactly nilpotent: its eigenvalues are at most
     # eps_zero in modulus, so diagonal and subdiagonal entries are O(eps_zero)
-    V0 = np.triu(T[p:, p:], k=1)
-    V1 = T[:p, :p].copy()
+    V0 = frozen(np.triu(T[p:, p:], k=1))
+    V1 = C if invertible else frozen(T[:p, :p].copy())
 
-    if p == 0 or p == m:
-        M = Q
-        M_inv = Q.T
+    if p == 0 or p == m:        # invertible: one identity for M and M^{-1}
+        M, M_inv = Q, Q if invertible else Q.T
     else:
         T12 = T[:p, p:]
         try:
@@ -161,9 +160,10 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         M_inv = upper_inv @ Q.T
 
     nu = _nilpotency_index(V0)
-    out = SpectralSplit(M=M, V1=V1, V0=V0, L=M[:, :p], K=M[:, p:],
-                        E=M_inv[:p, :], F=M_inv[p:, :], p=p, nu=nu,
-                        eps_zero=float(eps_zero))
+    # a whole block is M or M^{-1} itself, which the record adopts
+    L, E = (M, M_inv) if p == m else (M[:, :p], M_inv[:p, :])
+    out = SpectralSplit(M=frozen(M), V1=V1, V0=V0, L=L, K=M[:, p:], E=E,
+                        F=M_inv[p:, :], p=p, nu=nu, eps_zero=float(eps_zero))
     if invertible:    # V1 = C: keep the factors and inverse taken above
-        vars(out).update(_v1_lu=(lu, piv), v1_inv=as_readonly(C_inv))
+        vars(out).update(_v1_lu=(lu, piv), v1_inv=frozen(C_inv))
     return out

@@ -25,7 +25,7 @@ import numpy as np
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      gate, inverse, norm_inf, spectral_radius)  # noqa: F401
+                      frozen, gate, inverse, norm_inf, spectral_radius)  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel
 from .spectral import SpectralSplit
@@ -126,7 +126,7 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
                         "singular (null recurrent chain); use the shift path")
     gate(norm_inf(W @ R - Ghat @ W), 1e-8 * (1.0 + norm_inf(W)),
          "closed-form W fails the similarity W R = Ghat W", "residual")
-    return ResolventData(W=W, W_inv=W_inv)
+    return ResolventData(W=frozen(W), W_inv=frozen(W_inv))
 
 
 def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:

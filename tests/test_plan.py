@@ -272,6 +272,61 @@ def test_plan_does_not_keep_its_model_alive(cls):
         gc.enable()
 
 
+def _plan_of(seed, m, cls):
+    model = random_model(seed, m, cls)
+    solve_poisson(model, random_rhs(0, m))
+    return model, poisson._plan(model, SolveOptions())
+
+
+def _buffers(obj, seen):
+    """The memory owners of the arrays reachable from ``obj`` through the
+    package's objects and the tuples, lists and dicts they hold."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _buffers(item, seen)
+    elif type(obj).__module__.startswith("qbdpoisson") and hasattr(obj, "__dict__"):
+        yield from _buffers(vars(obj), seen)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_plan_shares_the_arrays_it_does_not_compute(cls):
+    # records adopt arrays that are already read-only: the model's blocks,
+    # R and U on the shifted equation, the shift's blocks, one identity for
+    # an invertible split, whose V1 is the equation's Ghat
+    model, plan = _plan_of(0, 64, cls)
+    names = ("B", "A_neg", "A0", "A1")
+    assert all(getattr(plan.model, n) is getattr(model, n) for n in names)
+    eq, eq_sols = plan.equation
+    sp = plan.split
+    assert sp.p == 64 and sp.M is sp.L is sp.E and sp.V1 is eq_sols.Ghat
+    np.testing.assert_array_equal(sp.M, np.eye(64))
+    if cls is Classification.NULL_RECURRENT:
+        sd = plan.shift
+        assert eq_sols.R is plan.sols.R and eq_sols.U is plan.sols.U
+        assert eq_sols.G is sd.Gt and eq_sols.Ghat is sd.Gddot
+        assert eq.A_neg is sd.At_neg and eq.A0 is sd.At0 and eq.A1 is sd.At1
+        assert sd.At1 is model.A1
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_plan_keeps_one_buffer_per_matrix(cls):
+    # distinct m x m (or larger) buffers of the plan beyond the model's
+    # blocks: one per matrix it computes, no copy of the model, of R and U,
+    # of the shift's blocks or of the split's identity
+    m = 64
+    model, plan = _plan_of(0, m, cls)
+    own = {id(getattr(model, n)) for n in ("B", "A_neg", "A0", "A1")}
+    big = {id(b) for b in _buffers(plan, set()) if b.size >= m * m}
+    assert len(big - own) <= (19 if cls is Classification.NULL_RECURRENT else 14)
+
+
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
 def test_cold_solve_decides_the_class_once(fixture, request, monkeypatch):
     # qme.solve_model classifies and checks the class on row sums; the later

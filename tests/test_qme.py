@@ -442,6 +442,28 @@ def test_in_band_ghat_row_sums_are_checked_on_first_read(monkeypatch):
         assert s.Ghat.shape == (5, 5)
 
 
+@pytest.mark.parametrize("entry", ["Ghat", "classify", "char_roots",
+                                   "solve_poisson"])
+def test_cross_check_warning_names_the_callers_line(entry, monkeypatch):
+    # no row sum is within a negative tolerance of 1, so every cross-check
+    # contradicts its class; the warning names the first frame outside the
+    # package, here, whatever qbdpoisson frames lie in between
+    pr = random_model(2, 5, Classification.POSITIVE_RECURRENT)
+    in_band = with_drift(pr, 1e-10)
+    s_pr, s_band = solve_quietly(pr), solve_quietly(in_band)
+    monkeypatch.setattr(qme, "_UNIT_TOL", -1.0)
+    calls = {"Ghat": lambda: s_band.Ghat,
+             "classify": lambda: classify(pr, s_pr),
+             "char_roots": lambda: char_roots(s_band),
+             "solve_poisson": lambda: solve_poisson(pr, balanced_rhs(pr, 3))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[entry]()
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "disagrees" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
 @pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
                                  Classification.TRANSIENT],
                          ids=lambda cls: cls.value)

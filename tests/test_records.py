@@ -1,12 +1,13 @@
-"""The result records store read-only copies of their array fields."""
+"""The result records store read-only arrays: their own copies, or an array
+already read-only that owns its memory."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from qbdpoisson import (poisson, probabilistic, qme, shift, solve_poisson,
-                        spectral, triple)
+from qbdpoisson import (QbdModel, RhsSpec, _linalg, poisson, probabilistic,
+                        qme, shift, solve_poisson, spectral, triple)
 
 RECORDS = (qme.QmeSolutions, qme.StationaryData, poisson.GroupInverseData,
            poisson.PoissonSolution, spectral.SpectralSplit,
@@ -72,3 +73,45 @@ def test_cold_solve_builds_readonly_records(fixture, request, monkeypatch):
     assert any(record is sol for record in built)
     for record in built:
         assert_arrays_readonly(record)
+
+
+def _readonly(a):
+    a.setflags(write=False)
+    return a
+
+
+def _adopters(a):
+    """The array fields built from ``a`` by a record, a model and a rhs."""
+    model = QbdModel(B=a, A_neg=a, A0=a, A1=a)
+    record = triple.ResolventData(W=a, W_inv=a)
+    return [_linalg.as_readonly(a), model.B, model.A1, RhsSpec(a).blocks,
+            record.W, record.W_inv]
+
+
+def test_readonly_owned_float_array_is_adopted():
+    # an array that is read-only and owns its memory is kept, not copied
+    a = _readonly(np.array([[0.5, 0.5], [0.25, 0.75]]))
+    assert a.flags.owndata
+    assert all(value is a for value in _adopters(a))
+
+
+@pytest.mark.parametrize("source", [
+    np.array([[0.5, 0.5], [0.25, 0.75]]),               # writeable
+    _readonly(np.eye(2, 4))[:, :2],                     # read-only view
+    _readonly(np.array([[1, 0], [0, 1]])),              # read-only int
+], ids=["writeable", "readonly_view", "readonly_int"])
+def test_other_arrays_are_copied(source):
+    writeable = source.flags.writeable
+    for value in _adopters(source):
+        assert value is not source and not np.shares_memory(value, source)
+        assert value.dtype == np.float64 and not value.flags.writeable
+        np.testing.assert_array_equal(value, source)
+    assert source.flags.writeable == writeable      # never frozen in place
+
+
+def test_writes_to_a_writeable_source_never_reach_the_record():
+    source = np.full((2, 2), 0.25)
+    values = _adopters(source)
+    source[...] = -1.0
+    for value in values:
+        np.testing.assert_array_equal(value, np.full((2, 2), 0.25))
