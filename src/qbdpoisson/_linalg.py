@@ -14,14 +14,14 @@ Array = np.ndarray
 _UNIT_EIGEN_TOL = 1e-8
 
 
-def as_readonly(a, *, dtype=float) -> Array:
-    """``a`` itself when it is a read-only ndarray of ``dtype`` that owns its
-    memory, else a read-only copy (of a writeable array, a view or another
-    dtype); only ``a.setflags(write=True)`` by its holder can then change it."""
-    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+def as_readonly(a) -> Array:
+    """``a`` itself, adopted, not copied, when it is a read-only float64 ndarray
+    that owns its memory, else a read-only copy; a holder that turns an adopted
+    array's writes back on (``a.setflags(write=True)``) changes its records."""
+    if (type(a) is np.ndarray and a.dtype == float and a.flags.owndata
             and not a.flags.writeable):
         return a
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -35,8 +35,7 @@ def frozen(a: Array) -> Array:
 
 class FrozenRecord:
     """Base of the frozen result dataclasses: every field that holds an
-    ndarray is replaced by :func:`as_readonly` of it, the array itself when
-    it is already read-only and owns its memory, else a read-only copy."""
+    ndarray is replaced by :func:`as_readonly` of it, adopted or copied."""
 
     def __post_init__(self):
         # the instance dict holds exactly the fields until __init__ returns

@@ -39,7 +39,9 @@ class QbdModel:
     (entry range, row sums, irreducibility) are checked by :func:`validate`
     and enforced by :func:`load_problem`.  The blocks are read-only, so
     :func:`~qbdpoisson.poisson.solve_poisson` keeps its per-model plan on
-    the instance (a private attribute outside the fields).
+    the instance (a private attribute outside the fields).  A read-only
+    float64 array that owns its memory is adopted, not copied: turning its
+    writes back on changes the model and any plan cached on it.
     """
 
     B: Array
@@ -70,7 +72,8 @@ class QbdModel:
 
 @dataclass(frozen=True)
 class RhsSpec:
-    """Finitely supported right-hand side g_0 ... g_N, one length-m vector per level."""
+    """Finitely supported right-hand side g_0 ... g_N, one length-m vector per
+    level; its blocks are adopted, not copied, as a :class:`QbdModel`'s are."""
 
     blocks: Array
 

@@ -34,7 +34,6 @@ from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
 from .model import QbdModel, RhsSpec
 from .qme import Classification
-from .shift import ShiftData
 from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
@@ -317,7 +316,7 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
 
 
 class SolvePlan:
-    """The part of a solve that does not depend on g, built once per model.
+    """The g-independent part of a solve, built once per model in stage order.
 
     ``equation`` names the difference equation the plan solves: a
     :class:`QbdModel` of its blocks and the :class:`~qbdpoisson.qme.QmeSolutions`
@@ -334,13 +333,19 @@ class SolvePlan:
     read-only blocks, so a cached plan does not refer back.
     """
 
-    def __init__(self, model: QbdModel, sols: qme.QmeSolutions,
-                 equation: tuple[QbdModel, qme.QmeSolutions],
-                 split: SpectralSplit, wdata: ResolventData,
-                 shift: ShiftData | None = None):
-        self.model, self.sols, self.equation = model, sols, equation
-        self.wdata, self.shift = wdata, shift
-        eq, eq_sols = equation
+    def __init__(self, model: QbdModel, null_band: float, eps_zero: float | None):
+        self.sols = sols = qme.solve_model(model, null_band=null_band)
+        self.model = replace(model)     # kept on ``model``: its blocks, not it
+        self.shift, self.equation = None, (self.model, sols)
+        if sols.classification is Classification.NULL_RECURRENT:
+            self.shift = sd = shift.right_shift(model, sols)
+            self.equation = (QbdModel(B=frozen(model.B + model.A1 @ sd.Q),
+                                      A_neg=sd.At_neg, A0=sd.At0, A1=sd.At1),
+                             replace(sols, G=sd.Gt, Ghat=sd.Gddot))
+        self.wdata = self.shift.wdata if self.shift else triple.compute_w(
+            sols.G, sols.U, sols.R, sols.Ghat)
+        eq, eq_sols = self.equation
+        split = spectral.split(eq_sols.Ghat, eps_zero=eps_zero)
         self.G, self._powers = eq_sols.G, np.array([eq_sols.G])
         self.boundary = (eq.B - np.eye(model.m)) @ eq_sols.Ghat + eq.A1
         gi = group_inverse(
@@ -363,6 +368,10 @@ class SolvePlan:
     @cached_property
     def corollary(self) -> SolvePlan:
         """This plan on the corollary's split M = W, V1 = R of Ghat, all else shared."""
+        if self.shift is not None:
+            raise ClassificationError(
+                "nonsingular-A1 path requires a chain that is not null recurrent")
+        checked_inverse(self.model.A1, 1e12, "A1 is numerically singular; use solve_poisson")
         return copy.copy(self)._with_split(_corollary_split(self.wdata, self.sols.R))
 
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
@@ -425,17 +434,7 @@ def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
     plans = vars(model).setdefault("_plans", {})
     key = (opt.null_band, opt.eps_zero)
     if key not in plans:
-        sols = qme.solve_model(model, null_band=opt.null_band)
-        own = replace(model)    # kept on ``model``: its blocks, not it
-        sd, equation = None, (own, sols)
-        if sols.classification is Classification.NULL_RECURRENT:
-            sd = shift.right_shift(model, sols)
-            equation = (QbdModel(B=frozen(model.B + model.A1 @ sd.Q),
-                                 A_neg=sd.At_neg, A0=sd.At0, A1=sd.At1),
-                        replace(sols, G=sd.Gt, Ghat=sd.Gddot))
-        wdata = sd.wdata if sd else triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
-        plans[key] = SolvePlan(own, sols, equation, spectral.split(
-            equation[1].Ghat, eps_zero=opt.eps_zero), wdata, sd)
+        plans[key] = SolvePlan(model, *key)
     return plans[key]
 
 
@@ -472,13 +471,8 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
     with the boundary handled as in :func:`solve_poisson` but with y an
     m-vector multiplying W R^{-r} (so here p = m and no Schur split is
     needed).  The output differs from :func:`solve_poisson` by a homogeneous
-    solution only.  Requires cond_F(A1) <= 1e12 (else NumericalError).
-    Solves on :attr:`SolvePlan.corollary` of the model's plan.
+    solution only.  Solves on :attr:`SolvePlan.corollary` of the model's plan,
+    which refuses a null-recurrent chain and cond_F(A1) > 1e12.
     """
     opt = options or SolveOptions()
-    checked_inverse(model.A1, 1e12, "A1 is numerically singular; use solve_poisson")
-    plan = _plan(model, opt)
-    if plan.shift is not None:
-        raise ClassificationError(
-            "nonsingular-A1 path requires a chain that is not null recurrent")
-    return plan.corollary.solve(g, opt)
+    return _plan(model, opt).corollary.solve(g, opt)

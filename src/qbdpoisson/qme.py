@@ -37,6 +37,7 @@ QME_MAX_ITER = 200
 # tolerance on the solvents' row sums in the drift cross-check: the owner's
 # within it of 1, the other's absolute row sums at most 1 plus it
 _UNIT_TOL = 1e-12
+_ROUNDING = "the shift needs A_low + A_mid + A_high row-stochastic to rounding"
 
 
 class Classification(enum.Enum):
@@ -102,13 +103,25 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
     """Minimal nonnegative solution X of A_low + (A_mid - I)X + A_high X^2 = 0.
 
     The blocks must be finite and nonnegative, with A_low + A_mid + A_high
-    row-stochastic to :data:`~qbdpoisson.model.STOCHASTIC_TOL`; they go to
-    the shifted cyclic reduction of :func:`_solve_shifted`, with theta the
-    stationary vector of their sum.  When the sum is reducible theta is not
-    unique and the same kernel runs unshifted.
+    row-stochastic to :data:`~qbdpoisson.model.STOCHASTIC_TOL`.  X comes
+    from cyclic reduction with the unit root shifted away (He, Meini & Rhee,
+    SIAM J. Matrix Anal. Appl. 23, 2001; Bini, Latouche & Meini, Numerical
+    Methods for Structured Markov Chains, 2005).  z = 1 is a characteristic
+    root of every such equation, with right eigenvector 1 and left
+    eigenvector theta, the stationary vector of the blocks' sum.  It belongs
+    to X (which is then stochastic) iff theta^T (A_high - A_low) 1 <= 0.
+    Removing it leaves no (near-)double root at 1, so cyclic reduction
+    converges quadratically at full accuracy for any drift:
 
-    Raises :class:`NumericalError` on non-convergence, reporting the last
-    residual.
+    * owned root, shifted to 0 on the right with Q = 1 u^T (u uniform): the
+      blocks (A_low (I - Q), A_mid + A_high Q, A_high) have solvent X - Q;
+    * foreign root, shifted to infinity on the left with Q = 1 theta^T: the
+      blocks (A_low, A_mid + Q A_low, (I - Q) A_high) keep the right factor
+      (zI - X) of the matrix polynomial, so their solvent is X itself.  When
+      the sum is reducible theta is not unique and Q = 0: no shift.
+
+    X must solve the equation to ``tol``.  Raises :class:`NumericalError` on
+    non-convergence, reporting the last residual.
     """
     A_low = np.atleast_2d(np.asarray(A_low, dtype=float))
     A_mid = np.atleast_2d(np.asarray(A_mid, dtype=float))
@@ -123,52 +136,37 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
         theta = stationary_vector(A_low + A_mid + A_high)
     except NumericalError:
         theta = None
-    return _solve_shifted(A_low, A_mid, A_high, theta, tol, max_iter)
-
-
-def _solve_shifted(A_low: Array, A_mid: Array, A_high: Array,
-                   theta: Array | None, tol: float = QME_TOL,
-                   max_iter: int = QME_MAX_ITER) -> Array:
-    """Minimal nonnegative solvent by cyclic reduction with the unit root
-    shifted away (He, Meini & Rhee, SIAM J. Matrix Anal. Appl. 23, 2001;
-    Bini, Latouche & Meini, Numerical Methods for Structured Markov Chains,
-    2005).
-
-    z = 1 is a characteristic root of every such equation, with right
-    eigenvector 1 and left eigenvector theta.  It belongs to the minimal
-    solution X (which is then stochastic) iff theta^T (A_high - A_low) 1 <= 0.
-    Removing it before the reduction leaves no (near-)double root at 1, so
-    cyclic reduction converges quadratically at full accuracy for any drift:
-
-    * owned root, shifted to 0 on the right with Q = 1 u^T (u uniform): the
-      blocks (A_low (I - Q), A_mid + A_high Q, A_high) have solvent X - Q;
-    * foreign root, shifted to infinity on the left with Q = 1 theta^T: the
-      blocks (A_low, A_mid + Q A_low, (I - Q) A_high) keep the right factor
-      (zI - X) of the matrix polynomial, so their solvent is X itself.
-
-    ``theta=None`` runs it unshifted; X must solve the equation to ``tol``.
-    """
-    m = A_low.shape[0]
     if theta is not None and _drift(A_low, A_high, theta) <= 0.0:
         return _stochastic_solvent(A_low, A_mid, A_high, tol, max_iter)
-    Q = np.zeros((m, m)) if theta is None else np.outer(np.ones(m), theta)
-    return _checked(A_low, A_mid, A_high, _cyclic_reduction(
-        A_low, A_mid + Q @ A_low, (np.eye(m) - Q) @ A_high, max_iter)[0], tol)
+    return _left_shifted(A_low, A_mid, A_high, theta, tol, max_iter)[0]
 
 
 def _stochastic_solvent(A_low: Array, A_mid: Array, A_high: Array,
                         tol: float = QME_TOL, max_iter: int = QME_MAX_ITER):
-    """The solvent X with X 1 = 1, by the right shift of :func:`_solve_shifted`;
+    """The solvent X with X 1 = 1, by the right shift of :func:`solve_qme`;
     the minimal one iff theta^T (A_high - A_low) 1 <= 0."""
     Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
-    return _checked(A_low, A_mid, A_high,
-                    _cyclic_reduction(low, mid, A_high, max_iter)[0] + Q, tol)
+    return _checked(A_low, A_mid, A_high, _cyclic_reduction(low, mid, A_high, max_iter)[0]
+                    + Q, tol, f"shifted cyclic reduction: {_ROUNDING}")
 
 
-def _checked(A_low: Array, A_mid: Array, A_high: Array, X: Array, tol: float):
-    gate(qme_residual(A_low, A_mid, A_high, X), tol, "shifted cyclic "
-         "reduction: the shift needs A_low + A_mid + A_high row-stochastic to "
-         "rounding", "residual")
+def _left_shifted(A_low: Array, A_mid: Array, A_high: Array,
+                  theta: Array | None, tol: float = QME_TOL,
+                  max_iter: int = QME_MAX_ITER) -> tuple[Array, Array, Array]:
+    """(X, mid_dual, (I - Q) A_high): the solvent X by the left shift of
+    :func:`solve_qme`, Q = 1 theta^T (Q = 0 for ``theta=None``), gated to
+    ``tol``, and the reduction's dual of :func:`_cyclic_reduction`."""
+    m = A_low.shape[0]
+    Q = np.zeros((m, m)) if theta is None else np.outer(np.ones(m), theta)
+    high = (np.eye(m) - Q) @ A_high
+    X, mid_dual = _cyclic_reduction(A_low, A_mid + Q @ A_low, high, max_iter)
+    return (_checked(A_low, A_mid, A_high, X, tol,
+                     f"left-shifted cyclic reduction: {_ROUNDING}"), mid_dual, high)
+
+
+def _checked(A_low: Array, A_mid: Array, A_high: Array, X: Array, tol: float,
+             what: str) -> Array:
+    gate(qme_residual(A_low, A_mid, A_high, X), tol, what, "residual")
     return X
 
 
@@ -182,27 +180,22 @@ def _right_shifted_blocks(A_low: Array, A_mid: Array, A_high: Array
     return Q, A_low @ (np.eye(m) - Q), A_mid + A_high @ Q
 
 
-def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array,
-                tol: float = QME_TOL, max_iter: int = QME_MAX_ITER
+def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array
                 ) -> tuple[Array, Array]:
     """Minimal solvents X, Z of the equation and of its level reversal when
-    Z owns the unit root: X from the left shift of :func:`_solve_shifted`,
-    Z from the reduction's dual with the root restored (see the README).
-    Each is checked against its own equation, to ``tol``."""
-    eye, Q = np.eye(len(theta)), np.outer(np.ones(len(theta)), theta)
-    high = (eye - Q) @ A_high
-    X, mid_dual = _cyclic_reduction(A_low, A_mid + Q @ A_low, high, max_iter)
-    gate(qme_residual(A_low, A_mid, A_high, X), tol, "left-shifted cyclic "
-         "reduction", "residual")
+    Z owns the unit root: X from :func:`_left_shifted`, Z from the
+    reduction's dual with the root restored (see the README).  Each is
+    checked against its own equation, to :data:`QME_TOL`."""
+    X, mid_dual, high = _left_shifted(A_low, A_mid, A_high, theta)
+    eye = np.eye(len(theta))
     Y = _solve(eye - mid_dual, high)
     ell = theta @ (A_high - A_low @ Y)
     w = ell / ell.sum()
     Z0 = (Y - np.outer(Y.sum(axis=1), w)) + w
     Qu, low_u, mid_u = _right_shifted_blocks(A_high, A_mid, A_low)
     Z = _solve(eye - mid_u - A_low @ (Z0 - Qu), low_u) + Qu
-    gate(qme_residual(A_high, A_mid, A_low, Z), tol, "unit root restored to "
-         "the dual solvent", "residual")
-    return X, Z
+    return X, _checked(A_high, A_mid, A_low, Z, QME_TOL,
+                       "unit root restored to the dual solvent")
 
 
 def _solve(M: Array, rhs: Array | None, what: str = "I - U is singular") -> Array:
@@ -219,11 +212,12 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
     steps: (I - mid_dual)^{-1} A_high is the canonical reversed solvent.
 
     Works on general (not necessarily nonnegative) blocks, which is what the
-    shifted equations of :func:`_solve_shifted` are; converges to the solvent
-    whose spectrum consists of the m smallest characteristic roots.  Each
-    step's two products share one getrf + getri inverse of I - mid.  Stops
-    once the increments reach machine level or stagnate; raises
-    :class:`NumericalError`, with the last residual, past ``max_iter`` steps.
+    shifted equations of :func:`_stochastic_solvent` and :func:`_left_shifted`
+    are; converges to the solvent whose spectrum consists of the m smallest
+    characteristic roots.  Each step's two products share one getrf + getri
+    inverse of I - mid.  Stops once the increments reach machine level or
+    stagnate; raises :class:`NumericalError`, with the last residual, past
+    ``max_iter`` steps.
     """
     m = A_low.shape[0]
     eye = np.eye(m)

@@ -27,7 +27,7 @@ from . import poisson, qme, triple
 # condition_number, spectral_radius, unit_eigenvector: unused here, bound for
 # bench/spans.py
 from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
-                      frozen, gate, spectral_radius, unit_eigenvector)  # noqa: F401
+                      frozen, spectral_radius, unit_eigenvector)  # noqa: F401
 from .exceptions import ClassificationError
 from .model import QbdModel, RhsSpec
 from .qme import Classification
@@ -63,9 +63,8 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     Gt = frozen(sols.G - Q)
     W = frozen(triple.w_series(Gt, sols.U, sols.R))
     W_inv = frozen(checked_inverse(W, 1e14, "the shifted W is numerically singular"))
-    Gddot = frozen(W @ sols.R @ W_inv)
-    gate(qme.qme_residual(model.A1, At0, At_neg, Gddot), qme.QME_TOL,
-         "Gddot = Wt R Wt^-1 fails its shifted equation", "residual")
+    Gddot = frozen(qme._checked(model.A1, At0, At_neg, W @ sols.R @ W_inv, qme.QME_TOL,
+                                "Gddot = Wt R Wt^-1 fails its shifted equation"))
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")

@@ -80,6 +80,25 @@ def test_corollary_solves_on_the_cached_plan(cls, monkeypatch):
     assert calls == ["compute_w", "group_inverse"]
 
 
+@pytest.mark.parametrize("cls", [_PR, _TR], ids=lambda cls: cls.value)
+def test_warm_corollary_solves_invert_nothing(cls, monkeypatch):
+    # cond_F(A1) belongs to the model: the corollary plan checks it once, when
+    # it is built, and a warm corollary solve makes no checked inverse
+    model, g = random_model(0, 8, cls), random_rhs(0, 8)
+    solve_nonsingular_a1(model, g)
+    calls = []
+    original = poisson.checked_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "checked_inverse", counted)
+    for _ in range(3):
+        assert solve_nonsingular_a1(model, g).diagnostics.passed
+    assert calls == []
+
+
 @pytest.mark.parametrize("cls", [Classification.POSITIVE_RECURRENT,
                                  Classification.TRANSIENT],
                          ids=lambda cls: cls.value)
@@ -511,7 +530,6 @@ def _gate_cases():
     """One call past each numerical gate's limit: (call, what, measure)."""
     model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
     s = qme.solve_model(model)
-    theta = _linalg.stationary_vector(model.repeating_sum())
     R_nan = s.R.copy()
     R_nan[1, 2] = np.nan
     coupled = np.array([[1e-6, 1e7], [0.0, 0.0]])    # S = -1e7 / 1e-6
@@ -528,12 +546,13 @@ def _gate_cases():
             "a", "Frobenius condition number"),
         "unit_eigenvector": (lambda: _linalg.unit_eigenvector(0.5 * np.eye(2)),
                              "1 is not an eigenvalue", "||A z - z||"),
-        "shifted_cr": (lambda: qme._solve_shifted(
-            model.A_neg, model.A0, model.A1, theta, 0.0),
+        "shifted_cr": (lambda: qme.solve_qme(model.A_neg, model.A0, model.A1, 0.0),
+                       "row-stochastic to rounding", "residual"),
+        "shifted_cr_nan": (lambda: qme.solve_qme(
+            model.A_neg, model.A0, model.A1, np.nan),
             "row-stochastic to rounding", "residual"),
-        "shifted_cr_nan": (lambda: qme._solve_shifted(
-            model.A_neg, model.A0, model.A1, theta, np.nan),
-            "row-stochastic to rounding", "residual"),
+        "left_shifted_cr": (lambda: qme.solve_qme(model.A1, model.A0, model.A_neg, 0.0),
+                            "left-shifted cyclic reduction: the shift needs", "residual"),
         "shifted_gddot_residual": (lambda: shift.right_shift(
             nr, replace(s_nr, R=s_nr.R + 1e-6)),
             "Gddot = Wt R Wt^-1 fails its shifted equation", "residual"),

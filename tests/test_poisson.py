@@ -354,9 +354,11 @@ def test_nonsingular_a1_transient(tr1, tr1_rhs):
 
 
 def test_nonsingular_a1_rejects_singular_up_block():
+    # the plan refuses its corollary without keeping it: every call is refused
     model = scalar_model(0.5, 0.5, 0.0, 1.0)
-    with pytest.raises(NumericalError, match="singular"):
-        solve_nonsingular_a1(model, rhs([1.0]))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="A1 is numerically singular"):
+            solve_nonsingular_a1(model, rhs([1.0]))
 
 
 def test_nonsingular_a1_rejects_null_recurrent(nr1, nr1_rhs):
