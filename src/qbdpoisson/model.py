@@ -82,10 +82,10 @@ class RhsSpec:
         if a.ndim != 2 or a.shape[0] < 1:
             raise ModelValidationError(
                 f"rhs must be a nonempty list of equal-length vectors, got shape {a.shape}")
-        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
-        if bad.size:
+        if not np.isfinite(a).all():
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))[0]
             raise ModelValidationError(
-                f"rhs 'g' block {bad[0]} is not finite: {a[bad[0]].tolist()}")
+                f"rhs 'g' block {bad} is not finite: {a[bad].tolist()}")
         object.__setattr__(self, "blocks", as_readonly(a))
 
     @property

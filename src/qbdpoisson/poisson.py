@@ -182,6 +182,8 @@ def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
     return evaluate_u_sequence(x, y, G, split, W, g, r)[r]
 
 
+# The per-g path multiplies by ndarray.dot: on C-ordered operands it makes @'s
+# BLAS call (same bits, up to a zero's sign at m = 1) at half @'s dispatch cost.
 def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
                         W: Array, g: RhsSpec, R_max: int, *,
                         tail: Array | None = None,
@@ -211,21 +213,21 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
         raise ValueError(f"y must have length p = {split.p}, got shape {y.shape}")
     h = backward_pass(split, W, g)[0] if tail is None else tail
     m, n = G.shape[0], min(g.N, R_max)
-    Wg, u = g.blocks @ W.T, np.empty((R_max + 1, m))
+    Wg, u = g.blocks.dot(W.T), np.empty((R_max + 1, m))
     u[0] = x
     for r in range(1, n + 1):
-        u[r] = G @ u[r - 1] - Wg[r]
+        u[r] = G.dot(u[r - 1]) - Wg[r]
     powers, K = _g_powers(G, R_max, n, powers)     # K = 1: G itself
     stack = G if K == 1 else powers[:K].reshape(K * m, m)
     for r in range(n, R_max, K):
         k = min(K, R_max - r)
-        u[r + 1:r + k + 1] = (stack[:k * m] @ u[r]).reshape(k, m)
-    u[:n + 1] -= h[:n + 1] @ split.M.T
+        u[r + 1:r + k + 1] = stack[:k * m].dot(u[r]).reshape(k, m)
+    u[:n + 1] -= h[:n + 1] if split.identity else h[:n + 1] @ split.M.T
     t = [y + h[0, :split.p]]
     if t[0].any():
         for r in range(1, R_max + 1):
             t.append(split.v1_solve(t[-1]))
-        u += np.array(t) @ split.L.T
+        u += np.array(t) if split.identity else np.array(t) @ split.L.T
     return u
 
 
@@ -242,7 +244,7 @@ def _grown(stack: Array, n: int, step) -> Array:
 def _g_powers(G: Array, R_max: int, n: int, powers: Array | None = None):
     """(``powers`` [G; G^2; ...] grown to K rows, K = max(1, isqrt(R_max - n)))."""
     K = max(1, int(np.sqrt(R_max - n)))
-    return _grown(np.array([G]) if powers is None else powers, K, G.__matmul__), K
+    return _grown(np.array([G]) if powers is None else powers, K, G.dot), K
 
 
 def backward_pass(split: SpectralSplit, W: Array, g: RhsSpec, *,
@@ -253,11 +255,11 @@ def backward_pass(split: SpectralSplit, W: Array, g: RhsSpec, *,
     y* = -h_0[:p] and sigma_1 = -K s_0[p:] = -sum_{j<nu} K V0^j F W g_{j+1},
     the paper's sigma_r at r = 1 (exactly zero when p = m).  ``ops``: (M^{-1} W, J)."""
     MW, J = ops or (split.m_inv() @ W, split.j_matrix())
-    MWg = g.blocks @ MW.T                   # rows M^{-1} W g_k
+    MWg = g.blocks.dot(MW.T)                # rows M^{-1} W g_k
     h, s = np.zeros_like(MWg), np.zeros(split.m)
     for r in range(g.N - 1, -1, -1):
         s = MWg[r + 1] + h[r + 1]
-        h[r] = J @ s
+        h[r] = J.dot(s)
     return h, -(split.K @ s[split.p:])
 
 
@@ -270,7 +272,7 @@ def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
 def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
     """pi^T g = sum_{k=0}^{N} pi_0^T R^k g_k, one dot of g's blocks with the
     rows pi_0 R^k, k <= N; ``pi0`` may be a longer stack of them (a plan's)."""
-    rows = _grown(np.atleast_2d(np.asarray(pi0, dtype=float)), g.N + 1, R.__rmatmul__)
+    rows = _grown(np.atleast_2d(np.asarray(pi0, dtype=float)), g.N + 1, lambda r: r.dot(R))
     return float(np.vdot(rows[:g.N + 1], g.blocks))
 
 
@@ -359,8 +361,10 @@ class SolvePlan:
         self._with_split(split)
 
     def _with_split(self, split: SpectralSplit) -> SolvePlan:
-        self.split = split
-        self._ops = split.m_inv() @ self.wdata.W, split.j_matrix()
+        self.split, W = split, self.wdata.W
+        # M = I: M^{-1} W and J are W and V1, C-ordered like a product (same bits)
+        self._ops = ((np.ascontiguousarray(W), np.ascontiguousarray(split.V1))
+                     if split.identity else (split.m_inv() @ W, split.j_matrix()))
         if hasattr(self, "pi0"):
             self.direction = split.L.T @ (self.wdata.W_inv.T @ self.pi0)
         return self
@@ -396,7 +400,7 @@ class SolvePlan:
                     raise ValueError(f"y_free must have length p = {split.p}, "
                                      f"got shape {y.shape}")
         else:
-            self._pi_rows = _grown(self._pi_rows, g.N + 1, self.sols.R.__rmatmul__)
+            self._pi_rows = _grown(self._pi_rows, g.N + 1, lambda r: r.dot(self.sols.R))
             pig = pi_dot_g(self._pi_rows, self.sols.R, g)
             # pi^T g = pi_0^T (I - P*) u_0 for every solution u: the target is
             # known only to rounding times ||u_0||, for which 1 + ||g|| stands in
@@ -404,8 +408,8 @@ class SolvePlan:
             y = frozen(y_star + _solve_hyperplane(self.direction, pig, 1e-12 * (
                 1.0 + g_scale), g_scale, opt))
 
-        rhs = self.boundary @ (sigma1 + split.L @ split.v1_solve(y)) + g.block(0)
-        x, alpha = self.sharp @ rhs, None
+        Ly = split.v1_solve(y) if split.identity else split.L @ split.v1_solve(y)
+        x, alpha = self.sharp.dot(self.boundary.dot(sigma1 + Ly) + g.block(0)), None
         if cls is not Classification.TRANSIENT:
             x, alpha = x + opt.alpha, opt.alpha
 
@@ -416,11 +420,11 @@ class SolvePlan:
             u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h,
                                     powers=self._powers)
             if self.shift is not None:
-                u[1:] += np.cumsum(u[:-1], axis=0) @ self.shift.Q.T
-        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
-        if bad.size:
+                u[1:] += np.cumsum(u[:-1], axis=0).dot(self.shift.Q.T)
+        if not np.isfinite(u).all():
+            bad = np.flatnonzero(~np.isfinite(u).all(axis=1))[0]
             raise NumericalError(
-                f"solution is not finite from level {bad[0]} on (R_max = {R_max}); "
+                f"solution is not finite from level {bad} on (R_max = {R_max}); "
                 "the solution family overflows, choose fewer levels")
         report = verify.residuals(self.model, g, u, tol=opt.residual_tol)
         return PoissonSolution(classification=cls, x=frozen(x), y=y,

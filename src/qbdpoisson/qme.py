@@ -229,12 +229,12 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
         step = up @ low
         mid_hat = mid_hat + step
         mid = mid + step + down @ high
-        high, low = up @ high, down @ low
         inc = norm_inf(step)
         recent.append(inc)
         stagnated = len(recent) >= 8 and inc >= 0.25 * max(recent[-8:])
         if inc <= 1e-15 * (1.0 + norm_inf(mid_hat)) or stagnated:
             return _solve(eye - mid_hat, A_low), mid - mid_hat + A_mid
+        high, low = up @ high, down @ low
     residual = qme_residual(A_low, A_mid, A_high, _solve(eye - mid_hat, A_low))
     raise NumericalError(
         f"cyclic reduction: no convergence after {max_iter} iterations "

@@ -54,6 +54,11 @@ class SpectralSplit(FrozenRecord):
     def m(self) -> int:
         return self.M.shape[0]
 
+    @cached_property
+    def identity(self) -> bool:
+        """M = I with p = m: then L = E = M^{-1} = I and J = V1."""
+        return self.p == self.m and np.array_equal(self.M, np.eye(self.m))
+
     def j_matrix(self) -> Array:
         """diag(V1, V0)."""
         out = np.zeros((self.m, self.m))

@@ -77,9 +77,9 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
     forcing = np.zeros_like(u)
     forcing[:g.N + 1] = g.blocks[:n]
     eye = np.eye(m)
-    boundary = (model.B - eye) @ u[0] + model.A1 @ u[1] + forcing[0]
-    interior = (u[:-2] @ model.A_neg.T + u[1:-1] @ (model.A0 - eye).T
-                + u[2:] @ model.A1.T + forcing[1:-1])
+    boundary = (model.B - eye).dot(u[0]) + model.A1.dot(u[1]) + forcing[0]
+    interior = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot((model.A0 - eye).T)
+                + u[2:].dot(model.A1.T) + forcing[1:-1])
     res = np.abs(np.vstack([boundary, interior])).max(axis=1)
     norms = np.abs(u).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite u fails

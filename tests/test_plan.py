@@ -238,6 +238,19 @@ def test_plan_stacks_grow_and_serve_prefixes(cls):
             assert (plan._pi_rows is rows) == (len(rows) == most_rows)
 
 
+def _count_split_operators(monkeypatch):
+    calls = []
+    for name in ("m_inv", "j_matrix"):
+        original = getattr(spectral.SpectralSplit, name)
+
+        def counted(self, _name=name, _fn=original):
+            calls.append(_name)
+            return _fn(self)
+
+        monkeypatch.setattr(spectral.SpectralSplit, name, counted)
+    return calls
+
+
 WORK_CASES = {**{cls.value: (cls, solve_poisson) for cls in CLASSES},
               "schur": (None, solve_poisson),
               "corollary_pr": (_PR, solve_nonsingular_a1),
@@ -250,15 +263,7 @@ def test_warm_solve_does_only_g_dependent_work(case, monkeypatch):
     # M^-1, no J and no new row of either stack (no power of G, no pi_0 R^k)
     cls, solver = WORK_CASES[case]
     model = nilpotent_model(0, 4) if cls is None else random_model(4, 4, cls)
-    calls = []
-    for name in ("m_inv", "j_matrix"):
-        original = getattr(spectral.SpectralSplit, name)
-
-        def counted(self, _name=name, _fn=original):
-            calls.append(_name)
-            return _fn(self)
-
-        monkeypatch.setattr(spectral.SpectralSplit, name, counted)
+    calls = _count_split_operators(monkeypatch)
     grown = poisson._grown
 
     def counted_grown(stack, n, step):
@@ -274,6 +279,68 @@ def test_warm_solve_does_only_g_dependent_work(case, monkeypatch):
     for k in range(1, 4):
         solver(model, random_rhs(k, 4, 6), SolveOptions(R_max=40))
     assert calls == []
+
+
+IDENTITY_CASES = [(cls, m) for cls in CLASSES for m in (1, 3, 8, 32)]
+
+
+@pytest.mark.parametrize("cls, m", IDENTITY_CASES,
+                         ids=[f"{cls.value}-m{m}" for cls, m in IDENTITY_CASES])
+def test_cold_plan_on_the_identity_split_forms_no_m_inv_or_j(cls, m, monkeypatch):
+    # M = I: the backward pass's operators are W and V1, not M^-1 W and J
+    calls = _count_split_operators(monkeypatch)
+    model = random_model(0, m, cls)
+    plan = poisson._plan(model, SolveOptions())
+    assert plan.split.identity
+    solve_poisson(model, random_rhs(0, m))
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["schur", "corollary"])
+def test_plan_off_the_identity_split_forms_m_inv_and_j(case, monkeypatch):
+    calls = _count_split_operators(monkeypatch)
+    if case == "schur":
+        plan = poisson._plan(nilpotent_model(0, 4), SolveOptions())
+    else:
+        plan = poisson._plan(random_model(0, 4, _PR), SolveOptions()).corollary
+    assert not plan.split.identity
+    assert sorted(calls) == ["j_matrix", "m_inv"]
+
+
+# (class, m, blocks of g, options) of each solve against the generic formula; "y_free"
+# and "target" give y - y* != 0, so that the L V1^-r term runs
+GENERIC_CASES = {
+    **{f"{cls.value}-m{m}": (cls, m, 3, SolveOptions(R_max=40))
+       for cls, m in IDENTITY_CASES},
+    "y_free": (_TR, 5, 4, SolveOptions(y_free=(0.5, -1.0, 0.25, 2.0, -0.75), R_max=25)),
+    "target": (_PR, 5, 4, SolveOptions(R_max=20)),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERIC_CASES))
+def test_identity_split_solve_equals_the_generic_formula_bitwise(case):
+    # the generic formula: backward_pass without the plan's ops (M^-1 W, J)
+    # and, with the split's identity withheld, h M^T and t L^T in the evaluator
+    cls, m, n_blocks, opt = GENERIC_CASES[case]
+    model, g = random_model(3, m, cls), random_rhs(3, m, n_blocks)
+    plan = poisson._plan(model, opt)
+    assert plan.split.identity
+    sol = plan.solve(g, opt)
+    if case in ("y_free", "target"):
+        assert not np.array_equal(sol.y, sol.y_star)
+    split = replace(plan.split)
+    vars(split)["identity"] = False
+    W = plan.wdata.W
+    h, sigma1 = poisson.backward_pass(split, W, g)
+    rhs = plan.boundary @ (sigma1 + split.L @ split.v1_solve(sol.y)) + g.block(0)
+    x = plan.sharp @ rhs + opt.alpha
+    u = poisson.evaluate_u_sequence(x, sol.y, plan.G, split, W, g, sol.R_max)
+    if plan.shift is not None:
+        u[1:] += np.cumsum(u[:-1], axis=0) @ plan.shift.Q.T
+    assert np.array_equal(sol.y_star, -h[0, :split.p])
+    assert np.array_equal(sol.sigma1, sigma1)
+    assert np.array_equal(sol.x, x)
+    assert np.array_equal(sol.u, u)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -338,12 +405,14 @@ def test_plan_shares_the_arrays_it_does_not_compute(cls):
 def test_plan_keeps_one_buffer_per_matrix(cls):
     # distinct m x m (or larger) buffers of the plan beyond the model's
     # blocks: one per matrix it computes, no copy of the model, of R and U,
-    # of the shift's blocks or of the split's identity
+    # of the shift's blocks or of the split's identity; on that identity
+    # the backward pass runs on W and V1, copied only when F-ordered
     m = 64
     model, plan = _plan_of(0, m, cls)
+    assert plan.split.identity
     own = {id(getattr(model, n)) for n in ("B", "A_neg", "A0", "A1")}
     big = {id(b) for b in _buffers(plan, set()) if b.size >= m * m}
-    assert len(big - own) <= (19 if cls is Classification.NULL_RECURRENT else 14)
+    assert len(big - own) <= {_PR: 14, _TR: 13}.get(cls, 17)
 
 
 @pytest.mark.parametrize("fixture", ["pr1", "tr1", "nr1"])
