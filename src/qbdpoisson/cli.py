@@ -160,18 +160,29 @@ def _solution_payload(sol: poisson.PoissonSolution) -> dict:
         "y": sol.y.tolist(),
         "y_star": sol.y_star.tolist(),
         "alpha": sol.alpha,
-        "residuals": sol.diagnostics.to_dict(),
+        # the interior list is laid out by _write_solution, as json does
+        "residuals": {**sol.diagnostics.to_dict(), "interior": None},
     }
+
+
+def _reprs(a) -> list:
+    """a.tolist() in reprs, formatted once per bit pattern: -0.0 is not 0.0."""
+    bits, index = np.unique(a.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return texts[index.reshape(a.shape)].tolist()
 
 
 def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
                     csv_path: Path) -> None:
-    # each entry of u is formatted once, as its repr: the shortest text that
-    # round-trips exactly, and what json and csv write for a finite float
-    if not np.isfinite(sol.u).all():
-        raise NumericalError("output is not strict JSON: u is not finite")
-    rows = [",".join(map(repr, row)) for row in sol.u.tolist()]
-    head = _dump(_solution_payload(sol))[:-2]          # reopen: drop "\n}"
+    # each distinct value of u and of the interior residuals is formatted once,
+    # as its repr: the shortest text that round-trips exactly, as json and csv do
+    interior = np.array(sol.diagnostics.interior_residuals, dtype=float)
+    if not (np.isfinite(sol.u).all() and np.isfinite(interior).all()):
+        raise NumericalError("output is not strict JSON: u or its residuals are not finite")
+    rows = [",".join(row) for row in _reprs(sol.u)]
+    items = ",".join(f"\n      {text}" for text in _reprs(interior))
+    head = _dump(_solution_payload(sol))[:-2].replace(  # reopen: drop "\n}"
+        '"interior": null', f'"interior": [{items}\n    ]', 1)
     body = ",\n".join(f"    [{row}]" for row in rows)
     header = ",".join(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
     lines = [header] + [f"{r},{row}" for r, row in enumerate(rows)]

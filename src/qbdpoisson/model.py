@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,6 +69,11 @@ class QbdModel:
     def repeating_sum(self) -> Array:
         """A_neg + A0 + A1, the phase process of the repeating levels."""
         return self.A_neg + self.A0 + self.A1
+
+    @cached_property
+    def minus_identity(self) -> tuple[Array, Array]:
+        """(B - I, A0 - I), formed on first use and kept: the blocks are read-only."""
+        return tuple(as_readonly(a - np.eye(self.m)) for a in (self.B, self.A0))
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ class ResolventTriple(FrozenRecord):
 
 def eta(model: QbdModel, lam: complex) -> Array:
     """The block polynomial A_neg + (A0 - I) lam + A1 lam^2."""
-    eye = np.eye(model.m)
-    return model.A_neg + (model.A0 - eye) * lam + model.A1 * lam * lam
+    return model.A_neg + model.minus_identity[1] * lam + model.A1 * lam * lam
 
 
 def w_series(G: Array, U: Array, R: Array) -> Array:

@@ -76,9 +76,9 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
                          f"model has m = {model.m}")
     forcing = np.zeros_like(u)
     forcing[:g.N + 1] = g.blocks[:n]
-    eye = np.eye(m)
-    boundary = (model.B - eye).dot(u[0]) + model.A1.dot(u[1]) + forcing[0]
-    interior = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot((model.A0 - eye).T)
+    B_eye, A0_eye = model.minus_identity
+    boundary = B_eye.dot(u[0]) + model.A1.dot(u[1]) + forcing[0]
+    interior = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot(A0_eye.T)
                 + u[2:].dot(model.A1.T) + forcing[1:-1])
     res = np.abs(np.vstack([boundary, interior])).max(axis=1)
     norms = np.abs(u).max(axis=1)
@@ -106,13 +106,12 @@ def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
                              "forward recurrence requires a nonsingular A1")
     if R_max < 1:
         raise ValueError(f"horizon must cover both seeds, got R_max = {R_max}")
-    m = model.m
-    eye = np.eye(m)
-    out = np.empty((R_max + 1, m))
+    A0_eye = model.minus_identity[1]
+    out = np.empty((R_max + 1, model.m))
     out[0] = np.asarray(u0, dtype=float)
     out[1] = np.asarray(u1, dtype=float)
     for r in range(R_max - 1):
-        rhs = -g.block(r + 1) - model.A_neg @ out[r] - (model.A0 - eye) @ out[r + 1]
+        rhs = -g.block(r + 1) - model.A_neg @ out[r] - A0_eye @ out[r + 1]
         out[r + 2] = A1_inv @ rhs
     return out
 

@@ -70,24 +70,47 @@ def test_solution_csv_round_trips_bitwise(stem, tmp_path, capsys):
     assert np.array_equal([[float(v) for v in row[1:]] for row in rows], sol.u)
 
 
-def _long_transient_file(tmp_path):
-    # the largest drift (0.134) of random_model's m = 8 transient draws over
-    # seeds 0-399; with g on level 0 only its levels decay to ~1e-182
-    model = random_model(333, 8, Classification.TRANSIENT)
-    path = tmp_path / "tr8.json"
-    path.write_text(serialize_problem(model, random_rhs(0, 8, 1)),
-                    encoding="utf-8")
+def _generated_file(tmp_path, stem):
+    # tr8: the largest drift (0.134) of random_model's m = 8 transient draws
+    # over seeds 0-399; with g on level 0 only its levels decay to ~1e-182.
+    # pr8: a recurrent m = 8 chain, whose levels reach a constant vector
+    if stem == "tr8":
+        model = random_model(333, 8, Classification.TRANSIENT)
+        g = random_rhs(0, 8, 1)
+    else:
+        model = random_model(1, 8, Classification.POSITIVE_RECURRENT)
+        g = balanced_rhs(model, 3)
+    path = tmp_path / f"{stem}.json"
+    path.write_text(serialize_problem(model, g), encoding="utf-8")
     return path
 
 
+def _reference_files(sol):
+    """The bytes of the solution files as the json and csv modules write
+    them: json.dumps(indent=2, sort_keys=True) of every field but u, then u
+    one level per line; the csv module's rows of the level and u."""
+    payload = {"class": sol.classification.value, "x": sol.x.tolist(),
+               "y": sol.y.tolist(), "y_star": sol.y_star.tolist(),
+               "alpha": sol.alpha, "residuals": sol.diagnostics.to_dict()}
+    head = json.dumps(payload, indent=2, sort_keys=True)[:-2]
+    body = ",\n".join("    " + json.dumps(row, separators=(",", ":"))
+                      for row in sol.u.tolist())
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
+    writer.writerows([r, *row] for r, row in enumerate(sol.u.tolist()))
+    return (f'{head},\n  "u": [\n{body}\n  ]\n}}\n'.encode("utf-8"),
+            reference.getvalue().encode("utf-8"))
+
+
 # near_pr and tandem_m2 overflow long before level 1000; tr1 at 1000 levels
-# reaches subnormal and zero entries
+# reaches subnormal and zero entries; pr8's levels repeat one vector
 @pytest.mark.parametrize("stem, levels", [
     *((stem, 40) for stem in ("pr1", "tr1", "nr1", "tandem_m2", "near_pr")),
-    ("tr1", 1000), ("tr8", 1000),
+    ("tr1", 1000), ("tr8", 1000), ("pr8", 1000),
 ], ids=str)
 def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys):
-    path = (_long_transient_file(tmp_path) if stem == "tr8"
+    path = (_generated_file(tmp_path, stem) if stem in ("tr8", "pr8")
             else MODELS / f"{stem}.json")
     out = tmp_path / "result"
     assert run(["solve", "--levels", str(levels), "-o", str(out),
@@ -102,13 +125,29 @@ def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys):
                        sol.diagnostics.interior_residuals)]:
         got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # the hand-written CSV is what the csv module writes for the same table
-    reference = io.StringIO(newline="")
-    writer = csv.writer(reference)
-    writer.writerow(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
-    writer.writerows([r, *row] for r, row in enumerate(sol.u.tolist()))
-    assert (tmp_path / "result.csv").read_bytes() == \
-        reference.getvalue().encode("utf-8")
+    # the hand-written files are what the json and csv modules write
+    assert ((tmp_path / "result.json").read_bytes(),
+            (tmp_path / "result.csv").read_bytes()) == _reference_files(sol)
+
+
+def test_solution_files_keep_signed_zeros(tmp_path):
+    # each distinct bit pattern is formatted once: 0.0 and -0.0 compare equal
+    # but are written apart, in u and in the interior residuals alike
+    model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
+    sol = solve_poisson(model, random_rhs(0, 3), SolveOptions(R_max=5))
+    table = [[0.0, -0.0, 5e-324], [1e16, 1e-05, -0.0], [0.0, 1e16, 0.1],
+             [0.1, -5e-324, 1e-05], [-0.0, 0.0, 1e16], [5e-324, 0.1, 0.0]]
+    crafted = dataclasses.replace(
+        sol, u=np.array(table), diagnostics=dataclasses.replace(
+            sol.diagnostics, interior_residuals=(0.0, -0.0, 5e-324, 0.0)))
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    _write_solution(crafted, json_path, csv_path)
+    assert (json_path.read_bytes(), csv_path.read_bytes()) == \
+        _reference_files(crafted)
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    assert np.array_equal(np.signbit(doc["u"]), np.signbit(table))
+    assert np.signbit(doc["residuals"]["interior"]).tolist() == \
+        [False, True, False, False]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")],
@@ -118,6 +157,21 @@ def test_write_solution_refuses_non_finite_u(value, pr1, pr1_rhs, tmp_path):
     u = sol.u.copy()
     u[-1, 0] = value
     bad = dataclasses.replace(sol, u=u)
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    with pytest.raises(NumericalError, match="strict JSON"):
+        _write_solution(bad, json_path, csv_path)
+    assert not json_path.exists() and not csv_path.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_write_solution_refuses_non_finite_residuals(value, pr1, pr1_rhs,
+                                                     tmp_path):
+    # the interior residuals bypass json's own check, so they are checked here
+    sol = solve_poisson(pr1, pr1_rhs)
+    interior = sol.diagnostics.interior_residuals
+    bad = dataclasses.replace(sol, diagnostics=dataclasses.replace(
+        sol.diagnostics, interior_residuals=(*interior[:-1], value)))
     json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
     with pytest.raises(NumericalError, match="strict JSON"):
         _write_solution(bad, json_path, csv_path)

@@ -406,11 +406,13 @@ def test_plan_keeps_one_buffer_per_matrix(cls):
     # distinct m x m (or larger) buffers of the plan beyond the model's
     # blocks: one per matrix it computes, no copy of the model, of R and U,
     # of the shift's blocks or of the split's identity; on that identity
-    # the backward pass runs on W and V1, copied only when F-ordered
+    # the backward pass runs on W and V1, copied only when F-ordered; the
+    # residual check's (B - I, A0 - I), kept on the plan's model, are named
     m = 64
     model, plan = _plan_of(0, m, cls)
     assert plan.split.identity
     own = {id(getattr(model, n)) for n in ("B", "A_neg", "A0", "A1")}
+    own |= {id(b) for b in vars(plan.model)["minus_identity"]}
     big = {id(b) for b in _buffers(plan, set()) if b.size >= m * m}
     assert len(big - own) <= {_PR: 14, _TR: 13}.get(cls, 17)
 

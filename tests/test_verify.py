@@ -60,6 +60,25 @@ def test_residuals_scaled_per_equation():
         1.0 + np.abs(u[0]).max() + np.abs(u[1]).max())
 
 
+def test_residuals_form_the_shifted_blocks_once_per_model():
+    # (B - I, A0 - I) are formed on the first check and kept on the model;
+    # later checks read the same read-only arrays, equal to the subtraction
+    model = random_model(2, 5, Classification.TRANSIENT)
+    g = random_rhs(2, 5, 4)
+    u = np.random.default_rng(2).normal(size=(9, 5))
+    assert "minus_identity" not in vars(model)
+    first = residuals(model, g, u)
+    kept = vars(model)["minus_identity"]
+    assert residuals(model, g, u) == first
+    assert vars(model)["minus_identity"] is kept
+    B_eye, A0_eye = kept
+    assert not (B_eye.flags.writeable or A0_eye.flags.writeable)
+    assert B_eye.tobytes() == (model.B - np.eye(5)).tobytes()
+    assert A0_eye.tobytes() == (model.A0 - np.eye(5)).tobytes()
+    boundary = (model.B - np.eye(5)).dot(u[0]) + model.A1.dot(u[1]) + g.blocks[0]
+    assert first.boundary_residual == np.abs(boundary).max()
+
+
 def test_residuals_fail_on_non_finite_blocks(pr1):
     u = np.zeros((4, 1))
     u[3] = np.inf
