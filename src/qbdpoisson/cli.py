@@ -179,18 +179,23 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
     interior = np.array(sol.diagnostics.interior_residuals, dtype=float)
     if not (np.isfinite(sol.u).all() and np.isfinite(interior).all()):
         raise NumericalError("output is not strict JSON: u or its residuals are not finite")
-    rows = [",".join(row) for row in _reprs(sol.u)]
+    # a level bit-identical to the one before reuses its row text; levels
+    # are compared as bits, so -0.0 is not 0.0
+    bits = sol.u.view(np.int64)
+    new = np.ones(len(bits), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    texts = np.array([",".join(row) for row in _reprs(sol.u[new])], dtype=object)
+    rows = texts[np.cumsum(new) - 1].tolist()
     items = ",".join(f"\n      {text}" for text in _reprs(interior))
     head = _dump(_solution_payload(sol))[:-2].replace(  # reopen: drop "\n}"
         '"interior": null', f'"interior": [{items}\n    ]', 1)
-    body = ",\n".join(f"    [{row}]" for row in rows)
+    body = "],\n    [".join(rows)
     header = ",".join(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
-    lines = [header] + [f"{r},{row}" for r, row in enumerate(rows)]
-    json_path.write_text(f'{head},\n  "u": [\n{body}\n  ]\n}}\n',
-                         encoding="utf-8")
     # the csv module's dialect: no field needs quoting, lines end in \r\n
-    csv_path.write_text("".join(line + "\r\n" for line in lines),
-                        encoding="utf-8", newline="")
+    lines = [f"{header}\r\n"] + [f"{r},{row}\r\n" for r, row in enumerate(rows)]
+    json_path.write_text(f'{head},\n  "u": [\n    [{body}]\n  ]\n}}\n',
+                         encoding="utf-8")
+    csv_path.write_text("".join(lines), encoding="utf-8", newline="")
 
 
 def _cmd_validate(args) -> int:

@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._linalg import Array, as_readonly, check_tolerance, norm_inf
 from .exceptions import ModelValidationError
@@ -133,9 +131,17 @@ class ValidationReport:
 
 
 def _strongly_connected(a: Array) -> bool:
-    graph = csr_matrix((a > 0.0).astype(np.int8))
-    n_components, _ = connected_components(graph, directed=True, connection="strong")
-    return int(n_components) == 1
+    """Every node reaches node 0 and is reached from it along a > 0 (a NaN
+    entry is no edge): breadth-first frontiers in the graph and its transpose."""
+    adj = a > 0.0
+    for edges in (adj, adj.T):
+        seen = frontier = np.arange(len(adj)) == 0
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def validate(model: QbdModel, tol: float = STOCHASTIC_TOL) -> ValidationReport:

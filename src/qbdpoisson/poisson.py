@@ -38,7 +38,7 @@ from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
 
-DEFAULT_RESIDUAL_TOL = 1e-7
+DEFAULT_RESIDUAL_TOL = verify.DEFAULT_TOL
 _EXTRA_LEVELS = 10
 _PSTAR_ROW_TOL = 1e-10
 

@@ -150,6 +150,29 @@ def test_solution_files_keep_signed_zeros(tmp_path):
         [False, True, False, False]
 
 
+def test_solution_files_reuse_a_row_only_for_identical_bits(tmp_path):
+    # a level reuses the row text of the level before only when every entry
+    # has the same bits: [-0.0, 1.0] after [0.0, 1.0] compares equal as
+    # floats but is written apart; runs of identical rows share one text.
+    # The files are written over longer ones, whose tails must not survive
+    model = random_model(0, 2, Classification.POSITIVE_RECURRENT)
+    sol = solve_poisson(model, random_rhs(0, 2), SolveOptions(R_max=9))
+    table = [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+             [0.1, 1e16], [0.1, 1e16], [0.1, -1e16], [0.0, 1.0], [0.0, -1.0]]
+    crafted = dataclasses.replace(sol, u=np.array(table))
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    for path in (json_path, csv_path):
+        path.write_bytes(b"9" * 100_000)
+    _write_solution(crafted, json_path, csv_path)
+    assert (json_path.read_bytes(), csv_path.read_bytes()) == \
+        _reference_files(crafted)
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    assert np.array_equal(np.signbit(doc["u"]), np.signbit(table))
+    lines = csv_path.read_bytes().decode("utf-8").split("\r\n")
+    assert lines[1:6] == ["0,0.0,1.0", "1,-0.0,1.0", "2,-0.0,1.0",
+                          "3,-0.0,1.0", "4,0.0,1.0"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")],
                          ids=["nan", "inf"])
 def test_write_solution_refuses_non_finite_u(value, pr1, pr1_rhs, tmp_path):

@@ -175,6 +175,76 @@ def test_validate_detects_reducible_phase_graph():
     assert not report.passed
 
 
+def closure_connected(a) -> bool:
+    """Oracle: every node reaches every other when (adj | I)^n has no zero
+    entry; taken by repeated squaring of 0/1 floats, whose products are
+    walk counts of at most n, where an integer matrix_power overflows."""
+    reach = ((a > 0.0) | np.eye(len(a), dtype=bool)).astype(float)
+    for _ in range(max(1, int(np.ceil(np.log2(len(a)))))):
+        reach = (reach @ reach > 0.0).astype(float)
+    return bool(reach.all())
+
+
+def irreducibility_against_closure(model):
+    """validate's two connectivity flags, each next to the oracle's."""
+    zero = np.zeros((model.m, model.m))
+    truncation = np.block([[model.B, model.A1, zero],
+                           [model.A_neg, model.A0, model.A1],
+                           [zero, model.A_neg, model.A0]])
+    report = validate(model)
+    return ((report.phase_graph_irreducible, report.truncation_irreducible),
+            (closure_connected(model.repeating_sum()),
+             closure_connected(truncation)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 24, 64])
+def test_connectivity_flags_match_the_closure_on_random_graphs(m):
+    # phase graphs of m nodes and truncations of 3m (up to 192), at mean
+    # out-degrees per block from 0.2 to 4; both answers occur for each flag
+    gen = np.random.default_rng(m)
+    seen = set()
+    for degree in (0.2, 0.5, 1.0, 2.0, 4.0):
+        for _ in range(6):
+            blocks = [gen.random((m, m)) * (gen.random((m, m)) < degree / m)
+                      for _ in range(4)]
+            got, want = irreducibility_against_closure(QbdModel(*blocks))
+            assert got == want
+            seen.add(want)
+    assert {phase for phase, _ in seen} == ({True} if m == 1 else {True, False})
+    assert {trunc for _, trunc in seen} == {True, False}
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["cycle", "broken"])
+def test_connectivity_flags_on_a_192_node_cycle(broken):
+    # the longest breadth-first search: one directed cycle through every phase
+    cycle = np.roll(np.eye(192), 1, axis=1)
+    if broken:
+        cycle[100, 101] = 0.0
+    zero = np.zeros((192, 192))
+    got, want = irreducibility_against_closure(QbdModel(cycle, zero, cycle, zero))
+    assert got == want == (not broken, False)
+
+
+@pytest.mark.parametrize("nan_at, connected", [((2, 0), False), ((0, 2), True)],
+                         ids=["closing_edge", "extra_edge"])
+def test_connectivity_flags_read_nan_as_no_edge(nan_at, connected):
+    # a 3-cycle 0 -> 1 -> 2 -> 0 in A0; the NaN replaces the edge closing the
+    # cycle, or adds a reverse edge the cycle does not need
+    a0 = np.roll(np.eye(3), 1, axis=1) * 0.5
+    a0[nan_at] = np.nan
+    a_pm = np.eye(3) * 0.25
+    got, want = irreducibility_against_closure(QbdModel(a0 + a_pm, a_pm, a0, a_pm))
+    assert got == want
+    assert got[0] == connected
+
+
+def test_connectivity_flags_of_a_1x1_zero_block():
+    # one phase reaches itself; the truncation's three levels have no edges
+    zero = np.zeros((1, 1))
+    got, want = irreducibility_against_closure(QbdModel(zero, zero, zero, zero))
+    assert got == want == (True, False)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_validate_rejects_any_perturbed_invariant(seed):
     # perturbing one random entry beyond tolerance always fails validation

@@ -10,7 +10,7 @@ from qbdpoisson import (Classification, ClassificationError,
                         solve_nonsingular_a1, solve_null_recurrent,
                         solve_poisson, split, stationary, compute_w)
 
-from qbdpoisson import _linalg, poisson
+from qbdpoisson import _linalg, poisson, verify
 from qbdpoisson.poisson import (_corollary_split, _solve_hyperplane,
                                 backward_pass)
 from conftest import (balanced_h, balanced_rhs, near_singular_model,
@@ -621,6 +621,36 @@ def _nilpotent_plan():
 def test_bad_argument_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_default_tolerances_are_pinned(pr1, pr1_rhs):
+    # the public defaults: one residual tolerance of 1e-7, read by the solver
+    # and by the residual check, and the split's cutoff m * eps * max |C_ij|
+    assert poisson.DEFAULT_RESIDUAL_TOL == verify.DEFAULT_TOL == 1e-7
+    assert SolveOptions().residual_tol == 1e-7
+    u = solve_poisson(pr1, pr1_rhs).u
+    assert residuals(pr1, pr1_rhs, u).tol == 1e-7
+    C = np.random.default_rng(3).standard_normal((5, 5))
+    for target, p in ((C, 5), (C[:, :1] @ C[:1, :], 1)):
+        sp = split(target)
+        assert sp.p == p
+        assert sp.eps_zero == 5 * np.finfo(float).eps * np.abs(target).max()
+
+
+@pytest.mark.parametrize("scale", [1.0 + 5e-10, 1.0 - 5e-10],
+                         ids=["above", "below"])
+def test_pstar_row_tolerance_sits_inside_its_tenfold_band(scale):
+    # row sums 5e-10 from 1 lie between the 1e-10 tolerance and 10x of it, so
+    # by default neither P* counts as stochastic: the one above 1 is refused,
+    # the one below is inverted as transient
+    Pstar = np.random.default_rng(4).random((4, 4))
+    Pstar *= scale / Pstar.sum(axis=1, keepdims=True)
+    if scale > 1.0:
+        with pytest.raises(ValueError, match=r"P\* must be substochastic"):
+            group_inverse(Pstar)
+    else:
+        gi = group_inverse(Pstar)
+        assert not gi.recurrent and gi.pi_star is None
 
 
 def test_zero_tolerances_are_allowed():
