@@ -8,8 +8,10 @@ drift, characteristic roots), ``solve`` (full pipeline, JSON + CSV output),
 
 ``solve`` writes ``<base>.json`` (u one level per line) and ``<base>.csv``
 (header ``level,u0,...``, one row per level, CRLF line ends).  Every number
-in both is the shortest repr that round-trips exactly; the outputs are
-byte-identical across runs for identical inputs.
+in both is the shortest text that round-trips exactly, byte for byte its
+``repr``: from ``_KERNEL_MIN`` distinct values on it is computed for all of
+them at once in numpy (:mod:`qbdpoisson._floattext`), below that by ``repr``.
+The outputs are byte-identical across runs for identical inputs.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 infeasible
 constraint.  Errors are written to stderr as a JSON object.
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import poisson, probabilistic, qme, triple, verify
+from . import _floattext, poisson, probabilistic, qme, triple, verify
 from .exceptions import (InfeasibleConstraintError, ModelValidationError,
                          NumericalError, QbdError)
 from .model import STOCHASTIC_TOL, load_problem, parse_problem, validate
@@ -35,6 +37,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_INFEASIBLE = 3
+
+# distinct values from which the float text kernel beats one repr each
+_KERNEL_MIN = 500
 
 
 class _CliArgumentError(ModelValidationError):
@@ -166,10 +171,15 @@ def _solution_payload(sol: poisson.PoissonSolution) -> dict:
 
 
 def _reprs(a) -> list:
-    """a.tolist() in reprs, formatted once per bit pattern: -0.0 is not 0.0."""
+    """The reprs of the values of a flat array, formatted once per bit
+    pattern (-0.0 is not 0.0): by ``repr`` below ``_KERNEL_MIN`` distinct
+    values, where the kernel's fixed cost is larger, else by the kernel."""
     bits, index = np.unique(a.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    return texts[index.reshape(a.shape)].tolist()
+    if len(bits) < _KERNEL_MIN:
+        texts = [repr(v) for v in bits.view(float).tolist()]
+    else:
+        texts = _floattext.reprs(bits.view(float))
+    return np.array(texts, dtype=object)[index].tolist()
 
 
 def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
@@ -184,9 +194,13 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
     bits = sol.u.view(np.int64)
     new = np.ones(len(bits), dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    texts = np.array([",".join(row) for row in _reprs(sol.u[new])], dtype=object)
+    levels = sol.u[new].ravel()
+    numbers = _reprs(np.concatenate([levels, interior]))
+    m = sol.u.shape[1]
+    texts = np.array([",".join(numbers[i:i + m]) for i in range(0, len(levels), m)],
+                     dtype=object)
     rows = texts[np.cumsum(new) - 1].tolist()
-    items = ",".join(f"\n      {text}" for text in _reprs(interior))
+    items = ",".join(f"\n      {text}" for text in numbers[len(levels):])
     head = _dump(_solution_payload(sol))[:-2].replace(  # reopen: drop "\n}"
         '"interior": null', f'"interior": [{items}\n    ]', 1)
     body = "],\n    [".join(rows)

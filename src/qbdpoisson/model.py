@@ -22,12 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import Array, as_readonly, check_tolerance, norm_inf
+from ._linalg import Array, as_readonly, check_tolerance, frozen, norm_inf
 from .exceptions import ModelValidationError
 
 STOCHASTIC_TOL = 1e-12
 
 _BLOCK_KEYS = ("B", "A_minus", "A0", "A1")
+_FIELDS = ("B", "A_neg", "A0", "A1")
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,10 @@ class QbdModel:
 
     The container performs only shape coercion; structural invariants
     (entry range, row sums, irreducibility) are checked by :func:`validate`
-    and enforced by :func:`load_problem`.  The blocks are read-only, so
-    :func:`~qbdpoisson.poisson.solve_poisson` keeps its per-model plan on
-    the instance (a private attribute outside the fields).  A read-only
-    float64 array that owns its memory is adopted, not copied: turning its
-    writes back on changes the model and any plan cached on it.
+    and enforced by :func:`load_problem`.  The blocks are read-only copies of
+    what the caller passes in, so :func:`~qbdpoisson.poisson.solve_poisson`
+    keeps its per-model plan on the instance (a private attribute outside the
+    fields), and no later write to the caller's arrays reaches either.
     """
 
     B: Array
@@ -49,10 +49,22 @@ class QbdModel:
     A1: Array
 
     def __post_init__(self):
-        for name in ("B", "A_neg", "A0", "A1"):
-            a = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, as_readonly(a))
-        shapes = {getattr(self, n).shape for n in ("B", "A_neg", "A0", "A1")}
+        self._hold(*(frozen(np.array(getattr(self, name), dtype=float, ndmin=2))
+                     for name in _FIELDS))
+
+    @classmethod
+    def _adopting(cls, B, A_neg, A0, A1) -> QbdModel:
+        """The library's own constructor, for blocks it holds: read-only
+        float64 arrays that own their memory (another model's, or what it has
+        just computed and frozen) are adopted, not copied (:func:`as_readonly`)."""
+        model = object.__new__(cls)
+        model._hold(*(as_readonly(a) for a in (B, A_neg, A0, A1)))
+        return model
+
+    def _hold(self, *blocks):
+        for name, a in zip(_FIELDS, blocks):
+            object.__setattr__(self, name, a)
+        shapes = {a.shape for a in blocks}
         if len(shapes) != 1:
             raise ModelValidationError(f"blocks have inconsistent shapes: {shapes}")
         (shape,) = shapes
@@ -77,12 +89,12 @@ class QbdModel:
 @dataclass(frozen=True)
 class RhsSpec:
     """Finitely supported right-hand side g_0 ... g_N, one length-m vector per
-    level; its blocks are adopted, not copied, as a :class:`QbdModel`'s are."""
+    level; its blocks are a read-only copy, as a :class:`QbdModel`'s are."""
 
     blocks: Array
 
     def __post_init__(self):
-        a = np.asarray(self.blocks, dtype=float)
+        a = np.array(self.blocks, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ModelValidationError(
                 f"rhs must be a nonempty list of equal-length vectors, got shape {a.shape}")
@@ -90,7 +102,7 @@ class RhsSpec:
             bad = np.flatnonzero(~np.isfinite(a).all(axis=1))[0]
             raise ModelValidationError(
                 f"rhs 'g' block {bad} is not finite: {a[bad].tolist()}")
-        object.__setattr__(self, "blocks", as_readonly(a))
+        object.__setattr__(self, "blocks", frozen(a))
 
     @property
     def N(self) -> int:

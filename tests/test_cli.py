@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
-from qbdpoisson import poisson, qme, shift, spectral, triple
+from qbdpoisson import cli, poisson, qme, shift, spectral, triple
 from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
 from conftest import balanced_rhs, nilpotent_model, random_rhs, with_drift
 
@@ -104,18 +105,26 @@ def _reference_files(sol):
 
 
 # near_pr and tandem_m2 overflow long before level 1000; tr1 at 1000 levels
-# reaches subnormal and zero entries; pr8's levels repeat one vector
+# reaches subnormal and zero entries; pr8's levels repeat one vector. The
+# transient 1000-level solves have more distinct values than _KERNEL_MIN and
+# are written by the float text kernel, the others by repr
 @pytest.mark.parametrize("stem, levels", [
     *((stem, 40) for stem in ("pr1", "tr1", "nr1", "tandem_m2", "near_pr")),
     ("tr1", 1000), ("tr8", 1000), ("pr8", 1000),
 ], ids=str)
-def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys):
+def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys,
+                                           monkeypatch):
     path = (_generated_file(tmp_path, stem) if stem in ("tr8", "pr8")
             else MODELS / f"{stem}.json")
     out = tmp_path / "result"
+    kernel_calls = []
+    reprs = cli._floattext.reprs
+    monkeypatch.setattr(cli._floattext, "reprs",
+                        lambda a: kernel_calls.append(len(a)) or reprs(a))
     assert run(["solve", "--levels", str(levels), "-o", str(out),
                 str(path)]) == 0
     capsys.readouterr()
+    assert bool(kernel_calls) == (stem in ("tr1", "tr8") and levels == 1000)
     model, g = load_problem(path.read_text(encoding="utf-8"))
     sol = solve_poisson(model, g, SolveOptions(R_max=levels))
     doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
@@ -130,24 +139,36 @@ def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys):
             (tmp_path / "result.csv").read_bytes()) == _reference_files(sol)
 
 
-def test_solution_files_keep_signed_zeros(tmp_path):
+def test_solution_files_keep_signed_zeros(tmp_path, monkeypatch):
     # each distinct bit pattern is formatted once: 0.0 and -0.0 compare equal
-    # but are written apart, in u and in the interior residuals alike
+    # but are written apart, in u and in the interior residuals alike; the
+    # second input reaches every layout of the text: a decimal point before
+    # the digits, inside them and after padding zeros, 2- and 3-digit
+    # exponents, negatives and subnormals; each by the kernel and by repr
     model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
     sol = solve_poisson(model, random_rhs(0, 3), SolveOptions(R_max=5))
-    table = [[0.0, -0.0, 5e-324], [1e16, 1e-05, -0.0], [0.0, 1e16, 0.1],
-             [0.1, -5e-324, 1e-05], [-0.0, 0.0, 1e16], [5e-324, 0.1, 0.0]]
-    crafted = dataclasses.replace(
-        sol, u=np.array(table), diagnostics=dataclasses.replace(
-            sol.diagnostics, interior_residuals=(0.0, -0.0, 5e-324, 0.0)))
-    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
-    _write_solution(crafted, json_path, csv_path)
-    assert (json_path.read_bytes(), csv_path.read_bytes()) == \
-        _reference_files(crafted)
-    doc = json.loads(json_path.read_text(encoding="utf-8"))
-    assert np.array_equal(np.signbit(doc["u"]), np.signbit(table))
-    assert np.signbit(doc["residuals"]["interior"]).tolist() == \
-        [False, True, False, False]
+    signed_zeros = ([[0.0, -0.0, 5e-324], [1e16, 1e-05, -0.0], [0.0, 1e16, 0.1],
+                     [0.1, -5e-324, 1e-05], [-0.0, 0.0, 1e16], [5e-324, 0.1, 0.0]],
+                    (0.0, -0.0, 5e-324, 0.0))
+    layouts = ([[0.000123, -0.00123, 0.0123], [0.123, 123.45, -1.5],
+                [1e15, 120.0, -1.0], [1e-05, -2.5e-07, 1.5e16],
+                [1e-300, -1.7976931348623157e308, 2.2250738585072014e-308],
+                [-5e-324, 1e-320, -2.5e-315], [9999999999999998.0, 0.1, 1e22]],
+               (1e-05, -1e-300, 3e-320, 0.5, -0.0, 1234567890123456.7))
+    for kernel_min, (table, interior) in itertools.product(
+            (0, 10**9), (signed_zeros, layouts)):
+        monkeypatch.setattr(cli, "_KERNEL_MIN", kernel_min)
+        crafted = dataclasses.replace(
+            sol, u=np.array(table), diagnostics=dataclasses.replace(
+                sol.diagnostics, interior_residuals=interior))
+        json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+        _write_solution(crafted, json_path, csv_path)
+        assert (json_path.read_bytes(), csv_path.read_bytes()) == \
+            _reference_files(crafted)
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        assert np.array_equal(np.signbit(doc["u"]), np.signbit(table))
+        assert np.signbit(doc["residuals"]["interior"]).tolist() == \
+            np.signbit(interior).tolist()
 
 
 def test_solution_files_reuse_a_row_only_for_identical_bits(tmp_path):

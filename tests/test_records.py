@@ -89,10 +89,42 @@ def _adopters(a):
 
 
 def test_readonly_owned_float_array_is_adopted():
-    # an array that is read-only and owns its memory is kept, not copied
+    # an array that is read-only and owns its memory is kept, not copied, by
+    # as_readonly and the records; a model and a rhs copy it, since the
+    # caller who owns it can turn its writes back on
     a = _readonly(np.array([[0.5, 0.5], [0.25, 0.75]]))
     assert a.flags.owndata
-    assert all(value is a for value in _adopters(a))
+    record = triple.ResolventData(W=a, W_inv=a)
+    assert _linalg.as_readonly(a) is a and record.W is a and record.W_inv is a
+    model = QbdModel(B=a, A_neg=a, A0=a, A1=a)
+    for value in (model.B, model.A1, RhsSpec(a).blocks):
+        assert not np.shares_memory(value, a) and not value.flags.writeable
+        np.testing.assert_array_equal(value, a)
+
+
+def test_a_caller_cannot_change_a_model_under_its_cached_plan(pr1, pr1_rhs):
+    # the owner of a read-only array turns its writes back on and writes:
+    # neither the model's blocks, the rhs, nor the plan cached on the model
+    # see it, so a later solve gives the same bits
+    a = _readonly(np.array([[0.5, 0.5], [0.25, 0.75]]))
+    model = QbdModel(B=a, A_neg=a, A0=a, A1=a)
+    a.setflags(write=True)
+    a[0, 0] = 9
+    np.testing.assert_array_equal(model.B, [[0.5, 0.5], [0.25, 0.75]])
+    sources = [_readonly(np.array(getattr(pr1, name)))
+               for name in ("B", "A_neg", "A0", "A1")]
+    sources.append(_readonly(np.array(pr1_rhs.blocks)))
+    model, rhs = QbdModel(*sources[:4]), RhsSpec(sources[4])
+    before = poisson.solve_poisson(model, rhs)          # caches the plan
+    for source in sources:
+        source.setflags(write=True)
+        source[...] = 9.0
+    after = poisson.solve_poisson(model, rhs)
+    for name in ("B", "A_neg", "A0", "A1"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(pr1, name))
+    np.testing.assert_array_equal(rhs.blocks, pr1_rhs.blocks)
+    assert after.u.tobytes() == before.u.tobytes()
+    assert after.u.tobytes() == poisson.solve_poisson(pr1, pr1_rhs).u.tobytes()
 
 
 @pytest.mark.parametrize("source", [
