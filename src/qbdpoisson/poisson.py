@@ -336,14 +336,14 @@ class SolvePlan:
     """
 
     def __init__(self, model: QbdModel, null_band: float, eps_zero: float | None):
+        # kept on ``model``: its blocks, not it, and the (B - I, A0 - I) R's gate forms
+        self.model = model = QbdModel._adopting(model.B, model.A_neg, model.A0, model.A1)
         self.sols = sols = qme.solve_model(model, null_band=null_band)
-        # kept on ``model``: its blocks, not it
-        self.model = QbdModel._adopting(model.B, model.A_neg, model.A0, model.A1)
-        self.shift, self.equation = None, (self.model, sols)
+        self.shift, self.equation = None, (model, sols)
         if sols.classification is Classification.NULL_RECURRENT:
             self.shift = sd = shift.right_shift(model, sols)
-            self.equation = (QbdModel._adopting(frozen(model.B + model.A1 @ sd.Q),
-                                                sd.At_neg, sd.At0, sd.At1),
+            B = frozen(model.B + model.A1.sum(axis=1, keepdims=True) * sd.Q[0])
+            self.equation = (QbdModel._adopting(B, sd.At_neg, sd.At0, sd.At1),
                              replace(sols, G=sd.Gt, Ghat=sd.Gddot))
         self.wdata = self.shift.wdata if self.shift else triple.compute_w(
             sols.G, sols.U, sols.R, sols.Ghat)

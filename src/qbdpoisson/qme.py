@@ -15,6 +15,7 @@ solvents, G for the right shift of :mod:`qbdpoisson.shift`, Ghat on first read.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import sys
 import warnings
@@ -93,9 +94,8 @@ class StationaryData(FrozenRecord):
 
 
 def qme_residual(A_low: Array, A_mid: Array, A_high: Array, X: Array) -> float:
-    """Largest |entry| (:func:`norm_inf`) of A_low + (A_mid - I)X + A_high X^2."""
-    m = A_low.shape[0]
-    return norm_inf(A_low + (A_mid - np.eye(m)) @ X + A_high @ X @ X)
+    """Largest |entry| (:func:`norm_inf`) of A_low + ((A_mid - I) + A_high X) X."""
+    return norm_inf(A_low + (A_mid - np.eye(A_low.shape[0]) + A_high @ X) @ X)
 
 
 def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
@@ -155,11 +155,11 @@ def _left_shifted(A_low: Array, A_mid: Array, A_high: Array,
                   max_iter: int = QME_MAX_ITER) -> tuple[Array, Array, Array]:
     """(X, mid_dual, (I - Q) A_high): the solvent X by the left shift of
     :func:`solve_qme`, Q = 1 theta^T (Q = 0 for ``theta=None``), gated to
-    ``tol``, and the reduction's dual of :func:`_cyclic_reduction`."""
-    m = A_low.shape[0]
-    Q = np.zeros((m, m)) if theta is None else np.outer(np.ones(m), theta)
-    high = (np.eye(m) - Q) @ A_high
-    X, mid_dual = _cyclic_reduction(A_low, A_mid + Q @ A_low, high, max_iter)
+    ``tol``, and the reduction's dual of :func:`_cyclic_reduction`; its blocks
+    are the rank-one updates A_mid + 1 (theta^T A_low), A_high - 1 (theta^T A_high)."""
+    mid, high = (A_mid, A_high) if theta is None else (
+        A_mid + theta.dot(A_low), A_high - theta.dot(A_high))
+    X, mid_dual = _cyclic_reduction(A_low, mid, high, max_iter)
     return (_checked(A_low, A_mid, A_high, X, tol,
                      f"left-shifted cyclic reduction: {_ROUNDING}"), mid_dual, high)
 
@@ -174,10 +174,16 @@ def _right_shifted_blocks(A_low: Array, A_mid: Array, A_high: Array
                          ) -> tuple[Array, Array, Array]:
     """Q = 1 u^T (u uniform) and the blocks A_low (I - Q), A_mid + A_high Q
     of the right shift; with A_high they have the solvent X - Q for every
-    solvent X with X 1 = 1."""
+    solvent X with X 1 = 1.  Both are rank-one updates, A_low - (A_low 1) u^T
+    corrected once more, so that its row sums, on which X 1 = 1 rests, are
+    e A_low 1 to rounding, e = 1 - u^T 1 exactly (2^-54 at m = 3); without
+    that step G^1000 1 fell up to 2e-13 below 1."""
     m = A_low.shape[0]
     Q = np.full((m, m), 1.0 / m)
-    return Q, A_low @ (np.eye(m) - Q), A_mid + A_high @ Q
+    rows, e = A_low.sum(axis=1, keepdims=True), math.fsum([1.0] + [-Q[0, 0]] * m)
+    low = A_low - rows * Q[0]
+    low -= (low.sum(axis=1, keepdims=True) - e * rows) * Q[0]
+    return Q, low, A_mid + A_high.sum(axis=1, keepdims=True) * Q[0]
 
 
 def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array
@@ -189,11 +195,11 @@ def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array
     X, mid_dual, high = _left_shifted(A_low, A_mid, A_high, theta)
     eye = np.eye(len(theta))
     Y = _solve(eye - mid_dual, high)
-    ell = theta @ (A_high - A_low @ Y)
+    ell = theta.dot(A_high) - theta.dot(A_low).dot(Y)
     w = ell / ell.sum()
     Z0 = (Y - np.outer(Y.sum(axis=1), w)) + w
-    Qu, low_u, mid_u = _right_shifted_blocks(A_high, A_mid, A_low)
-    Z = _solve(eye - mid_u - A_low @ (Z0 - Qu), low_u) + Qu
+    Qu, low_u, _ = _right_shifted_blocks(A_high, A_mid, A_low)
+    Z = _solve(eye - A_mid - A_low @ Z0, low_u) + Qu
     return X, _checked(A_high, A_mid, A_low, Z, QME_TOL,
                        "unit root restored to the dual solvent")
 
@@ -244,12 +250,12 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
 def compute_r_u(model: QbdModel, G: Array) -> tuple[Array, Array]:
     """(U, R) from G: U = A0 + A1 G and R = A1 (I - U)^{-1}, refusing
     cond_F(I - U) > 1e14 and a residual of R's defining equation
-    A1 + X(A0 - I) + X^2 A_neg = 0 above 1e-8.
+    A1 + X(A0 - I) + X^2 A_neg = 0, in Horner form, above 1e-8.
     """
     eye = np.eye(model.m)
     U = model.A0 + model.A1 @ G
     R = model.A1 @ checked_inverse(eye - U, 1e14, "I - U is numerically singular")
-    gate(norm_inf(model.A1 + R @ (model.A0 - eye) + R @ R @ model.A_neg), 1e-8,
+    gate(norm_inf(model.A1 + R @ (model.minus_identity[1] + R @ model.A_neg)), 1e-8,
          "rate matrix fails its defining equation", "residual")
     return U, R
 

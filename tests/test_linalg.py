@@ -1,5 +1,6 @@
 """The real dense kernel of _linalg: inverse (LAPACK getrf + getri) and
-solve (gesv), their edge inputs, and the errors their callers raise."""
+solve (gesv on a vector, the inverse and a product on a matrix), their edge
+inputs, and the errors their callers raise."""
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ def test_exactly_singular_raises_linalg_error(m, capfd):
         inverse(a)
     with pytest.raises(np.linalg.LinAlgError):
         solve(a, np.ones(m))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(a, np.ones((m, 2)))
     assert capfd.readouterr() == ("", "")
 
 

@@ -111,6 +111,38 @@ def test_cyclic_reduction_refuses_singular_i_minus_a0():
         _cyclic_reduction(zero, np.eye(2), zero, 10)
 
 
+class _Reduced(Exception):
+    pass
+
+
+@pytest.mark.parametrize("theta", ["given", "none"])
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_shifted_blocks_equal_the_explicit_products(m, theta, monkeypatch):
+    # both shifts form their blocks as rank-one updates; they must agree
+    # with the products by Q (1 theta^T, 0 without theta, or 1 u^T) to
+    # rounding, 8 m eps times the block's largest entry
+    rng = np.random.default_rng(m)
+    A_low, A_mid, A_high = rng.uniform(size=(3, m, m))
+    eye, t = np.eye(m), rng.uniform(size=m)
+    t = t / t.sum() if theta == "given" else None
+    Q = np.zeros((m, m)) if t is None else np.outer(np.ones(m), t)
+    blocks = []
+
+    def reduction(low, mid, high, max_iter):
+        blocks.extend([mid, high])
+        raise _Reduced
+
+    monkeypatch.setattr(qme, "_cyclic_reduction", reduction)
+    with pytest.raises(_Reduced):
+        qme._left_shifted(A_low, A_mid, A_high, t)
+    Qu, low_u, mid_u = qme._right_shifted_blocks(A_low, A_mid, A_high)
+    np.testing.assert_array_equal(Qu, np.full((m, m), 1.0 / m))
+    expected = [A_mid + Q @ A_low, (eye - Q) @ A_high,
+                A_low @ (eye - Qu), A_mid + A_high @ Qu]
+    for got, want in zip(blocks + [low_u, mid_u], expected):
+        assert np.abs(got - want).max() <= 8 * m * np.finfo(float).eps * np.abs(want).max()
+
+
 def test_r_u_relations(pr1, tr1, nr1):
     for model, expect in [
         (pr1, {"U": 0.4, "R": 1.0 / 3.0}),
@@ -236,16 +268,33 @@ def test_solve_model_agrees_with_one_run_per_orientation(model, band):
         assert qme_residual(*blocks, X) <= 1e-15
 
 
+def _drift_over_1000_levels(G) -> float:
+    """max |G^1000 1 - 1|, by 1000 products with a vector."""
+    v = np.ones(len(G))
+    for _ in range(1000):
+        v = G @ v
+    return np.abs(v - 1.0).max()
+
+
 @pytest.mark.parametrize("m", [3, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_owner_keeps_unit_row_sums_over_many_levels(seed, m):
     # G^1000 1 = 1 needs G 1 = 1 to rounding, which the restored dual solvent
     # gets from its fixed-point step
     G = solve_model(random_model(seed, m, Classification.POSITIVE_RECURRENT)).G
-    v = np.ones(m)
-    for _ in range(1000):
-        v = G @ v
-    assert np.abs(v - 1.0).max() <= 1e-14
+    assert _drift_over_1000_levels(G) <= 1e-14
+
+
+@pytest.mark.parametrize("cls, seed", [
+    (Classification.POSITIVE_RECURRENT, 3), (Classification.POSITIVE_RECURRENT, 43),
+    (Classification.POSITIVE_RECURRENT, 45), (Classification.NULL_RECURRENT, 6),
+    (Classification.NULL_RECURRENT, 42), (Classification.NULL_RECURRENT, 51),
+], ids=lambda v: getattr(v, "value", v))
+def test_unit_row_sums_hold_where_one_over_m_is_inexact(cls, seed):
+    # Q = 1 u^T with u = fl(1/3) has row sums 1 - e, e = 2^-54; the right
+    # shift's A_low (I - Q) must have row sums e A_low 1 to rounding, or G 1
+    # falls below 1 and G^1000 1 drifts, by up to 2e-13 when they are 0
+    assert _drift_over_1000_levels(solve_model(random_model(seed, 3, cls)).G) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
