@@ -113,6 +113,11 @@ class RhsSpec:
     def m(self) -> int:
         return self.blocks.shape[1]
 
+    def check_width(self, m: int) -> None:
+        """ValueError unless the blocks have width m, the model's."""
+        if self.m != m:
+            raise ValueError(f"g has width {self.m}, the model has m = {m}")
+
     def block(self, k: int) -> Array:
         """g_k, with g_k = 0 for k > N."""
         if k < 0:

@@ -276,17 +276,19 @@ def pi_dot_g(pi0: Array, R: Array, g: RhsSpec) -> float:
     return float(np.vdot(rows[:g.N + 1], g.blocks))
 
 
-def _solve_hyperplane(direction: Array, target: float, target_noise: float,
-                      g_scale: float, options: SolveOptions) -> Array:
+def _solve_hyperplane(direction: Array, target: float, g_scale: float,
+                      options: SolveOptions) -> Array:
     """A vector y_perp with direction^T y_perp = target, per the chosen mode.
 
     ``direction`` is (pi_0^T W^{-1} L)^T with pi_0 of unit sum.  The
     constraint is infeasible only when the direction vanishes while the
     target does not; that case (and an explicit or zero y_perp violating the
     constraint) raises :class:`InfeasibleConstraintError`.  The minimal-norm
-    mode returns y_perp = 0 for a target within ``target_noise`` of zero.
+    mode returns y_perp = 0 for a target within 1e-12 (1 + ``g_scale``) of
+    zero: pi^T g = pi_0^T (I - P*) u_0 for every solution u, so the target is
+    known only to rounding times ||u_0||, for which 1 + ||g|| stands in.
     """
-    feas_tol = 1e-8 * (1.0 + g_scale)
+    feas_tol, noise = 1e-8 * (1.0 + g_scale), 1e-12 * (1.0 + g_scale)
     if options.y_perp_mode != "minimal_norm":
         if options.y_perp_mode == "zero":
             y_perp = np.zeros_like(direction)
@@ -311,7 +313,7 @@ def _solve_hyperplane(direction: Array, target: float, target_noise: float,
                 "boundary constraint infeasible: pi_0^T W^{-1} L = 0 while "
                 f"pi^T g = {target:.6e} != 0")
         return np.zeros_like(direction)
-    if abs(target) <= target_noise:
+    if abs(target) <= noise:
         # a target at noise level would seed a spurious growing component
         return np.zeros_like(direction)
     return (target / nrm2) * direction
@@ -382,8 +384,7 @@ class SolvePlan:
     def solve(self, g: RhsSpec, opt: SolveOptions) -> PoissonSolution:
         """Boundary solve, level evaluation and residual check for one g."""
         split, W, cls = self.split, self.wdata.W, self.sols.classification
-        if g.m != W.shape[0]:
-            raise ValueError(f"g has width {g.m}, the model has m = {W.shape[0]}")
+        g.check_width(W.shape[0])
         tr = cls is Classification.TRANSIENT
         for name, refused in (("y_free", not tr and opt.y_free is not None),
                               ("y_perp", tr and opt.y_perp is not None),
@@ -403,11 +404,8 @@ class SolvePlan:
         else:
             self._pi_rows = _grown(self._pi_rows, g.N + 1, lambda r: r.dot(self.sols.R))
             pig = pi_dot_g(self._pi_rows, self.sols.R, g)
-            # pi^T g = pi_0^T (I - P*) u_0 for every solution u: the target is
-            # known only to rounding times ||u_0||, for which 1 + ||g|| stands in
-            g_scale = norm_inf(g.blocks)
-            y = frozen(y_star + _solve_hyperplane(self.direction, pig, 1e-12 * (
-                1.0 + g_scale), g_scale, opt))
+            y = frozen(y_star + _solve_hyperplane(self.direction, pig,
+                                                  norm_inf(g.blocks), opt))
 
         Ly = split.v1_solve(y) if split.identity else split.L @ split.v1_solve(y)
         x, alpha = self.sharp.dot(self.boundary.dot(sigma1 + Ly) + g.block(0)), None

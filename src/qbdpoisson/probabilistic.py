@@ -47,6 +47,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
     right-hand side violates the compatibility condition
     pi*^T sum_k R^k g_k = 0 (within 1e-9 (1 + ||g||)).
     """
+    g.check_width(model.m)
     sols = qme.solve_model(model, null_band=null_band)
     m = model.m
     N = g.N

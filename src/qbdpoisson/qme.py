@@ -98,8 +98,7 @@ def qme_residual(A_low: Array, A_mid: Array, A_high: Array, X: Array) -> float:
     return norm_inf(A_low + (A_mid - np.eye(A_low.shape[0]) + A_high @ X) @ X)
 
 
-def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
-              tol: float = QME_TOL, max_iter: int = QME_MAX_ITER) -> Array:
+def solve_qme(A_low: Array, A_mid: Array, A_high: Array) -> Array:
     """Minimal nonnegative solution X of A_low + (A_mid - I)X + A_high X^2 = 0.
 
     The blocks must be finite and nonnegative, with A_low + A_mid + A_high
@@ -120,8 +119,9 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
       (zI - X) of the matrix polynomial, so their solvent is X itself.  When
       the sum is reducible theta is not unique and Q = 0: no shift.
 
-    X must solve the equation to ``tol``.  Raises :class:`NumericalError` on
-    non-convergence, reporting the last residual.
+    X must solve the equation to :data:`QME_TOL` within :data:`QME_MAX_ITER`
+    reduction steps, the one tolerance and cap of every solvent here; else
+    :class:`NumericalError`, reporting the last residual.
     """
     A_low = np.atleast_2d(np.asarray(A_low, dtype=float))
     A_mid = np.atleast_2d(np.asarray(A_mid, dtype=float))
@@ -137,36 +137,34 @@ def solve_qme(A_low: Array, A_mid: Array, A_high: Array,
     except NumericalError:
         theta = None
     if theta is not None and _drift(A_low, A_high, theta) <= 0.0:
-        return _stochastic_solvent(A_low, A_mid, A_high, tol, max_iter)
-    return _left_shifted(A_low, A_mid, A_high, theta, tol, max_iter)[0]
+        return _stochastic_solvent(A_low, A_mid, A_high)
+    return _left_shifted(A_low, A_mid, A_high, theta)[0]
 
 
-def _stochastic_solvent(A_low: Array, A_mid: Array, A_high: Array,
-                        tol: float = QME_TOL, max_iter: int = QME_MAX_ITER):
+def _stochastic_solvent(A_low: Array, A_mid: Array, A_high: Array):
     """The solvent X with X 1 = 1, by the right shift of :func:`solve_qme`;
     the minimal one iff theta^T (A_high - A_low) 1 <= 0."""
     Q, low, mid = _right_shifted_blocks(A_low, A_mid, A_high)
-    return _checked(A_low, A_mid, A_high, _cyclic_reduction(low, mid, A_high, max_iter)[0]
-                    + Q, tol, f"shifted cyclic reduction: {_ROUNDING}")
+    return _checked(A_low, A_mid, A_high, _cyclic_reduction(low, mid, A_high)[0] + Q,
+                    f"shifted cyclic reduction: {_ROUNDING}")
 
 
 def _left_shifted(A_low: Array, A_mid: Array, A_high: Array,
-                  theta: Array | None, tol: float = QME_TOL,
-                  max_iter: int = QME_MAX_ITER) -> tuple[Array, Array, Array]:
+                  theta: Array | None) -> tuple[Array, Array, Array]:
     """(X, mid_dual, (I - Q) A_high): the solvent X by the left shift of
-    :func:`solve_qme`, Q = 1 theta^T (Q = 0 for ``theta=None``), gated to
-    ``tol``, and the reduction's dual of :func:`_cyclic_reduction`; its blocks
+    :func:`solve_qme`, Q = 1 theta^T (Q = 0 for ``theta=None``), gated by
+    :func:`_checked`, and the reduction's dual of :func:`_cyclic_reduction`; its blocks
     are the rank-one updates A_mid + 1 (theta^T A_low), A_high - 1 (theta^T A_high)."""
     mid, high = (A_mid, A_high) if theta is None else (
         A_mid + theta.dot(A_low), A_high - theta.dot(A_high))
-    X, mid_dual = _cyclic_reduction(A_low, mid, high, max_iter)
-    return (_checked(A_low, A_mid, A_high, X, tol,
+    X, mid_dual = _cyclic_reduction(A_low, mid, high)
+    return (_checked(A_low, A_mid, A_high, X,
                      f"left-shifted cyclic reduction: {_ROUNDING}"), mid_dual, high)
 
 
-def _checked(A_low: Array, A_mid: Array, A_high: Array, X: Array, tol: float,
-             what: str) -> Array:
-    gate(qme_residual(A_low, A_mid, A_high, X), tol, what, "residual")
+def _checked(A_low: Array, A_mid: Array, A_high: Array, X: Array, what: str) -> Array:
+    """X, unless its residual (:func:`qme_residual`) is above :data:`QME_TOL`."""
+    gate(qme_residual(A_low, A_mid, A_high, X), QME_TOL, what, "residual")
     return X
 
 
@@ -200,8 +198,7 @@ def _solve_pair(A_low: Array, A_mid: Array, A_high: Array, theta: Array
     Z0 = (Y - np.outer(Y.sum(axis=1), w)) + w
     Qu, low_u, _ = _right_shifted_blocks(A_high, A_mid, A_low)
     Z = _solve(eye - A_mid - A_low @ Z0, low_u) + Qu
-    return X, _checked(A_high, A_mid, A_low, Z, QME_TOL,
-                       "unit root restored to the dual solvent")
+    return X, _checked(A_high, A_mid, A_low, Z, "unit root restored to the dual solvent")
 
 
 def _solve(M: Array, rhs: Array | None, what: str = "I - U is singular") -> Array:
@@ -211,8 +208,7 @@ def _solve(M: Array, rhs: Array | None, what: str = "I - U is singular") -> Arra
         raise NumericalError(f"cyclic reduction: {what}") from exc
 
 
-def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
-                      max_iter: int) -> tuple[Array, Array]:
+def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array) -> tuple[Array, Array]:
     """Canonical solvent of A_low + (A_mid - I)X + A_high X^2 = 0 by cyclic
     reduction, and the dual mid_dual, A_mid plus the sum of the down @ high
     steps: (I - mid_dual)^{-1} A_high is the canonical reversed solvent.
@@ -223,13 +219,13 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
     characteristic roots.  Each step's two products share one getrf + getri
     inverse of I - mid.  Stops once the increments reach machine level or
     stagnate; raises :class:`NumericalError`, with the last residual, past
-    ``max_iter`` steps.
+    :data:`QME_MAX_ITER` steps.
     """
     m = A_low.shape[0]
     eye = np.eye(m)
     low, mid, high, mid_hat = A_low, A_mid, A_high, A_mid
     recent: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(QME_MAX_ITER):
         S = _solve(eye - mid, None, "I - A0 became singular")
         up, down = high @ S, low @ S
         step = up @ low
@@ -243,7 +239,7 @@ def _cyclic_reduction(A_low: Array, A_mid: Array, A_high: Array,
         high, low = up @ high, down @ low
     residual = qme_residual(A_low, A_mid, A_high, _solve(eye - mid_hat, A_low))
     raise NumericalError(
-        f"cyclic reduction: no convergence after {max_iter} iterations "
+        f"cyclic reduction: no convergence after {QME_MAX_ITER} iterations "
         f"(last residual {residual:.3e})")
 
 
@@ -277,9 +273,8 @@ def _classify_drift(d: float, null_band: float) -> Classification:
     return Classification.NULL_RECURRENT
 
 
-def _cross_checked(d: float, G: Array, Ghat: Array,
-                   null_band: float) -> Classification:
-    """Class of drift ``d``; warns when the solvents' row sums contradict it.
+def _cross_checked(cls: Classification, d: float, G: Array, Ghat: Array) -> None:
+    """Warns when the solvents' row sums contradict ``cls``, decided by drift ``d``.
 
     The class gives the unit root to G unless transient and to Ghat unless
     positive recurrent.  A solvent owns it iff it is stochastic, and
@@ -288,7 +283,6 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
     :data:`_UNIT_TOL`.  A NaN row sum counts as a contradiction; a solvent
     that is not an array (None, or a Ghat not solved yet) is not checked.
     """
-    cls = _classify_drift(d, null_band)
     solved = [(name, X, foreign) for name, X, foreign in (
         ("G", G, Classification.TRANSIENT),
         ("Ghat", Ghat, Classification.POSITIVE_RECURRENT)) if isinstance(X, np.ndarray)]
@@ -303,7 +297,6 @@ def _cross_checked(d: float, G: Array, Ghat: Array,
             f"drift classification {cls.value} (drift {d:.3e}) disagrees with "
             f"the solvents' row sums: {rows}", RuntimeWarning,
             stacklevel=_outside_stacklevel())
-    return cls
 
 
 def _outside_stacklevel() -> int:
@@ -315,17 +308,16 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def classify(model: QbdModel, sols: "QmeSolutions",
-             null_band: float = NULL_BAND) -> Classification:
-    """Drift-based classification, cross-checked against the row sums of
-    ``sols.G`` and ``sols.Ghat``, the solvents of :func:`solve_model`: G
-    stochastic unless transient, Ghat unless positive recurrent.  Reading a
-    null-recurrent ``sols.Ghat`` the first time solves it and checks it.
-
-    The drift ``sols.drift`` decides; a disagreement with the row sums is
+def classify(sols: QmeSolutions) -> Classification:
+    """``sols.classification``, the one class :func:`solve_model` decided from
+    the drift against its null band, cross-checked against the row sums of
+    ``sols.G`` and ``sols.Ghat``: G stochastic unless transient, Ghat unless
+    positive recurrent.  Reading a null-recurrent ``sols.Ghat`` the first
+    time solves it and checks it.  A disagreement with the row sums is
     reported as a :class:`RuntimeWarning`, not an error.
     """
-    return _cross_checked(sols.drift, sols.G, sols.Ghat, null_band)
+    _cross_checked(sols.classification, sols.drift, sols.G, sols.Ghat)
+    return sols.classification
 
 
 def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
@@ -342,22 +334,23 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    if _classify_drift(d, null_band) is Classification.NULL_RECURRENT:
+    cls = _classify_drift(d, null_band)
+    if cls is Classification.NULL_RECURRENT:
         G = frozen(_stochastic_solvent(model.A_neg, model.A0, model.A1))
-        Ghat = partial(_in_band_Ghat, model.A_neg, model.A0, model.A1, d, null_band)
+        Ghat = partial(_in_band_Ghat, model.A_neg, model.A0, model.A1, d)
     elif d > 0.0:
         G, Ghat = map(frozen, _solve_pair(model.A_neg, model.A0, model.A1, theta))
     else:
         Ghat, G = map(frozen, _solve_pair(model.A1, model.A0, model.A_neg, theta))
     U, R = map(frozen, compute_r_u(model, G))
-    cls = _cross_checked(d, G, Ghat, null_band)
+    _cross_checked(cls, d, G, Ghat)
     return QmeSolutions(G=G, Ghat=Ghat, R=R, U=U, classification=cls, drift=d)
 
 
-def _in_band_Ghat(A_neg: Array, A0: Array, A1: Array, d: float, null_band: float):
-    """The stochastic Ghat, gated, with its row sums cross-checked."""
+def _in_band_Ghat(A_neg: Array, A0: Array, A1: Array, d: float):
+    """The stochastic Ghat of a null-recurrent chain, gated and cross-checked."""
     Ghat = frozen(_stochastic_solvent(A1, A0, A_neg))
-    _cross_checked(d, None, Ghat, null_band)
+    _cross_checked(Classification.NULL_RECURRENT, d, None, Ghat)
     return Ghat
 
 

@@ -63,7 +63,7 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     Gt = frozen(sols.G - Q)
     W = frozen(triple.w_series(Gt, sols.U, sols.R))
     W_inv = frozen(checked_inverse(W, 1e14, "the shifted W is numerically singular"))
-    Gddot = frozen(qme._checked(model.A1, At0, At_neg, W @ sols.R @ W_inv, qme.QME_TOL,
+    Gddot = frozen(qme._checked(model.A1, At0, At_neg, W @ sols.R @ W_inv,
                                 "Gddot = Wt R Wt^-1 fails its shifted equation"))
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "

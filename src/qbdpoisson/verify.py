@@ -74,6 +74,7 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
     if m != model.m:
         raise ValueError(f"solution blocks have length {m}, "
                          f"model has m = {model.m}")
+    g.check_width(model.m)
     forcing = np.zeros_like(u)
     forcing[:g.N + 1] = g.blocks[:n]
     B_eye, A0_eye = model.minus_identity
@@ -102,6 +103,7 @@ def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
     modes amplify rounding, so use short horizons only.  Near a critical
     chain even a short horizon can drift far from a correct bounded solution.
     """
+    g.check_width(model.m)
     A1_inv = checked_inverse(model.A1, 1e12,
                              "forward recurrence requires a nonsingular A1")
     if R_max < 1:

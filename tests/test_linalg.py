@@ -68,7 +68,7 @@ def test_exactly_singular_raises_linalg_error(m, capfd):
 SINGULAR_CALLERS = {
     # I - A_mid = 0 on the first step
     "cyclic_reduction": (lambda: qme._cyclic_reduction(
-        np.full((2, 2), 0.25), np.eye(2), np.full((2, 2), 0.25), 10),
+        np.full((2, 2), 0.25), np.eye(2), np.full((2, 2), 0.25)),
         "cyclic reduction: I - A0 became singular"),
     "reduction_solve": (lambda: qme._solve(np.zeros((2, 2)), np.eye(2)),
                         "cyclic reduction: I - U is singular"),

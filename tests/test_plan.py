@@ -617,6 +617,12 @@ def _pair_without_theta(model):
         return qme._solve_pair(model.A1, model.A0, model.A_neg, np.zeros(model.m))
 
 
+def _at_qme_tol(tol, A_low, A_mid, A_high):
+    """qme.solve_qme with qme.QME_TOL set to ``tol`` for the call."""
+    with mock.patch.object(qme, "QME_TOL", tol):
+        return qme.solve_qme(A_low, A_mid, A_high)
+
+
 def _gate_cases():
     """One call past each numerical gate's limit: (call, what, measure)."""
     model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
@@ -637,12 +643,12 @@ def _gate_cases():
             "a", "Frobenius condition number"),
         "unit_eigenvector": (lambda: _linalg.unit_eigenvector(0.5 * np.eye(2)),
                              "1 is not an eigenvalue", "||A z - z||"),
-        "shifted_cr": (lambda: qme.solve_qme(model.A_neg, model.A0, model.A1, 0.0),
+        "shifted_cr": (lambda: _at_qme_tol(0.0, model.A_neg, model.A0, model.A1),
                        "row-stochastic to rounding", "residual"),
-        "shifted_cr_nan": (lambda: qme.solve_qme(
-            model.A_neg, model.A0, model.A1, np.nan),
+        "shifted_cr_nan": (lambda: _at_qme_tol(
+            np.nan, model.A_neg, model.A0, model.A1),
             "row-stochastic to rounding", "residual"),
-        "left_shifted_cr": (lambda: qme.solve_qme(model.A1, model.A0, model.A_neg, 0.0),
+        "left_shifted_cr": (lambda: _at_qme_tol(0.0, model.A1, model.A0, model.A_neg),
                             "left-shifted cyclic reduction: the shift needs", "residual"),
         "shifted_gddot_residual": (lambda: shift.right_shift(
             nr, replace(s_nr, R=s_nr.R + 1e-6)),

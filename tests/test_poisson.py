@@ -661,8 +661,7 @@ def test_zero_tolerances_are_allowed():
 def test_hyperplane_gate_refuses_nan():
     # every comparison with NaN is False: the gate must not read it as a pass
     with pytest.raises(InfeasibleConstraintError):
-        _solve_hyperplane(np.ones(1), np.nan, 0.0, 1.0,
-                          SolveOptions(y_perp_mode="zero"))
+        _solve_hyperplane(np.ones(1), np.nan, 1.0, SolveOptions(y_perp_mode="zero"))
 
 
 def sequential_u(x, y, G, sp, W, g, R_max):

@@ -96,19 +96,21 @@ def test_solve_qme_refuses_non_finite_blocks(block, value):
         solve_qme(**blocks)
 
 
-def test_solve_qme_reports_non_convergence():
+def test_solve_qme_reports_non_convergence(monkeypatch):
     # the shifted reduction needs 5 steps on this chain
     model = random_model(0, 4, Classification.POSITIVE_RECURRENT)
-    with pytest.raises(NumericalError, match="last residual"):
-        solve_qme(model.A_neg, model.A0, model.A1, max_iter=3)
-    solve_qme(model.A_neg, model.A0, model.A1, max_iter=5)
+    monkeypatch.setattr(qme, "QME_MAX_ITER", 3)
+    with pytest.raises(NumericalError, match="after 3 iterations.*last residual"):
+        solve_qme(model.A_neg, model.A0, model.A1)
+    monkeypatch.setattr(qme, "QME_MAX_ITER", 5)
+    solve_qme(model.A_neg, model.A0, model.A1)
 
 
 def test_cyclic_reduction_refuses_singular_i_minus_a0():
     # A_mid = I leaves I - A_mid exactly singular at the first step
     zero = np.zeros((2, 2))
     with pytest.raises(NumericalError, match="I - A0 became singular"):
-        _cyclic_reduction(zero, np.eye(2), zero, 10)
+        _cyclic_reduction(zero, np.eye(2), zero)
 
 
 class _Reduced(Exception):
@@ -128,7 +130,7 @@ def test_shifted_blocks_equal_the_explicit_products(m, theta, monkeypatch):
     Q = np.zeros((m, m)) if t is None else np.outer(np.ones(m), t)
     blocks = []
 
-    def reduction(low, mid, high, max_iter):
+    def reduction(low, mid, high):
         blocks.extend([mid, high])
         raise _Reduced
 
@@ -165,7 +167,19 @@ def test_classification_by_drift(pr1, tr1, nr1):
 
 def test_classify_agrees_with_solve_model(pr1):
     s = solve_model(pr1)
-    assert classify(pr1, s) is Classification.POSITIVE_RECURRENT
+    assert classify(s) is Classification.POSITIVE_RECURRENT
+
+
+@pytest.mark.parametrize("d", [-1e-6, 1e-6])
+def test_classify_reads_the_class_solve_model_decided(d):
+    # inside a null band of 1e-5 the chain is null recurrent whatever the
+    # sign of its drift; classify must not decide again at another band
+    model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT), d)
+    sols = solve_model(model, null_band=1e-5)
+    assert sols.classification is Classification.NULL_RECURRENT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(sols) is sols.classification
 
 
 def test_char_roots_scalar(pr1, tr1, nr1):
@@ -415,20 +429,20 @@ def test_poisson_just_outside_null_band(m, d):
 
 def test_cross_check_warns_on_flipped_drift(pr1):
     s = solve_model(pr1)
-    _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
+    _cross_checked(s.classification, s.drift, s.G, s.Ghat)
     with pytest.warns(RuntimeWarning, match="disagrees"):
-        _cross_checked(-s.drift, s.G, s.Ghat, 1e-9)
+        _cross_checked(Classification.TRANSIENT, -s.drift, s.G, s.Ghat)
     model = random_model(2, 5, Classification.POSITIVE_RECURRENT)
     s = solve_model(model)
     with pytest.warns(RuntimeWarning, match="disagrees"):
-        _cross_checked(-s.drift, s.G, s.Ghat, 1e-9)
+        _cross_checked(Classification.TRANSIENT, -s.drift, s.G, s.Ghat)
 
 
 def test_cross_check_reads_row_sums():
     s = solve_model(random_model(2, 5, Classification.POSITIVE_RECURRENT))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
+        _cross_checked(s.classification, s.drift, s.G, s.Ghat)
     Ghat_over = s.Ghat.copy()
     Ghat_over[0] *= (1.0 + 1e-10) / Ghat_over[0].sum()
     G_nan = s.G.copy()
@@ -437,17 +451,17 @@ def test_cross_check_reads_row_sums():
     for G, Ghat in ((s.G * (1.0 - 1e-10), s.Ghat), (s.G, Ghat_over),
                     (G_nan, s.Ghat)):
         with pytest.warns(RuntimeWarning, match="disagrees"):
-            _cross_checked(s.drift, G, Ghat, 1e-9)
+            _cross_checked(s.classification, s.drift, G, Ghat)
     # in the null band G owns the unit root at d > 0 too: the minimal G,
     # stochastic only to O(d), contradicts the class
     model = with_drift(random_model(2, 5, Classification.POSITIVE_RECURRENT), 1e-10)
     s = solve_model(model, null_band=1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _cross_checked(s.drift, s.G, s.Ghat, 1e-9)
+        _cross_checked(s.classification, s.drift, s.G, s.Ghat)
     with pytest.warns(RuntimeWarning, match="disagrees"):
-        _cross_checked(s.drift, solve_qme(model.A_neg, model.A0, model.A1),
-                       s.Ghat, 1e-9)
+        _cross_checked(s.classification, s.drift,
+                       solve_qme(model.A_neg, model.A0, model.A1), s.Ghat)
 
 
 @pytest.mark.parametrize("d", [-1e-10, 0.0, 1e-10, None],
@@ -471,7 +485,7 @@ def test_in_band_ghat_is_solved_on_first_read(d, nr1, reduction_calls):
     built = dataclasses.replace(solve_quietly(model), Ghat=eager)
     reduction_calls.clear()
     assert np.array_equal(char_roots(solve_quietly(model)), char_roots(built))
-    assert classify(model, solve_quietly(model)) is classify(model, built)
+    assert classify(solve_quietly(model)) is classify(built)
     assert len(reduction_calls) == 4    # per fresh record: G, then Ghat's read
 
 
@@ -481,8 +495,8 @@ def test_in_band_ghat_row_sums_are_checked_on_first_read(monkeypatch):
     model = with_drift(random_model(2, 5, Classification.POSITIVE_RECURRENT), 1e-10)
     solvent = qme._stochastic_solvent
 
-    def off(A_low, A_mid, A_high, *args):
-        X = solvent(A_low, A_mid, A_high, *args)
+    def off(A_low, A_mid, A_high):
+        X = solvent(A_low, A_mid, A_high)
         return X * (1.0 - 1e-10) if A_low is model.A1 else X
 
     monkeypatch.setattr(qme, "_stochastic_solvent", off)
@@ -502,7 +516,7 @@ def test_cross_check_warning_names_the_callers_line(entry, monkeypatch):
     s_pr, s_band = solve_quietly(pr), solve_quietly(in_band)
     monkeypatch.setattr(qme, "_UNIT_TOL", -1.0)
     calls = {"Ghat": lambda: s_band.Ghat,
-             "classify": lambda: classify(pr, s_pr),
+             "classify": lambda: classify(s_pr),
              "char_roots": lambda: char_roots(s_band),
              "solve_poisson": lambda: solve_poisson(pr, balanced_rhs(pr, 3))}
     with warnings.catch_warnings(record=True) as caught:

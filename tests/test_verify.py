@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, NumericalError, SolveOptions, drift,
-                        forward_oracle, random_model, residuals, solve_poisson,
-                        validate)
+                        forward_oracle, omega_solution, random_model, residuals,
+                        solve_poisson, validate)
 
 from conftest import random_rhs, rhs, scalar_model
 
@@ -41,6 +41,24 @@ def test_residuals_requires_three_blocks(pr1):
 def test_bad_argument_is_refused(call, message, pr1):
     with pytest.raises(ValueError, match=message):
         call(pr1)
+
+
+ORACLES = {
+    "residuals": lambda model, g: residuals(model, g, np.zeros((5, 3))),
+    "forward_oracle": lambda model, g: forward_oracle(model, g, np.zeros(3),
+                                                      np.zeros(3), 4),
+    "omega_solution": omega_solution,
+}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_oracles_refuse_g_of_wrong_width(oracle, width):
+    # a width-1 g would broadcast across the m = 3 phases, a width-4 one
+    # stop in numpy; each oracle refuses it as the solve plan does
+    model = random_model(0, 3, Classification.TRANSIENT)
+    with pytest.raises(ValueError, match=f"g has width {width}, the model has m = 3"):
+        ORACLES[oracle](model, rhs([1.0] * width, [0.0] * width))
 
 
 def test_residuals_scaled_per_equation():
