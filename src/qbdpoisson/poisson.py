@@ -20,7 +20,7 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -325,30 +325,26 @@ class SolvePlan:
     ``equation`` names the difference equation the plan solves: a
     :class:`QbdModel` of its blocks and the :class:`~qbdpoisson.qme.QmeSolutions`
     of its solvents, which ``split`` and ``wdata`` belong to.  It is the
-    chain's own (model, sols), or, with ``shift``, the right-shifted blocks
-    (B + A1 Q, A_neg (I - Q), A0 + A1 Q, A1) with (Gt, Gddot) for (G, Ghat)
-    and the U and R of ``sols``; levels map back by u_k = ut_k + Q
-    sum_{i<k} ut_i.  The plan holds that equation's boundary operator
-    (B - I) Ghat + A1, the group inverse of the chain's I - P* (P* = B + A1 G,
-    stochastic if recurrent) in the form its class picks, and, recurrent
-    only, its pi_0 of unit sum and the hyperplane direction; the ``ops`` of
-    :func:`backward_pass`; and the stacks pi_0 R^k and G^k, regrown as g or
-    R_max needs.  ``model`` is its own :class:`QbdModel` on the model's
-    read-only blocks, so a cached plan does not refer back.
+    chain's own (model, sols), or the right-shifted one that ``shift``
+    (:func:`~qbdpoisson.shift.right_shift`) holds with its Wt; levels map
+    back by u_k = ut_k + Q sum_{i<k} ut_i.  The plan holds that equation's
+    boundary operator (B - I) Ghat + A1, the group inverse of the chain's
+    I - P* (P* = B + A1 G, stochastic if recurrent) in the form its class
+    picks, and, recurrent only, its pi_0 of unit sum and the hyperplane
+    direction; the ``ops`` of :func:`backward_pass`; and the stacks pi_0 R^k
+    and G^k, regrown as g or R_max needs.  ``model`` is its own
+    :class:`QbdModel` on the model's read-only blocks, so a cached plan does
+    not refer back.
     """
 
     def __init__(self, model: QbdModel, null_band: float, eps_zero: float | None):
         # kept on ``model``: its blocks, not it, and the (B - I, A0 - I) R's gate forms
         self.model = model = QbdModel._adopting(model.B, model.A_neg, model.A0, model.A1)
         self.sols = sols = qme.solve_model(model, null_band=null_band)
-        self.shift, self.equation = None, (model, sols)
-        if sols.classification is Classification.NULL_RECURRENT:
-            self.shift = sd = shift.right_shift(model, sols)
-            B = frozen(model.B + model.A1.sum(axis=1, keepdims=True) * sd.Q[0])
-            self.equation = (QbdModel._adopting(B, sd.At_neg, sd.At0, sd.At1),
-                             replace(sols, G=sd.Gt, Ghat=sd.Gddot))
-        self.wdata = self.shift.wdata if self.shift else triple.compute_w(
-            sols.G, sols.U, sols.R, sols.Ghat)
+        self.shift = sd = (shift.right_shift(model, sols) if sols.classification
+                           is Classification.NULL_RECURRENT else None)
+        self.equation = sd.equation if sd else (model, sols)
+        self.wdata = sd.wdata if sd else triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         eq, eq_sols = self.equation
         split = spectral.split(eq_sols.Ghat, eps_zero=eps_zero)
         self.G, self._powers = eq_sols.G, np.array([eq_sols.G])

@@ -5,21 +5,21 @@ coupling series W diverges, and no resolvent triple exists.  The right
 shift of the QME kernel (He, Meini & Rhee 2001) moves the unit root of the
 stochastic solvent G, which :func:`~qbdpoisson.qme.solve_model` gives for
 every drift in the null band, to zero: with Q = 1 u^T, u uniform, the
-shifted blocks
+shifted equation has the blocks
 
-    At_neg = A_neg (I - Q),   At0 = A0 + A1 Q,   At1 = A1
+    B + A1 Q,   A_neg (I - Q),   A0 + A1 Q,   A1
 
-have the solvents Gt = G - Q (sp < 1) and, on the level-reversed side,
-Gddot (sp = 1 to O(d)).  They share G's U and R, so (Gt, Gddot) and the
-convergent Wt = sum_j Gt^j (U - I)^{-1} R^j go through the one pipeline in
-place of (G, Ghat) and W, and the levels map back via
+and the solvents Gt = G - Q (sp < 1) and, on the level-reversed side,
+Gddot (sp = 1 to O(d)), with G's U and R.  :func:`right_shift` returns it,
+with its convergent Wt = sum_j Gt^j (U - I)^{-1} R^j, for the one pipeline
+to solve in place of the chain's own, and the levels map back via
 
     u_0 = ut_0,   u_k = ut_k + Q sum_{i<k} ut_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,22 +35,19 @@ from .qme import Classification
 
 @dataclass(frozen=True)
 class ShiftData(FrozenRecord):
-    """Q, the shifted blocks, their solvents and W."""
+    """Q, the shifted equation (its model and solutions) and its Wt."""
 
     Q: Array
-    At_neg: Array
-    At0: Array
-    At1: Array
-    Gt: Array
-    Gddot: Array
+    equation: tuple[QbdModel, qme.QmeSolutions]
     wdata: triple.ResolventData
 
 
 def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
-    """Build the right-shift data for a null recurrent chain.
+    """The right-shifted equation of a null recurrent chain, ready to solve.
 
     ``sols.G`` is the stochastic solvent at every drift in the band, and
-    ``sols`` holds its U and R.  Wt = :func:`~qbdpoisson.triple.w_series`
+    ``sols`` holds its U and R, which the shifted equation keeps with
+    (Gt, Gddot) for (G, Ghat).  Wt = :func:`~qbdpoisson.triple.w_series`
     (G - Q, U, R) solves Wt - Gt Wt R = (U - I)^{-1}, and Gddot = Wt R Wt^{-1}.
     :class:`NumericalError` unless Gddot solves its equation to ``QME_TOL``,
     cond_F(Wt) <= 1e14 and cond_F(I - Gt Gddot) <= 1e12.
@@ -68,7 +65,9 @@ def right_shift(model: QbdModel, sols: qme.QmeSolutions) -> ShiftData:
     checked_inverse(np.eye(model.m) - Gt @ Gddot, 1e12,
                     "I - Gt Gddot is numerically singular; the shift did not "
                     "separate the unit roots")
-    return ShiftData(Q=Q, At_neg=At_neg, At0=At0, At1=model.A1, Gt=Gt, Gddot=Gddot,
+    B = frozen(model.B + model.A1.sum(axis=1, keepdims=True) * Q[0])
+    return ShiftData(Q=Q, equation=(QbdModel._adopting(B, At_neg, At0, model.A1),
+                                    replace(sols, G=Gt, Ghat=Gddot)),
                      wdata=triple.ResolventData(W=W, W_inv=W_inv))
 
 

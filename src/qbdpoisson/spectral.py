@@ -61,10 +61,7 @@ class SpectralSplit(FrozenRecord):
 
     def j_matrix(self) -> Array:
         """diag(V1, V0)."""
-        out = np.zeros((self.m, self.m))
-        out[:self.p, :self.p] = self.V1
-        out[self.p:, self.p:] = self.V0
-        return out
+        return scipy.linalg.block_diag(self.V1, self.V0)
 
     def m_inv(self) -> Array:
         """M^{-1} = [E; F]."""
@@ -103,13 +100,14 @@ def _nilpotency_index(V0: Array) -> int:
     nu = 1
     power = V0.copy()
     threshold = 1e-14 * norm_inf(V0)
-    while np.any(power != 0.0):
-        power = power @ V0
-        power[np.abs(power) < threshold] = 0.0
-        nu += 1
-        if nu > n:
-            raise NumericalError("nilpotent block failed to annihilate "
-                                 f"within {n} powers")
+    with np.errstate(over="ignore", invalid="ignore"):   # a blow-up is refused below
+        while np.any(power != 0.0):
+            power = power @ V0
+            power[np.abs(power) < threshold] = 0.0
+            nu += 1
+            if nu > n:
+                raise NumericalError("nilpotent block failed to annihilate "
+                                     f"within {n} powers")
     return nu
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import qme
 # spectral_radius is unused here but stays bound: bench/spans.py wraps it
@@ -131,13 +132,9 @@ def compute_w(G: Array, U: Array, R: Array, Ghat: Array) -> ResolventData:
 def build_triple(G: Array, split: SpectralSplit, W: Array) -> ResolventTriple:
     """Assemble the resolvent triple from G, the splitting of Ghat, and W;
     NumericalError when its pair matrix has condition number above 1e12."""
-    m, p = G.shape[0], split.p
-    T1 = np.zeros((m + p, m + p))
-    T1[:m, :m] = G
-    T1[m:, m:] = split.v1_inv
-    triple = ResolventTriple(X1=np.hstack([np.eye(m), split.L]), X2=split.K,
-                             T1=T1, T2=split.V0, Z1=np.vstack([W, -split.E @ W]),
-                             Z2=-split.V0 @ split.F @ W)
+    triple = ResolventTriple(X1=np.hstack([np.eye(G.shape[0]), split.L]), X2=split.K,
+                             T1=scipy.linalg.block_diag(G, split.v1_inv), T2=split.V0,
+                             Z1=np.vstack([W, -split.E @ W]), Z2=-split.V0 @ split.F @ W)
     gate(triple.pair_condition, 1e12, "decomposable pair "
          "matrix is ill-conditioned: likely a near-critical chain or a nearly "
          "singular Ghat", "condition number")

@@ -98,20 +98,23 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
 def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
     """Reconstruct u_2 ... u_{R_max} from seeds (u_0, u_1) by forward recurrence.
 
-    u_{r+2} = A1^{-1} (-g_{r+1} - A_neg u_r - (A0 - I) u_{r+1}).  Requires
-    cond_F(A1) <= 1e12 (else :class:`NumericalError`); growing characteristic
-    modes amplify rounding, so use short horizons only.  Near a critical
-    chain even a short horizon can drift far from a correct bounded solution.
+    u_{r+2} = A1^{-1} (-g_{r+1} - A_neg u_r - (A0 - I) u_{r+1}).  ValueError
+    unless g and both seeds have width m; :class:`NumericalError` unless
+    cond_F(A1) <= 1e12.  Growing characteristic modes amplify rounding, so use
+    short horizons only; near a critical chain even a short horizon can drift
+    far from a correct bounded solution.
     """
     g.check_width(model.m)
+    for name, seed in (("u0", u0), ("u1", u1)):
+        if np.shape(seed) != (model.m,):
+            raise ValueError(f"{name} has length {np.size(seed)}, the model has m = {model.m}")
     A1_inv = checked_inverse(model.A1, 1e12,
                              "forward recurrence requires a nonsingular A1")
     if R_max < 1:
         raise ValueError(f"horizon must cover both seeds, got R_max = {R_max}")
     A0_eye = model.minus_identity[1]
     out = np.empty((R_max + 1, model.m))
-    out[0] = np.asarray(u0, dtype=float)
-    out[1] = np.asarray(u1, dtype=float)
+    out[:2] = u0, u1
     for r in range(R_max - 1):
         rhs = -g.block(r + 1) - model.A_neg @ out[r] - A0_eye @ out[r + 1]
         out[r + 2] = A1_inv @ rhs

@@ -1,11 +1,13 @@
 """The real dense kernel of _linalg: inverse (LAPACK getrf + getri) and
 solve (gesv on a vector, the inverse and a product on a matrix), their edge
-inputs, and the errors their callers raise."""
+inputs, and the errors their callers raise; and the edge inputs of the other
+small helpers of _linalg, spectral.split and verify.random_model."""
 
 import numpy as np
 import pytest
 
-from qbdpoisson import NumericalError, _linalg, qme, spectral
+from qbdpoisson import (Classification, NumericalError, _linalg, qme, random_model,
+                        spectral, verify)
 from qbdpoisson._linalg import inverse, solve
 
 SIZES = [1, 8, 64]
@@ -96,3 +98,48 @@ def test_nan_is_refused_by_the_gate(m):
     a[m // 2, 0] = np.nan
     with pytest.raises(NumericalError, match="Frobenius condition number"):
         _linalg.checked_inverse(a, 1e14, "a")
+
+
+def _stationary_overflow():
+    # the bordered system I - P^T + u 1^T is, to rounding, M = 2^-52 I minus
+    # ones above the diagonal: its solution doubles per row and overflows
+    n = 20
+    M = 2.0 ** -52 * np.eye(n) - np.triu(np.ones((n, n)), 1)
+    return _linalg.stationary_vector((np.eye(n) + np.full((n, n), 1.0 / n) - M).T)
+
+
+EDGE_INPUTS = {
+    "spectral_radius_empty": (lambda mp: _linalg.spectral_radius(np.zeros((0, 0))), 0.0),
+    "condition_number_empty": (lambda mp: _linalg.condition_number(np.zeros((0, 0))), 1.0),
+    "condition_number_nan": (lambda mp: _linalg.condition_number(
+        np.array([[np.nan, 1.0], [0.0, 1.0]])), np.inf),
+    "stationary_overflow": (lambda mp: _stationary_overflow(), (
+        NumericalError, "unit eigenvector: normalization failed")),
+    "split_not_square": (lambda mp: spectral.split(np.zeros((2, 3))), (
+        ValueError, r"target must be square, got shape \(2, 3\)")),
+    # V0^3 overflows to inf, then inf * 0 gives NaN: no numpy warning, the
+    # named refusal only
+    "split_nilpotent_overflow": (lambda mp: spectral.split(
+        np.triu(np.full((4, 4), 1e120), 1)), (
+        NumericalError, "nilpotent block failed to annihilate within 4 powers")),
+    "random_model_no_phase": (lambda mp: random_model(
+        0, 0, Classification.POSITIVE_RECURRENT), (
+        ValueError, "phase count must be positive, got 0")),
+    # no draw has |drift| >= 10, so every one of the 50 is thrown away
+    "random_model_retries": (lambda mp: (
+        mp.setattr(verify, "_DRIFT_MARGIN", 10.0),
+        random_model(0, 3, Classification.POSITIVE_RECURRENT)), (
+        NumericalError, "after 50 attempts")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+def test_edge_inputs_get_their_value_or_named_refusal(case, monkeypatch):
+    # each reaches a branch no other test runs; a refusal is the named error
+    # alone, which the suite's error::RuntimeWarning filter would preempt
+    call, want = EDGE_INPUTS[case]
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=want[1]):
+            call(monkeypatch)
+    else:
+        assert call(monkeypatch) == want

@@ -395,10 +395,9 @@ def test_plan_shares_the_arrays_it_does_not_compute(cls):
     np.testing.assert_array_equal(sp.M, np.eye(64))
     if cls is Classification.NULL_RECURRENT:
         sd = plan.shift
+        assert plan.equation is sd.equation and plan.wdata is sd.wdata
         assert eq_sols.R is plan.sols.R and eq_sols.U is plan.sols.U
-        assert eq_sols.G is sd.Gt and eq_sols.Ghat is sd.Gddot
-        assert eq.A_neg is sd.At_neg and eq.A0 is sd.At0 and eq.A1 is sd.At1
-        assert sd.At1 is model.A1
+        assert eq.A1 is model.A1
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)

@@ -22,6 +22,14 @@ def null_rhs(seed: int, m: int, n_blocks: int = 3):
     return random_rhs(seed, m, n_blocks)
 
 
+def shift_arrays(sd):
+    """Q, the shifted equation's blocks and solvents, and Wt of a ShiftData."""
+    eq, eq_sols = sd.equation
+    return {"Q": sd.Q, **{n: getattr(eq, n) for n in ("B", "A_neg", "A0", "A1")},
+            "Gt": eq_sols.G, "Gddot": eq_sols.Ghat, "W": sd.wdata.W,
+            "W_inv": sd.wdata.W_inv}
+
+
 def plan_identities(model):
     """check_identities on the difference equation the model's plan solves."""
     plan = poisson._plan(model, SolveOptions())
@@ -31,12 +39,14 @@ def plan_identities(model):
 def test_shift_data_scalar(nr1):
     s = solve_model(nr1)
     sd = right_shift(nr1, s)
+    assert [f.name for f in dataclasses.fields(sd)] == ["Q", "equation", "wdata"]
+    eq, eq_sols = sd.equation
     assert sd.Q[0, 0] == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose([sd.At_neg[0, 0], sd.At0[0, 0], sd.At1[0, 0]],
+    np.testing.assert_allclose([eq.A_neg[0, 0], eq.A0[0, 0], eq.A1[0, 0]],
                                [0.0, 0.6, 0.4], atol=1e-10)
-    assert sd.Gt[0, 0] == pytest.approx(0.0, abs=1e-10)
-    assert sd.Gddot[0, 0] == pytest.approx(1.0, abs=1e-10)
-    assert compute_w(sd.Gt, s.U, s.R, sd.Gddot).W[0, 0] == pytest.approx(
+    assert eq_sols.G[0, 0] == pytest.approx(0.0, abs=1e-10)
+    assert eq_sols.Ghat[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert compute_w(eq_sols.G, s.U, s.R, eq_sols.Ghat).W[0, 0] == pytest.approx(
         -2.5, abs=1e-10)
     # shifted residual: 0 + (0.6 - 1) * 0 + 0.4 * 0 = 0
     report = plan_identities(nr1)
@@ -123,17 +133,18 @@ def test_gddot_from_the_dual_matches_its_own_reduction(case):
     model = DUAL_CASES[case]()
     plan = poisson._plan(model, SolveOptions())
     sd = plan.shift
-    reference = qme._left_shifted(model.A1, sd.At0, sd.At_neg, None)[0]
-    assert np.abs(sd.Gddot - reference).max() <= 1e-15
+    eq, eq_sols = sd.equation
+    reference = qme._left_shifted(eq.A1, eq.A0, eq.A_neg, None)[0]
+    assert np.abs(eq_sols.Ghat - reference).max() <= 1e-15
     s = plan.sols
-    W = compute_w(sd.Gt, s.U, s.R, sd.Gddot).W
+    W = compute_w(eq_sols.G, s.U, s.R, eq_sols.Ghat).W
     assert np.abs(sd.wdata.W - W).max() <= 1e-14 * np.abs(W).max()
-    assert plan.wdata is sd.wdata
-    anew = right_shift(model, solve_model(model))
-    for name in ("Q", "At_neg", "At0", "At1", "Gt", "Gddot"):
-        assert np.array_equal(getattr(anew, name), getattr(sd, name)), name
-    assert np.array_equal(anew.wdata.W, sd.wdata.W)
-    assert np.array_equal(anew.wdata.W_inv, sd.wdata.W_inv)
+    assert plan.equation is sd.equation and plan.wdata is sd.wdata
+    # rebuilt from solutions of its own: the same shifted equation, boundary
+    # block B + A1 Q included, bit for bit
+    anew, old = shift_arrays(right_shift(model, solve_model(model))), shift_arrays(sd)
+    for name in old:
+        assert np.array_equal(anew[name], old[name]), name
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -146,12 +157,10 @@ def test_right_shift_reads_only_the_solutions_fields(seed, reduction_calls):
     copy = dataclasses.replace(s)
     assert len(reduction_calls) == 1
     reduction_calls.clear()
-    sd, anew = right_shift(model, s), right_shift(model, copy)
+    sd, anew = shift_arrays(right_shift(model, s)), shift_arrays(right_shift(model, copy))
     assert reduction_calls == []
-    for name in ("Q", "At_neg", "At0", "At1", "Gt", "Gddot"):
-        assert np.array_equal(getattr(sd, name), getattr(anew, name)), name
-    assert np.array_equal(sd.wdata.W, anew.wdata.W)
-    assert np.array_equal(sd.wdata.W_inv, anew.wdata.W_inv)
+    for name in sd:
+        assert np.array_equal(sd[name], anew[name]), name
 
 
 def _slow_mixing_null(eps: float) -> QbdModel:
@@ -195,17 +204,18 @@ def test_right_shift_rejects_wrong_class(pr1):
 def test_shift_invariants_random(seed):
     m = seed % 3 + 1
     model = random_model(seed, m, Classification.NULL_RECURRENT)
-    sd = poisson._plan(model, SolveOptions()).shift
+    eq, eq_sols = poisson._plan(model, SolveOptions()).shift.equation
     # the plan's equation includes the shifted down equation (pair_down) and
     # the inverse of the shifted W (w_inverse)
     report = plan_identities(model)
     assert report.pop("pair_condition_number") < 1e12
     assert max(report.values()) <= 1e-12
-    assert qme_residual(sd.At_neg, sd.At0, sd.At1, sd.Gt) <= 1e-12
-    assert qme_residual(sd.At1, sd.At0, sd.At_neg, sd.Gddot) <= 1e-12
-    assert linalg.spectral_radius(sd.Gt) < 1 - 1e-6
-    assert linalg.spectral_radius(sd.Gddot) == pytest.approx(1.0, abs=1e-8)
-    assert np.linalg.det(np.eye(m) - sd.Gt @ sd.Gddot) != 0.0
+    Gt, Gddot = eq_sols.G, eq_sols.Ghat
+    assert qme_residual(eq.A_neg, eq.A0, eq.A1, Gt) <= 1e-12
+    assert qme_residual(eq.A1, eq.A0, eq.A_neg, Gddot) <= 1e-12
+    assert linalg.spectral_radius(Gt) < 1 - 1e-6
+    assert linalg.spectral_radius(Gddot) == pytest.approx(1.0, abs=1e-8)
+    assert np.linalg.det(np.eye(m) - Gt @ Gddot) != 0.0
 
 
 def test_null_recurrent_scalar_solution(nr1, nr1_rhs):
@@ -242,6 +252,7 @@ def test_recovered_vs_shifted_residuals(nr1, nr1_rhs):
     # equation; the recovered sequence solves the original one
     s = solve_model(nr1)
     sd = right_shift(nr1, s)
+    eq = sd.equation[0]
     sol = solve_null_recurrent(nr1, nr1_rhs)
     # invert the cumulative correction: ut_0 = u_0, ut_k = u_k - Q sum_{i<k} ut_i
     ut = sol.u.copy()
@@ -251,8 +262,8 @@ def test_recovered_vs_shifted_residuals(nr1, nr1_rhs):
         ut[k] = sol.u[k] - sd.Q @ acc
     eye = np.eye(nr1.m)
     for r in range(sol.R_max - 1):
-        res = sd.At_neg @ ut[r] + (sd.At0 - eye) @ ut[r + 1] \
-            + sd.At1 @ ut[r + 2] + nr1_rhs.block(r + 1)
+        res = eq.A_neg @ ut[r] + (eq.A0 - eye) @ ut[r + 1] \
+            + eq.A1 @ ut[r + 2] + nr1_rhs.block(r + 1)
         assert np.max(np.abs(res)) < 1e-8
 
 
@@ -263,6 +274,7 @@ def test_shifted_sequence_solves_shifted_equation(seed):
     g = null_rhs(seed, m)
     s = solve_model(model)
     sd = right_shift(model, s)
+    eq = sd.equation[0]
     sol = solve_null_recurrent(model, g)
     ut = sol.u.copy()
     acc = np.zeros(m)
@@ -272,20 +284,20 @@ def test_shifted_sequence_solves_shifted_equation(seed):
     eye = np.eye(m)
     scale = 1 + np.max(np.abs(ut))
     for r in range(sol.R_max - 1):
-        res = sd.At_neg @ ut[r] + (sd.At0 - eye) @ ut[r + 1] \
-            + sd.At1 @ ut[r + 2] + g.block(r + 1)
+        res = eq.A_neg @ ut[r] + (eq.A0 - eye) @ ut[r + 1] \
+            + eq.A1 @ ut[r + 2] + g.block(r + 1)
         assert np.max(np.abs(res)) <= 1e-8 * scale
 
 
 def test_constraint_scale_invariance(nr1, nr1_rhs):
     # multiplying pi_0 by c > 0 leaves the constraint solution set unchanged
     s = solve_model(nr1)
-    sd = right_shift(nr1, s)
+    eq_sols = right_shift(nr1, s).equation[1]
     st = stationary(nr1, s, Normalization.UNIT_SUM)
     for c in (1.0, 3.7):
         pi0 = c * st.pi0
-        lhs_dir = split(sd.Gddot).L.T @ (
-            compute_w(sd.Gt, s.U, s.R, sd.Gddot).W_inv.T @ pi0)
+        lhs_dir = split(eq_sols.Ghat).L.T @ (
+            compute_w(eq_sols.G, s.U, s.R, eq_sols.Ghat).W_inv.T @ pi0)
         target = pi_dot_g(pi0, s.R, nr1_rhs)
         y_perp = target / float(lhs_dir @ lhs_dir) * lhs_dir
         if c == 1.0:

@@ -61,6 +61,17 @@ def test_oracles_refuse_g_of_wrong_width(oracle, width):
         ORACLES[oracle](model, rhs([1.0] * width, [0.0] * width))
 
 
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("seed", ["u0", "u1"])
+def test_forward_oracle_refuses_seeds_of_wrong_width(seed, width):
+    # a width-1 seed would broadcast across the m = 3 phases, a width-4 one
+    # stop in numpy; the oracle names the seed, its length and m
+    model = random_model(0, 3, Classification.TRANSIENT)
+    seeds = {"u0": np.zeros(3), "u1": np.zeros(3), seed: [1.0] * width}
+    with pytest.raises(ValueError, match=f"{seed} has length {width}, the model has m = 3"):
+        forward_oracle(model, rhs([1.0] * 3), seeds["u0"], seeds["u1"], 3)
+
+
 def test_residuals_scaled_per_equation():
     # the family grows to 2.9e228 by level 200, so 1 + max_r ||u_r|| would
     # hide any boundary error; the boundary's own scale is 1 + ||u_0|| + ||u_1||
