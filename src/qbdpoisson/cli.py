@@ -31,7 +31,7 @@ import numpy as np
 from . import _floattext, poisson, probabilistic, qme, triple, verify
 from .exceptions import (InfeasibleConstraintError, ModelValidationError,
                          NumericalError, QbdError)
-from .model import STOCHASTIC_TOL, load_problem, parse_problem, validate
+from .model import load_problem, parse_problem, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,12 +59,6 @@ def _vector(text: str) -> tuple[float, ...]:
             f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _add_model_flags(sub):
-    sub.add_argument("input", type=Path, help="problem document (JSON)")
-    sub.add_argument("--stochastic-tol", type=float, default=STOCHASTIC_TOL,
-                     help="row-sum/entry tolerance for model validation")
-
-
 def _add_solver_flags(sub, *, eps_zero=True, solves=True):
     # no defaults here: a flag left out is None, and SolveOptions fills it in
     sub.add_argument("--null-band", type=float,
@@ -74,8 +68,6 @@ def _add_solver_flags(sub, *, eps_zero=True, solves=True):
                          help="eigenvalue-modulus cutoff of the spectral "
                               "split (default: m * eps * norm)")
     if solves:
-        sub.add_argument("--residual-tol", type=float,
-                         help="pass/fail tolerance of the residual report")
         sub.add_argument("--levels", dest="R_max", type=int,
                          help="highest level R_max to evaluate (default N + 10)")
 
@@ -86,15 +78,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qbdpoisson", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("validate", help="check model invariants")
-    _add_model_flags(sub)
+    commands.add_parser("validate", help="check model invariants")
 
     sub = commands.add_parser("classify", help="recurrence class, drift, roots")
-    _add_model_flags(sub)
     _add_solver_flags(sub, eps_zero=False, solves=False)
 
     sub = commands.add_parser("solve", help="solve the Poisson equation")
-    _add_model_flags(sub)
     _add_solver_flags(sub)
     sub.add_argument("-o", "--output", type=Path, default=None,
                      help="output path base (default: input stem + '.solution')")
@@ -112,18 +101,17 @@ def build_parser() -> _Parser:
                           "phases when Ghat is invertible)")
 
     sub = commands.add_parser("lemmas", help="identity residual report")
-    _add_model_flags(sub)
     _add_solver_flags(sub, solves=False)
 
     sub = commands.add_parser("compare-prob",
                               help="probabilistic vs analytic solution")
-    _add_model_flags(sub)
     _add_solver_flags(sub)
 
     sub = commands.add_parser("oracle", help="forward-recurrence cross-check "
                               "(may refuse a correct solution near criticality)")
-    _add_model_flags(sub)
     _add_solver_flags(sub)
+    for sub in commands.choices.values():     # each reads one problem file
+        sub.add_argument("input", type=Path, help="problem document (JSON)")
     return parser
 
 
@@ -135,8 +123,7 @@ def _dump(obj) -> str:
 
 
 def _load(args):
-    return load_problem(args.input.read_text(encoding="utf-8"),
-                        stochastic_tol=args.stochastic_tol)
+    return load_problem(args.input.read_text(encoding="utf-8"))
 
 
 def _options(args) -> poisson.SolveOptions:
@@ -215,7 +202,7 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
 def _cmd_validate(args) -> int:
     # parse errors (g included) raise; invariant violations go to the report
     model, _ = parse_problem(args.input.read_text(encoding="utf-8"))
-    report = validate(model, tol=args.stochastic_tol)
+    report = validate(model)
     print(_dump(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

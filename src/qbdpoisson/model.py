@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import Array, as_readonly, check_tolerance, frozen, norm_inf
+from ._linalg import Array, as_readonly, frozen, norm_inf
 from .exceptions import ModelValidationError
 
 STOCHASTIC_TOL = 1e-12
@@ -161,17 +161,18 @@ def _strongly_connected(a: Array) -> bool:
     return True
 
 
-def validate(model: QbdModel, tol: float = STOCHASTIC_TOL) -> ValidationReport:
+def validate(model: QbdModel) -> ValidationReport:
     """Check the structural invariants and report residuals; never mutates.
 
     Failures: non-finite entries, entries outside [0, 1], row-sum residuals
-    above ``tol`` for B + A1 (level 0) and A_neg + A0 + A1 (repeating
-    levels; rows with a non-finite sum are left out), and a reducible phase
-    graph of A_neg + A0 + A1.  A 3-level truncation of the full chain that
-    is not strongly connected is reported as a warning only.  ValueError
-    refuses a ``tol`` that is NaN, infinite or negative.
+    above :data:`STOCHASTIC_TOL` for B + A1 (level 0) and A_neg + A0 + A1
+    (repeating levels; rows with a non-finite sum are left out), and a
+    reducible phase graph of A_neg + A0 + A1.  A 3-level truncation of the
+    full chain that is not strongly connected is reported as a warning only.
+    The tolerance is a constant: the QME solver checks its input rows against
+    the same value, so no looser one could let a model through to a solve.
     """
-    check_tolerance("stochastic_tol", tol)
+    tol = STOCHASTIC_TOL
     failures: list[str] = []
     warnings: list[str] = []
     m = model.m
@@ -271,11 +272,11 @@ def parse_problem(document) -> tuple[QbdModel, RhsSpec]:
     return model, RhsSpec(blocks=g)
 
 
-def load_problem(document, stochastic_tol: float = STOCHASTIC_TOL) -> tuple[QbdModel, RhsSpec]:
-    """:func:`parse_problem`, then :func:`validate`; raises
-    :class:`ModelValidationError` naming the offending field, row or entry."""
+def load_problem(document) -> tuple[QbdModel, RhsSpec]:
+    """:func:`parse_problem`, then :func:`validate` at :data:`STOCHASTIC_TOL`;
+    raises :class:`ModelValidationError` naming the offending field, row or entry."""
     model, rhs = parse_problem(document)
-    report = validate(model, tol=stochastic_tol)
+    report = validate(model)
     if not report.passed:
         raise ModelValidationError("invalid model: " + "; ".join(report.failures))
     return model, rhs

@@ -38,7 +38,6 @@ from .spectral import SpectralSplit
 from .triple import ResolventData
 from .verify import ResidualReport
 
-DEFAULT_RESIDUAL_TOL = verify.DEFAULT_TOL
 _EXTRA_LEVELS = 10
 _PSTAR_ROW_TOL = 1e-10
 
@@ -60,7 +59,8 @@ class SolveOptions:
     y, y*, ``y_free`` and ``y_perp`` are in the columns of the split's L: the
     phases when Ghat has 1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the
     ordered Schur basis.  Refused: None but as a default, and NaN, infinite
-    or negative tolerances.
+    or negative tolerances.  The residual report checks at the constant
+    :data:`~qbdpoisson.verify.DEFAULT_TOL`, which no caller can widen.
     """
 
     y_free: tuple | None = None
@@ -68,7 +68,6 @@ class SolveOptions:
     y_perp: tuple | None = None
     alpha: float = 0.0
     R_max: int | None = None
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
     null_band: float = qme.NULL_BAND
     eps_zero: float | None = None
 
@@ -87,9 +86,9 @@ class SolveOptions:
             if (value is not None or name == "alpha") and not np.isfinite(
                     np.asarray(value, float)).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("null_band", "eps_zero", "residual_tol"):
-            if name != "eps_zero" or self.eps_zero is not None:
-                check_tolerance(name, getattr(self, name))
+        check_tolerance("null_band", self.null_band)
+        if self.eps_zero is not None:
+            check_tolerance("eps_zero", self.eps_zero)
 
 
 @dataclass(frozen=True)
@@ -403,14 +402,13 @@ class SolvePlan:
             y = frozen(y_star + _solve_hyperplane(self.direction, pig,
                                                   norm_inf(g.blocks), opt))
 
-        Ly = split.v1_solve(y) if split.identity else split.L @ split.v1_solve(y)
-        x, alpha = self.sharp.dot(self.boundary.dot(sigma1 + Ly) + g.block(0)), None
-        if cls is not Classification.TRANSIENT:
-            x, alpha = x + opt.alpha, opt.alpha
-
         R_max = g.N + _EXTRA_LEVELS if opt.R_max is None else int(opt.R_max)
-        # a growing family may overflow; that is refused below, not warned about
+        # a huge g or a growing family may overflow: refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
+            Ly = split.v1_solve(y) if split.identity else split.L @ split.v1_solve(y)
+            x, alpha = self.sharp.dot(self.boundary.dot(sigma1 + Ly) + g.block(0)), None
+            if cls is not Classification.TRANSIENT:
+                x, alpha = x + opt.alpha, opt.alpha
             self._powers, _ = _g_powers(self.G, R_max, min(g.N, R_max), self._powers)
             u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h,
                                     powers=self._powers)
@@ -421,7 +419,7 @@ class SolvePlan:
             raise NumericalError(
                 f"solution is not finite from level {bad} on (R_max = {R_max}); "
                 "the solution family overflows, choose fewer levels")
-        report = verify.residuals(self.model, g, u, tol=opt.residual_tol)
+        report = verify.residuals(self.model, g, u, tol=verify.DEFAULT_TOL)
         return PoissonSolution(classification=cls, x=frozen(x), y=y,
                                y_star=y_star, alpha=alpha, sigma1=frozen(sigma1),
                                R_max=R_max, u=frozen(u), diagnostics=report)

@@ -16,6 +16,7 @@ the coupling.  V1^{-1} is applied by LU solves with V1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,9 +135,8 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         C_inv, info = scipy.linalg.lapack.dgetri(lu, piv)
     with np.errstate(over="ignore"):      # an overflowing norm fails the test
         invertible = info == 0 and 1.0 / np.linalg.norm(C_inv) > eps_zero
-    cut = float(eps_zero) ** 2
     T, Q, p = (C, np.eye(m), m) if invertible else scipy.linalg.schur(
-        C, output="real", sort=lambda re, im: (re * re + im * im) > cut)
+        C, output="real", sort=lambda re, im: math.hypot(re, im) > eps_zero)
     p = int(p)
 
     # make the trailing block exactly nilpotent: its eigenvalues are at most

@@ -12,7 +12,7 @@ import pytest
 from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         load_problem, random_model, serialize_problem,
                         solve_poisson)
-from qbdpoisson import cli, poisson, qme, shift, spectral, triple
+from qbdpoisson import cli, poisson, qme, shift, spectral, triple, verify
 from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
 from conftest import balanced_rhs, nilpotent_model, random_rhs, with_drift
 
@@ -301,7 +301,9 @@ def test_unknown_flag_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [("classify", "--eps-zero"),
                                            ("classify", "--residual-tol"),
-                                           ("lemmas", "--residual-tol")])
+                                           ("lemmas", "--residual-tol"),
+                                           ("solve", "--residual-tol"),
+                                           ("validate", "--stochastic-tol")])
 def test_subcommand_refuses_flag_it_does_not_read(command, flag, tmp_path,
                                                   capsys):
     path = write(tmp_path, "pr1.json", PR1)
@@ -346,10 +348,10 @@ def test_unset_solver_flags_take_solve_options_defaults(command):
 def test_solver_flags_map_onto_solve_options():
     args = build_parser().parse_args([
         "solve", "p.json", "--levels", "40", "--alpha", "1.5",
-        "--null-band", "1e-9", "--eps-zero", "1e-13", "--residual-tol", "1e-9",
+        "--null-band", "1e-9", "--eps-zero", "1e-13",
         "--y-perp-mode", "explicit", "--y-perp", "1,2", "--y-free", "3"])
     assert _options(args) == SolveOptions(
-        R_max=40, alpha=1.5, null_band=1e-9, eps_zero=1e-13, residual_tol=1e-9,
+        R_max=40, alpha=1.5, null_band=1e-9, eps_zero=1e-13,
         y_perp_mode="explicit", y_perp=(1.0, 2.0), y_free=(3.0,))
     for command in ("compare-prob", "oracle"):
         args = build_parser().parse_args([command, "p.json", "--levels", "7"])
@@ -410,11 +412,11 @@ def test_solve_refuses_non_finite_levels(tmp_path, capsys):
     assert not (tmp_path / "long.json").exists()
 
 
-def test_residual_failure_names_worst_equation(tmp_path, capsys):
+def test_residual_failure_names_worst_equation(tmp_path, capsys, monkeypatch):
     # no residual meets a tolerance of 1e-300
+    monkeypatch.setattr(verify, "DEFAULT_TOL", 1e-300)
     out = tmp_path / "strict"
-    assert run(["solve", "--residual-tol", "1e-300", "-o", str(out),
-                str(MODELS / "tandem_m2.json")]) == 2
+    assert run(["solve", "-o", str(out), str(MODELS / "tandem_m2.json")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NumericalError"
     assert re.search(r"the level-\d+ equation has residual \S+ > 1e-300 \* \S+, "
@@ -472,13 +474,12 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     # NaN fails every comparison; it is refused before the hyperplane gate
     (["--y-perp-mode", "explicit", "--y-perp", "nan"], "pr1",
      "y_perp must be finite"),
-    # a NaN band classed pr1 (drift -0.4) as null recurrent; an infinite
-    # residual tolerance passed every report
+    # a NaN band classed pr1 (drift -0.4) as null recurrent
     (["--null-band", "nan"], "pr1", "null_band must be finite"),
     (["--null-band", "-1"], "pr1", "null_band must be finite"),
     (["--eps-zero", "nan"], "pr1", "eps_zero must be finite"),
-    (["--residual-tol", "inf"], "pr1", "residual_tol must be finite"),
-    (["--stochastic-tol", "inf"], "pr1", "stochastic_tol must be finite"),
+    (["--eps-zero", "-1"], "pr1", "eps_zero must be finite"),
+    (["--alpha", "inf"], "pr1", "alpha must be finite"),
     # a parameter the class's solution family does not have is refused
     (["--y-perp", "5"], "nr1", "a y_perp requires y_perp_mode 'explicit'"),
     (["--y-free", "5"], "nr1",
@@ -500,7 +501,7 @@ def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("validate", ["--stochastic-tol", "inf"]),
+    ("solve", ["--eps-zero", "nan"]),
     ("classify", ["--null-band", "nan"]),
     ("lemmas", ["--eps-zero", "-1"]),
 ])

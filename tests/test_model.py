@@ -6,6 +6,7 @@ import pytest
 
 from qbdpoisson import (ModelValidationError, QbdModel, RhsSpec, load_problem,
                         serialize_problem, validate)
+from qbdpoisson import cli
 from qbdpoisson.model import parse_problem
 
 from conftest import rhs, scalar_model
@@ -279,12 +280,19 @@ def test_model_arrays_are_readonly(pr1):
         g.blocks[0, 0] = 2.0
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
-def test_stochastic_tol_that_means_nothing_is_refused(tol):
-    # an infinite tolerance would accept negative entries
-    model, _ = parse_problem(PR1_DOC)
-    for check in (lambda: validate(model, tol=tol),
-                  lambda: load_problem(PR1_DOC, stochastic_tol=tol)):
-        with pytest.raises(ValueError, match="stochastic_tol must be finite"):
-            check()
-    assert validate(model, tol=0.0).tol == 0.0
+def test_stochastic_tol_sits_inside_its_tenfold_band(tmp_path, capsys):
+    # rows 5e-12 above 1 lie between STOCHASTIC_TOL = 1e-12 and 10x of it:
+    # validate names both, and solve refuses the model before the QME solve
+    doc = json.loads(PR1_DOC)
+    doc["A0"][0][0] += 5e-12
+    doc["B"][0][0] += 5e-12
+    report = validate(parse_problem(doc)[0])
+    assert report.tol == 1e-12
+    assert [re.sub(r" sums to .*", "", f) for f in report.failures] == [
+        "level-0 row 0 of B + A1", "repeating row 0 of A_neg + A0 + A1"]
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ModelValidationError"
+    assert "level-0 row 0" in err["message"] and "repeating row 0" in err["message"]

@@ -8,7 +8,8 @@ from qbdpoisson import (Classification, ClassificationError,
                         evaluate_u_sequence, group_inverse, pi_dot_g,
                         random_model, residuals, solve_model,
                         solve_nonsingular_a1, solve_null_recurrent,
-                        solve_poisson, split, stationary, compute_w)
+                        solve_poisson, split, stationary, compute_w,
+                        validate)
 
 from qbdpoisson import _linalg, poisson, verify
 from qbdpoisson.poisson import (_corollary_split, _solve_hyperplane,
@@ -589,13 +590,13 @@ def test_g_of_wrong_width_is_refused(solver, cls):
     ("null_band", dict(null_band=-1e-9)),
     ("eps_zero", dict(eps_zero=np.nan)),
     ("eps_zero", dict(eps_zero=-1.0)),
-    ("residual_tol", dict(residual_tol=np.inf)),
-    ("residual_tol", dict(residual_tol=np.nan)),
-    ("residual_tol", dict(residual_tol=-1e-7)),
+    ("eps_zero", dict(eps_zero=np.inf)),
+    # and so does a parameter that is not finite
+    ("y_free", dict(y_free=(np.inf,))),
+    ("alpha", dict(alpha=np.nan)),
     # None is a default only for eps_zero, y_free and y_perp
     ("alpha", dict(alpha=None)),
     ("null_band", dict(null_band=None)),
-    ("residual_tol", dict(residual_tol=None)),
 ])
 def test_non_finite_option_is_refused(field, options):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -624,12 +625,14 @@ def test_bad_argument_is_refused(call, message):
 
 
 def test_default_tolerances_are_pinned(pr1, pr1_rhs):
-    # the public defaults: one residual tolerance of 1e-7, read by the solver
-    # and by the residual check, and the split's cutoff m * eps * max |C_ij|
-    assert poisson.DEFAULT_RESIDUAL_TOL == verify.DEFAULT_TOL == 1e-7
-    assert SolveOptions().residual_tol == 1e-7
-    u = solve_poisson(pr1, pr1_rhs).u
-    assert residuals(pr1, pr1_rhs, u).tol == 1e-7
+    # the fixed tolerances: residuals at 1e-7, by the solver and by the
+    # residual check, model rows at 1e-12; and the split's cutoff
+    # m * eps * max |C_ij|
+    assert verify.DEFAULT_TOL == 1e-7
+    sol = solve_poisson(pr1, pr1_rhs)
+    assert sol.diagnostics.tol == 1e-7
+    assert residuals(pr1, pr1_rhs, sol.u).tol == 1e-7
+    assert validate(pr1).tol == 1e-12
     C = np.random.default_rng(3).standard_normal((5, 5))
     for target, p in ((C, 5), (C[:, :1] @ C[:1, :], 1)):
         sp = split(target)
@@ -654,8 +657,8 @@ def test_pstar_row_tolerance_sits_inside_its_tenfold_band(scale):
 
 
 def test_zero_tolerances_are_allowed():
-    opt = SolveOptions(null_band=0.0, eps_zero=0.0, residual_tol=0.0)
-    assert (opt.null_band, opt.eps_zero, opt.residual_tol) == (0.0, 0.0, 0.0)
+    opt = SolveOptions(null_band=0.0, eps_zero=0.0)
+    assert (opt.null_band, opt.eps_zero) == (0.0, 0.0)
 
 
 def test_hyperplane_gate_refuses_nan():
@@ -742,3 +745,20 @@ def test_overflow_refusal_names_the_sequential_first_level():
     first = np.flatnonzero(~np.isfinite(want).all(axis=1))[0]
     with pytest.raises(NumericalError, match=f"not finite from level {first} on"):
         solve_poisson(model, g, SolveOptions(R_max=1000))
+
+
+@pytest.mark.parametrize("solver", [solve_poisson, solve_nonsingular_a1])
+@pytest.mark.parametrize("cls", list(Classification))
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_boundary_overflow_is_refused_without_a_warning(solver, cls, m):
+    # A1 at 1e-13 of its mass (the rest on A0's diagonal) and g near the
+    # largest float: the boundary solve for x overflows, which is refused as
+    # a solution not finite from level 0, not warned about by numpy
+    for s in range(3):
+        base = random_model(s, m, cls)
+        A1 = base.A1 * 1e-13
+        A0 = base.A0 + np.diag((base.A1 - A1).sum(axis=1))
+        model = QbdModel(B=base.A_neg + A0, A_neg=base.A_neg, A0=A0, A1=A1)
+        g = RhsSpec(np.random.default_rng(s).uniform(-1, 1, (3, m)) * 1e300)
+        with pytest.raises(NumericalError, match="not finite from level 0 on"):
+            solver(model, g)

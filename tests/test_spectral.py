@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbdpoisson import Classification, random_model, solve_model, split
+from qbdpoisson import (Classification, NumericalError, random_model,
+                        solve_model, split)
 from conftest import near_singular_model, nilpotent_model, with_drift
 
 
@@ -181,3 +182,15 @@ def test_empty_target_splits_without_a_lapack_message(capfd):
         assert block.shape == (0, 0)
     assert sp.v1_solve(np.zeros(0)).shape == (0,)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_huge_targets_split_without_overflow(scale):
+    # the Schur sort compares |lambda| with eps_zero; squaring both sides
+    # would overflow at these scales
+    with pytest.raises(NumericalError, match="nilpotent block failed to annihilate"):
+        split(np.triu(np.full((4, 4), scale), 1))
+    target = np.full((3, 3), scale)
+    sp = split(target)
+    assert sp.p == 1
+    assert np.abs(sp.recompose() - target).max() <= 1e-14 * scale
