@@ -52,12 +52,6 @@ def gate(value: float, limit: float, what: str, measure: str) -> None:
         raise NumericalError(f"{what} ({measure} {value:.3e}, limit {limit_text})")
 
 
-def check_tolerance(name: str, value: float) -> None:
-    """ValueError naming ``name`` for a None, NaN, infinite or negative tolerance."""
-    if value is None or not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
 def norm_inf(a) -> float:
     """Largest |entry| of ``a``: for a matrix the max norm, not the max row sum."""
     a = np.asarray(a)

@@ -59,14 +59,10 @@ def _vector(text: str) -> tuple[float, ...]:
             f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _add_solver_flags(sub, *, eps_zero=True, solves=True):
+def _add_solver_flags(sub, *, solves=True):
     # no defaults here: a flag left out is None, and SolveOptions fills it in
     sub.add_argument("--null-band", type=float,
                      help="drift band classified as null recurrent")
-    if eps_zero:
-        sub.add_argument("--eps-zero", type=float,
-                         help="eigenvalue-modulus cutoff of the spectral "
-                              "split (default: m * eps * norm)")
     if solves:
         sub.add_argument("--levels", dest="R_max", type=int,
                          help="highest level R_max to evaluate (default N + 10)")
@@ -81,7 +77,7 @@ def build_parser() -> _Parser:
     commands.add_parser("validate", help="check model invariants")
 
     sub = commands.add_parser("classify", help="recurrence class, drift, roots")
-    _add_solver_flags(sub, eps_zero=False, solves=False)
+    _add_solver_flags(sub, solves=False)
 
     sub = commands.add_parser("solve", help="solve the Poisson equation")
     _add_solver_flags(sub)
@@ -313,10 +309,13 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (QbdError, OSError, ValueError) as exc:
+    except (QbdError, OSError, ValueError, MemoryError) as exc:
         # OSError: unreadable input; ValueError: a parameter the chain cannot
-        # take (y_perp or y_free of the wrong length, R_max < 2)
-        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        # take (y_perp or y_free of the wrong length, R_max < 2); MemoryError:
+        # levels too many to allocate.  A subclass of the first two (say
+        # FileNotFoundError, numpy's _ArrayMemoryError) is named by its base.
+        name = next((base for base in (OSError, MemoryError)
+                     if isinstance(exc, base)), type(exc)).__name__
         print(json.dumps({"error": name, "message": str(exc)}, sort_keys=True),
               file=sys.stderr)
         if isinstance(exc, InfeasibleConstraintError):

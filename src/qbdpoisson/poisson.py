@@ -27,12 +27,11 @@ import numpy as np
 
 from . import qme, shift, spectral, triple, verify
 # condition_number is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import (Array, FrozenRecord, check_tolerance, checked_inverse,
-                      condition_number, frozen, norm_inf,
-                      stationary_vector)  # noqa: F401
+from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
+                      frozen, norm_inf, stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
-from .model import QbdModel, RhsSpec
+from .model import QbdModel, RhsSpec, validate
 from .qme import Classification
 from .spectral import SpectralSplit
 from .triple import ResolventData
@@ -57,10 +56,11 @@ class SolveOptions:
     ``alpha`` on a transient one.  ``R_max`` defaults to N + 10 and must be
     an integer >= 2, so that the residual report sees an interior equation.
     y, y*, ``y_free`` and ``y_perp`` are in the columns of the split's L: the
-    phases when Ghat has 1 / ||Ghat^{-1}||_F > ``eps_zero`` (L = I), else the
-    ordered Schur basis.  Refused: None but as a default, and NaN, infinite
-    or negative tolerances.  The residual report checks at the constant
-    :data:`~qbdpoisson.verify.DEFAULT_TOL`, which no caller can widen.
+    phases when Ghat has 1 / ||Ghat^{-1}||_F above the split's cutoff
+    m eps max |Ghat_ij| (L = I), else the ordered Schur basis.  Refused: a
+    ``null_band`` that is None, NaN, infinite or negative.  The residual
+    report checks at the constant :data:`~qbdpoisson.verify.DEFAULT_TOL`,
+    which no caller can widen.
     """
 
     y_free: tuple | None = None
@@ -69,7 +69,6 @@ class SolveOptions:
     alpha: float = 0.0
     R_max: int | None = None
     null_band: float = qme.NULL_BAND
-    eps_zero: float | None = None
 
     def __post_init__(self):
         if self.y_perp_mode not in Y_PERP_MODES:
@@ -86,9 +85,9 @@ class SolveOptions:
             if (value is not None or name == "alpha") and not np.isfinite(
                     np.asarray(value, float)).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        check_tolerance("null_band", self.null_band)
-        if self.eps_zero is not None:
-            check_tolerance("eps_zero", self.eps_zero)
+        if self.null_band is None or not 0.0 <= self.null_band < np.inf:
+            raise ValueError("null_band must be finite and nonnegative, "
+                             f"got {self.null_band!r}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ class SolvePlan:
     not refer back.
     """
 
-    def __init__(self, model: QbdModel, null_band: float, eps_zero: float | None):
+    def __init__(self, model: QbdModel, null_band: float):
         # kept on ``model``: its blocks, not it, and the (B - I, A0 - I) R's gate forms
         self.model = model = QbdModel._adopting(model.B, model.A_neg, model.A0, model.A1)
         self.sols = sols = qme.solve_model(model, null_band=null_band)
@@ -345,7 +344,7 @@ class SolvePlan:
         self.equation = sd.equation if sd else (model, sols)
         self.wdata = sd.wdata if sd else triple.compute_w(sols.G, sols.U, sols.R, sols.Ghat)
         eq, eq_sols = self.equation
-        split = spectral.split(eq_sols.Ghat, eps_zero=eps_zero)
+        split = spectral.split(eq_sols.Ghat)
         self.G, self._powers = eq_sols.G, np.array([eq_sols.G])
         self.boundary = (eq.B - np.eye(model.m)) @ eq_sols.Ghat + eq.A1
         gi = group_inverse(
@@ -426,13 +425,20 @@ class SolvePlan:
 
 
 def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
-    """The plan of ``model`` for opt's (null_band, eps_zero), built on first
-    use and kept on the model, whose blocks are read-only."""
+    """The plan of ``model`` for opt's null_band, built on first use and kept
+    on the model, whose blocks are read-only.  A plan that fails a gate on a
+    model that is not a QBD is refused with the invariants it breaks first."""
     plans = vars(model).setdefault("_plans", {})
-    key = (opt.null_band, opt.eps_zero)
-    if key not in plans:
-        plans[key] = SolvePlan(model, *key)
-    return plans[key]
+    if opt.null_band not in plans:
+        try:
+            plans[opt.null_band] = SolvePlan(model, opt.null_band)
+        except NumericalError as exc:
+            failures = validate(model).failures
+            if failures:
+                raise NumericalError(
+                    f"invalid model ({'; '.join(failures)}): {exc}") from exc
+            raise
+    return plans[opt.null_band]
 
 
 def solve_poisson(model: QbdModel, g: RhsSpec,
@@ -444,8 +450,8 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
     :mod:`qbdpoisson.shift`.  The work that does not depend on g (QME, W,
     shift, split and all else a :class:`SolvePlan` holds) is done on the
     first call for a :class:`QbdModel` object and reused by later calls on
-    the same object, which is immutable; ``null_band`` and ``eps_zero``
-    select the plan, the other options apply per call.
+    the same object, which is immutable; ``null_band`` selects the plan, the
+    other options apply per call.
     """
     opt = options or SolveOptions()
     return _plan(model, opt).solve(g, opt)

@@ -35,9 +35,9 @@ _MAX_COUPLING = 1e12
 class SpectralSplit(FrozenRecord):
     """Invertible/nilpotent splitting C M = M diag(V1, V0).
 
-    ``p`` counts the eigenvalues of modulus above ``eps_zero``; ``nu`` is the
-    nilpotency index of V0 (smallest nu with V0^nu = 0, and nu = 1 when V0 is
-    empty or zero).
+    ``p`` counts the eigenvalues of modulus above ``eps_zero``, the cutoff
+    :func:`split` worked out; ``nu`` is the nilpotency index of V0 (smallest
+    nu with V0^nu = 0, and nu = 1 when V0 is empty or zero).
     """
 
     M: Array
@@ -112,23 +112,21 @@ def _nilpotency_index(V0: Array) -> int:
     return nu
 
 
-def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
+def split(target: Array) -> SpectralSplit:
     """Split a square matrix into invertible and nilpotent parts.
 
-    Eigenvalues of modulus at most ``eps_zero`` (default
-    m * machine-epsilon * ||target||) are treated as exact zeros.  Raises
-    :class:`NumericalError` when the two spectral groups cannot be decoupled,
-    which signals eigenvalues straddling ``eps_zero``; the caller should then
-    adjust the cutoff.
+    Eigenvalues of modulus at most the cutoff eps_zero = m * machine-epsilon
+    * max |target_ij|, worked out from the target, are treated as exact
+    zeros.  Raises :class:`NumericalError` when the two spectral groups
+    cannot be decoupled, which signals eigenvalues straddling the cutoff.
     """
     C = np.atleast_2d(np.asarray(target, dtype=float))
     m = C.shape[0]
     if C.shape != (m, m):
         raise ValueError(f"target must be square, got shape {C.shape}")
-    if eps_zero is None:
-        eps_zero = m * np.finfo(float).eps * norm_inf(C)
+    eps_zero = float(m * np.finfo(float).eps * norm_inf(C))
     if m == 0:          # LAPACK's getrf refuses n = 0 with a message on fd 1
-        return SpectralSplit(C, C, C, C, C, C, C, 0, 1, float(eps_zero))
+        return SpectralSplit(C, C, C, C, C, C, C, 0, 1, eps_zero)
     # |lambda| >= sigma_min(C) >= 1 / ||C^{-1}||_F > eps_zero: p = m, M = I
     lu, piv, info = scipy.linalg.lapack.dgetrf(C)
     if info == 0:
@@ -153,7 +151,7 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
         except (np.linalg.LinAlgError, ValueError):   # a singular system
             S = np.full(T12.shape, np.inf)
         gate(norm_inf(S), _MAX_COUPLING, "spectral split: decoupling "
-             "transform blew up; eigenvalues straddle eps_zero — adjust the "
+             "transform blew up; eigenvalues straddle eps_zero, the split's "
              "cutoff", "||S||")
         upper = np.eye(m)
         upper[:p, p:] = S
@@ -166,7 +164,7 @@ def split(target: Array, eps_zero: float | None = None) -> SpectralSplit:
     # a whole block is M or M^{-1} itself, which the record adopts
     L, E = (M, M_inv) if p == m else (M[:, :p], M_inv[:p, :])
     out = SpectralSplit(M=frozen(M), V1=V1, V0=V0, L=L, K=M[:, p:], E=E,
-                        F=M_inv[p:, :], p=p, nu=nu, eps_zero=float(eps_zero))
+                        F=M_inv[p:, :], p=p, nu=nu, eps_zero=eps_zero)
     if invertible:    # V1 = C: keep the factors and inverse taken above
         vars(out).update(_v1_lu=(lu, piv), v1_inv=frozen(C_inv))
     return out

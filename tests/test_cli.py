@@ -300,6 +300,10 @@ def test_unknown_flag_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [("classify", "--eps-zero"),
+                                           ("solve", "--eps-zero"),
+                                           ("lemmas", "--eps-zero"),
+                                           ("compare-prob", "--eps-zero"),
+                                           ("oracle", "--eps-zero"),
                                            ("classify", "--residual-tol"),
                                            ("lemmas", "--residual-tol"),
                                            ("solve", "--residual-tol"),
@@ -348,10 +352,10 @@ def test_unset_solver_flags_take_solve_options_defaults(command):
 def test_solver_flags_map_onto_solve_options():
     args = build_parser().parse_args([
         "solve", "p.json", "--levels", "40", "--alpha", "1.5",
-        "--null-band", "1e-9", "--eps-zero", "1e-13",
+        "--null-band", "1e-9",
         "--y-perp-mode", "explicit", "--y-perp", "1,2", "--y-free", "3"])
     assert _options(args) == SolveOptions(
-        R_max=40, alpha=1.5, null_band=1e-9, eps_zero=1e-13,
+        R_max=40, alpha=1.5, null_band=1e-9,
         y_perp_mode="explicit", y_perp=(1.0, 2.0), y_free=(3.0,))
     for command in ("compare-prob", "oracle"):
         args = build_parser().parse_args([command, "p.json", "--levels", "7"])
@@ -477,8 +481,8 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     # a NaN band classed pr1 (drift -0.4) as null recurrent
     (["--null-band", "nan"], "pr1", "null_band must be finite"),
     (["--null-band", "-1"], "pr1", "null_band must be finite"),
-    (["--eps-zero", "nan"], "pr1", "eps_zero must be finite"),
-    (["--eps-zero", "-1"], "pr1", "eps_zero must be finite"),
+    (["--null-band", "inf"], "pr1", "null_band must be finite"),
+    (["--y-free", "nan"], "tr1", "y_free must be finite"),
     (["--alpha", "inf"], "pr1", "alpha must be finite"),
     # a parameter the class's solution family does not have is refused
     (["--y-perp", "5"], "nr1", "a y_perp requires y_perp_mode 'explicit'"),
@@ -501,9 +505,9 @@ def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("solve", ["--eps-zero", "nan"]),
+    ("solve", ["--null-band", "nan"]),
     ("classify", ["--null-band", "nan"]),
-    ("lemmas", ["--eps-zero", "-1"]),
+    ("lemmas", ["--null-band", "-1"]),
 ])
 def test_meaningless_tolerance_exits_1(command, flags, capsys):
     # refused as a parameter, not reported as "not strict JSON" (exit 2)
@@ -511,6 +515,23 @@ def test_meaningless_tolerance_exits_1(command, flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_memory_error_is_json(monkeypatch, capsys):
+    # numpy raises a MemoryError subclass for levels too many to allocate;
+    # a stand-in raises it here, so the test allocates nothing
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def out_of_memory(*args):
+        raise _ArrayMemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(poisson, "solve_poisson", out_of_memory)
+    assert run(["solve", "--levels", "100000000000", str(MODELS / "pr1.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "MemoryError",
+                                        "message": "Unable to allocate 745. GiB"}
 
 
 def _without_g():

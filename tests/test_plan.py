@@ -121,14 +121,13 @@ def test_equal_but_distinct_model_builds_its_own_plan(qme_calls):
     assert len(qme_calls) == 2
 
 
-def test_plan_is_keyed_by_null_band_and_eps_zero(qme_calls):
+def test_plan_is_keyed_by_null_band(qme_calls):
     model = random_model(0, 4, Classification.POSITIVE_RECURRENT)
     g = random_rhs(0, 4)
     for opt in (SolveOptions(), SolveOptions(null_band=1e-10),
-                SolveOptions(eps_zero=1e-13), SolveOptions(alpha=2.0, R_max=40),
-                SolveOptions(null_band=1e-10), SolveOptions(eps_zero=1e-13)):
+                SolveOptions(alpha=2.0, R_max=40), SolveOptions(null_band=1e-10)):
         solve_poisson(model, g, opt)
-    assert qme_calls == [qme.NULL_BAND, 1e-10, qme.NULL_BAND]
+    assert qme_calls == [qme.NULL_BAND, 1e-10]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -672,10 +671,12 @@ def _gate_cases():
             "Frobenius condition number"),
         "w_similarity_nan": (lambda: triple.compute_w(s.G, s.U, R_nan, s.Ghat),
                              "W R = Ghat W", "residual"),
+        "w_similarity_tenfold": (lambda: triple.compute_w(
+            s.G, s.U, s.R + 1e-8, s.Ghat), "W R = Ghat W", "residual"),
         "pair_matrix": (lambda: triple.build_triple(
             0.5 * np.eye(2), spectral.split(2.0 * np.eye(2)), np.eye(2)),
             "pair matrix is ill-conditioned", "condition number"),
-        "split_coupling": (lambda: spectral.split(coupled, eps_zero=1e-7),
+        "split_coupling": (lambda: spectral.split(coupled),
                            "decoupling transform blew up", "||S||"),
         "split_singular_sylvester": (
             lambda: _split_with_singular_sylvester(nilpotent),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qbdpoisson import (Classification, ClassificationError,
                         solve_poisson, split, stationary, compute_w,
                         validate)
 
-from qbdpoisson import _linalg, poisson, verify
+from qbdpoisson import _linalg, poisson, qme, verify
 from qbdpoisson.poisson import (_corollary_split, _solve_hyperplane,
                                 backward_pass)
 from conftest import (balanced_h, balanced_rhs, near_singular_model,
@@ -580,6 +582,48 @@ def test_g_of_wrong_width_is_refused(solver, cls):
         solver(random_model(0, 2, cls), RhsSpec(np.ones((2, 3))))
 
 
+def _invalid_models():
+    """(model, validate's text, the gate's text): blocks replaced on a valid
+    model, which QbdModel does not validate."""
+    model = random_model(1, 3, Classification.POSITIVE_RECURRENT)
+    A0 = model.A0.copy()
+    A0[0, 0] = np.nan
+    return {
+        "substochastic": (replace(model, **{name: 0.9 * getattr(model, name)
+                                            for name in ("B", "A_neg", "A0", "A1")}),
+                          "B + A1 sums to", "1 is not an eigenvalue"),
+        "nan": (replace(model, A0=A0), "A0[0,0] = nan is not finite",
+                "normalization failed"),
+        "superstochastic": (replace(model, A_neg=(1.0 + 1e-11) * model.A_neg),
+                            "repeating row 0 of A_neg + A0 + A1 sums to",
+                            "row-stochastic to rounding"),
+    }
+
+
+@pytest.mark.parametrize("solver", [solve_poisson, solve_nonsingular_a1])
+@pytest.mark.parametrize("case", ["substochastic", "nan", "superstochastic"])
+def test_invalid_model_refusal_names_the_broken_invariant(case, solver):
+    model, invariant, gate_text = _invalid_models()[case]
+    with pytest.raises(NumericalError) as info:
+        solver(model, random_rhs(1, 3))
+    text = str(info.value)
+    assert text.startswith(f"invalid model ({'; '.join(validate(model).failures)}): ")
+    assert invariant in text and gate_text in text
+    assert isinstance(info.value.__cause__, NumericalError)
+
+
+def test_valid_model_refusal_keeps_the_gate_text(monkeypatch):
+    # a gate set to 0 refuses a valid model: its text is passed on as it is
+    model = random_model(1, 3, Classification.POSITIVE_RECURRENT)
+    monkeypatch.setattr(qme, "QME_TOL", 0.0)
+    with pytest.raises(NumericalError) as own:
+        qme.solve_model(model)
+    with pytest.raises(NumericalError) as info:
+        solve_poisson(model, random_rhs(1, 3))
+    assert str(info.value) == str(own.value)
+    assert not str(info.value).startswith("invalid model")
+
+
 @pytest.mark.parametrize("field, options", [
     ("y_free", dict(y_free=(np.nan, 0.0))),
     ("y_perp", dict(y_perp_mode="explicit", y_perp=(np.nan, 0.0))),
@@ -588,13 +632,13 @@ def test_g_of_wrong_width_is_refused(solver, cls):
     ("null_band", dict(null_band=np.nan)),
     ("null_band", dict(null_band=np.inf)),
     ("null_band", dict(null_band=-1e-9)),
-    ("eps_zero", dict(eps_zero=np.nan)),
-    ("eps_zero", dict(eps_zero=-1.0)),
-    ("eps_zero", dict(eps_zero=np.inf)),
+    ("null_band", dict(null_band=-np.inf)),
     # and so does a parameter that is not finite
+    ("y_perp", dict(y_perp_mode="explicit", y_perp=(0.0, np.inf))),
+    ("alpha", dict(alpha=-np.inf)),
     ("y_free", dict(y_free=(np.inf,))),
     ("alpha", dict(alpha=np.nan)),
-    # None is a default only for eps_zero, y_free and y_perp
+    # None is a default only for y_free and y_perp
     ("alpha", dict(alpha=None)),
     ("null_band", dict(null_band=None)),
 ])
@@ -657,8 +701,15 @@ def test_pstar_row_tolerance_sits_inside_its_tenfold_band(scale):
 
 
 def test_zero_tolerances_are_allowed():
-    opt = SolveOptions(null_band=0.0, eps_zero=0.0)
-    assert (opt.null_band, opt.eps_zero) == (0.0, 0.0)
+    assert SolveOptions(null_band=0.0).null_band == 0.0
+
+
+def test_split_cutoff_is_not_a_setting():
+    # the cutoff is m eps max |C_ij|, worked out by split: no layer takes one
+    with pytest.raises(TypeError):
+        SolveOptions(eps_zero=1e-13)
+    with pytest.raises(TypeError):
+        split(np.eye(2), eps_zero=1e-13)
 
 
 def test_hyperplane_gate_refuses_nan():

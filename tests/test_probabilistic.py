@@ -37,6 +37,14 @@ def test_omega_rejects_incompatible_recurrent_rhs(pr1):
         omega_solution(pr1, rhs([1.0]))
 
 
+def test_compatibility_tolerance_sits_inside_its_tenfold_band(pr1):
+    # sum R^k g_k = g_0 - 1 with R = 1/3: a mismatch of 2e-8 is past the
+    # limit 1e-9 (1 + ||g||) = 4e-9 by less than 10x, and 2e-9 is inside it
+    with pytest.raises(InfeasibleConstraintError):
+        omega_solution(pr1, rhs([1.0 + 2e-8], [-3.0]))
+    omega_solution(pr1, rhs([1.0 + 2e-9], [-3.0]))
+
+
 def test_omega_solves_equation_for_all_classes(pr1, tr1, nr1):
     # transient: unconditional; recurrent: compatibility enforced
     for model, g in [

@@ -85,12 +85,12 @@ def test_power_identity(seed):
 
 
 def test_split_rejects_straddling_eigenvalues():
-    # an eigenvalue barely above the cutoff makes the decoupling transform
-    # blow up; the caller is told to adjust eps_zero
+    # an eigenvalue of 1e-13, above the cutoff 2 eps, makes the decoupling
+    # transform blow up (||S|| 1e13); the refusal names the cutoff eps_zero
     from qbdpoisson import NumericalError
     target = np.array([[1e-13, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="eps_zero"):
-        split(target, eps_zero=1e-14)
+        split(target)
 
 
 def test_structurally_singular_up_block():
