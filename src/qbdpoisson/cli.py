@@ -47,6 +47,14 @@ class _CliArgumentError(ModelValidationError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        # ahead of the path, an unknown flag's value is read as the path: name the flag
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            flags = [a for a in extras if a.startswith("-")]
+            self.error(f"unrecognized arguments: {' '.join(flags or extras)}")
+        return args
+
     def error(self, message):
         raise _CliArgumentError(message)
 
@@ -172,22 +180,22 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
     interior = np.array(sol.diagnostics.interior_residuals, dtype=float)
     if not (np.isfinite(sol.u).all() and np.isfinite(interior).all()):
         raise NumericalError("output is not strict JSON: u or its residuals are not finite")
-    # a level bit-identical to the one before reuses its row text; levels
-    # are compared as bits, so -0.0 is not 0.0
+    # a level bit-identical to the one before reuses its row text; levels are
+    # compared as bits (-0.0 is not 0.0), along the level axis of a transpose
     bits = sol.u.view(np.int64)
     new = np.ones(len(bits), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    new[1:] = (bits[1:] != bits[:-1]).T.copy().any(axis=0)
     levels = sol.u[new].ravel()
     numbers = _reprs(np.concatenate([levels, interior]))
     m = sol.u.shape[1]
-    texts = np.array([",".join(numbers[i:i + m]) for i in range(0, len(levels), m)],
+    texts = np.array(list(map(",".join, zip(*[iter(numbers[:len(levels)])] * m))),
                      dtype=object)
     rows = texts[np.cumsum(new) - 1].tolist()
-    items = ",".join(f"\n      {text}" for text in numbers[len(levels):])
+    items = ",\n      ".join(numbers[len(levels):])
     head = _dump(_solution_payload(sol))[:-2].replace(  # reopen: drop "\n}"
-        '"interior": null', f'"interior": [{items}\n    ]', 1)
+        '"interior": null', f'"interior": [\n      {items}\n    ]', 1)
     body = "],\n    [".join(rows)
-    header = ",".join(["level"] + [f"u{i}" for i in range(sol.u.shape[1])])
+    header = ",".join(["level"] + [f"u{i}" for i in range(m)])
     # the csv module's dialect: no field needs quoting, lines end in \r\n
     lines = [f"{header}\r\n"] + [f"{r},{row}\r\n" for r, row in enumerate(rows)]
     json_path.write_text(f'{head},\n  "u": [\n    [{body}]\n  ]\n}}\n',

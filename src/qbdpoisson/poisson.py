@@ -219,7 +219,7 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     stack = G if K == 1 else powers[:K].reshape(K * m, m)
     for r in range(n, R_max, K):
         k = min(K, R_max - r)
-        u[r + 1:r + k + 1] = stack[:k * m].dot(u[r]).reshape(k, m)
+        stack[:k * m].dot(u[r], out=u[r + 1:r + k + 1].reshape(-1))
     u[:n + 1] -= h[:n + 1] if split.identity else h[:n + 1] @ split.M.T
     t = [y + h[0, :split.p]]
     if t[0].any():
@@ -412,7 +412,7 @@ class SolvePlan:
             u = evaluate_u_sequence(x, y, self.G, split, W, g, R_max, tail=h,
                                     powers=self._powers)
             if self.shift is not None:
-                u[1:] += np.cumsum(u[:-1], axis=0).dot(self.shift.Q.T)
+                u[1:] += np.cumsum(u[:-1], axis=0).dot(self.shift.Q[0])[:, None]
         if not np.isfinite(u).all():
             bad = np.flatnonzero(~np.isfinite(u).all(axis=1))[0]
             raise NumericalError(

@@ -75,14 +75,16 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
         raise ValueError(f"solution blocks have length {m}, "
                          f"model has m = {model.m}")
     g.check_width(model.m)
-    forcing = np.zeros_like(u)
-    forcing[:g.N + 1] = g.blocks[:n]
     B_eye, A0_eye = model.minus_identity
-    boundary = B_eye.dot(u[0]) + model.A1.dot(u[1]) + forcing[0]
-    interior = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot(A0_eye.T)
-                + u[2:].dot(model.A1.T) + forcing[1:-1])
-    res = np.abs(np.vstack([boundary, interior])).max(axis=1)
-    norms = np.abs(u).max(axis=1)
+    eqs = np.empty((n - 1, m))          # row 0 the boundary, row r + 1 interior r
+    eqs[0] = B_eye.dot(u[0]) + model.A1.dot(u[1]) + g.blocks[0]
+    eqs[1:] = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot(A0_eye.T)
+               + u[2:].dot(model.A1.T))
+    k = min(g.N + 1, n - 1)             # g_1 ... g_{k-1} reach an equation
+    eqs[1:k] += g.blocks[1:k]
+    # row maxima along the level axis of a transposed copy: a short last axis reduces slowly
+    res = np.abs(eqs.T.copy()).max(axis=0)
+    norms = np.abs(u.T.copy()).max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite u fails
         scales = 1.0 + norms[:-1] + norms[1:]  # equation k couples u_{k-1} ... u_{k+1}
         scales[1:] += norms[:-2]

@@ -74,12 +74,14 @@ def test_solution_csv_round_trips_bitwise(stem, tmp_path, capsys):
 def _generated_file(tmp_path, stem):
     # tr8: the largest drift (0.134) of random_model's m = 8 transient draws
     # over seeds 0-399; with g on level 0 only its levels decay to ~1e-182.
-    # pr8: a recurrent m = 8 chain, whose levels reach a constant vector
+    # pr8: a recurrent m = 8 chain, whose levels reach a constant vector;
+    # pr1g: its m = 1 counterpart, one number per row
     if stem == "tr8":
         model = random_model(333, 8, Classification.TRANSIENT)
         g = random_rhs(0, 8, 1)
     else:
-        model = random_model(1, 8, Classification.POSITIVE_RECURRENT)
+        model = random_model(1, 1 if stem == "pr1g" else 8,
+                             Classification.POSITIVE_RECURRENT)
         g = balanced_rhs(model, 3)
     path = tmp_path / f"{stem}.json"
     path.write_text(serialize_problem(model, g), encoding="utf-8")
@@ -107,14 +109,16 @@ def _reference_files(sol):
 # near_pr and tandem_m2 overflow long before level 1000; tr1 at 1000 levels
 # reaches subnormal and zero entries; pr8's levels repeat one vector. The
 # transient 1000-level solves have more distinct values than _KERNEL_MIN and
-# are written by the float text kernel, the others by repr
+# are written by the float text kernel, the others by repr. At 2 levels the
+# interior residual list has one entry
 @pytest.mark.parametrize("stem, levels", [
     *((stem, 40) for stem in ("pr1", "tr1", "nr1", "tandem_m2", "near_pr")),
     ("tr1", 1000), ("tr8", 1000), ("pr8", 1000),
+    ("pr1", 2), ("tr1", 2), ("pr1g", 1000),
 ], ids=str)
 def test_solution_files_round_trip_bitwise(stem, levels, tmp_path, capsys,
                                            monkeypatch):
-    path = (_generated_file(tmp_path, stem) if stem in ("tr8", "pr8")
+    path = (_generated_file(tmp_path, stem) if stem in ("tr8", "pr8", "pr1g")
             else MODELS / f"{stem}.json")
     out = tmp_path / "result"
     kernel_calls = []
@@ -296,26 +300,51 @@ def test_oracle_refuses_a_correct_near_critical_solution(tmp_path, capsys):
 def test_unknown_flag_is_validation_error(tmp_path, capsys):
     path = write(tmp_path, "pr1.json", PR1)
     assert run(["solve", "--no-such-flag", str(path)]) == 1
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "_CliArgumentError", "message": "unrecognized arguments: --no-such-flag"}
+    # a left-over path is named when no flag is
+    assert run(["solve", str(path), "extra.json"]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == \
+        "unrecognized arguments: extra.json"
 
 
-@pytest.mark.parametrize("command, flag", [("classify", "--eps-zero"),
-                                           ("solve", "--eps-zero"),
-                                           ("lemmas", "--eps-zero"),
-                                           ("compare-prob", "--eps-zero"),
-                                           ("oracle", "--eps-zero"),
-                                           ("classify", "--residual-tol"),
-                                           ("lemmas", "--residual-tol"),
-                                           ("solve", "--residual-tol"),
-                                           ("validate", "--stochastic-tol")])
+UNREAD_FLAGS = [("classify", "--eps-zero"), ("solve", "--eps-zero"),
+                ("lemmas", "--eps-zero"), ("compare-prob", "--eps-zero"),
+                ("oracle", "--eps-zero"), ("classify", "--residual-tol"),
+                ("lemmas", "--residual-tol"), ("solve", "--residual-tol"),
+                ("validate", "--stochastic-tol")]
+
+
+def _refused_flag_message(flag):
+    return json.dumps({"error": "_CliArgumentError",
+                       "message": f"unrecognized arguments: {flag}"},
+                      sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
 def test_subcommand_refuses_flag_it_does_not_read(command, flag, tmp_path,
                                                   capsys):
     path = write(tmp_path, "pr1.json", PR1)
     assert run([command, str(path), flag, "1e-9"]) == 1
-    assert capsys.readouterr().err == json.dumps(
-        {"error": "_CliArgumentError",
-         "message": f"unrecognized arguments: {flag} 1e-9"},
-        sort_keys=True) + "\n"
+    assert capsys.readouterr().err == _refused_flag_message(flag)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flag_ahead_of_the_path_is_named_not_the_path(command, flag,
+                                                              tmp_path, capsys):
+    # the flag's value is parsed as the input path and the path is left over
+    path = write(tmp_path, "pr1.json", PR1)
+    assert run([command, flag, "1e-9", str(path)]) == 1
+    assert capsys.readouterr().err == _refused_flag_message(flag)
+
+
+@pytest.mark.parametrize("flag_first", [True, False], ids=["before", "after"])
+def test_abbreviated_known_flag_is_read(flag_first, tmp_path, capsys):
+    path = str(write(tmp_path, "pr1.json", PR1))
+    argv = ["--lev", "5", path] if flag_first else [path, "--lev", "5"]
+    assert run(["solve", "-o", str(tmp_path / "out"), *argv]) == 0
+    capsys.readouterr()
+    assert len(json.loads((tmp_path / "out.json").read_text())["u"]) == 6
 
 
 def test_runs_in_one_process_share_one_parser(tmp_path, capsys):

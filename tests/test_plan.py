@@ -335,7 +335,7 @@ def test_identity_split_solve_equals_the_generic_formula_bitwise(case):
     x = plan.sharp @ rhs + opt.alpha
     u = poisson.evaluate_u_sequence(x, sol.y, plan.G, split, W, g, sol.R_max)
     if plan.shift is not None:
-        u[1:] += np.cumsum(u[:-1], axis=0) @ plan.shift.Q.T
+        u[1:] += np.cumsum(u[:-1], axis=0).dot(plan.shift.Q[0])[:, None]
     assert np.array_equal(sol.y_star, -h[0, :split.p])
     assert np.array_equal(sol.sigma1, sigma1)
     assert np.array_equal(sol.x, x)

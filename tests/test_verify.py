@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qbdpoisson import (Classification, NumericalError, SolveOptions, drift,
-                        forward_oracle, omega_solution, random_model, residuals,
-                        solve_poisson, validate)
+from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
+                        drift, forward_oracle, omega_solution, random_model,
+                        residuals, solve_poisson, validate)
+from qbdpoisson.verify import ResidualReport
 
 from conftest import random_rhs, rhs, scalar_model
 
@@ -114,6 +117,71 @@ def test_residuals_fail_on_non_finite_blocks(pr1):
     rep = residuals(pr1, rhs([0.0]), u)
     assert not rep.passed
     assert rep.worst_equation == 2
+
+
+def _reference_residuals(model, g, u, tol=1e-7):
+    """The report by the full-forcing formula: g copied into a zero table of
+    u's shape and added to every equation, each equation's max over its row."""
+    n = len(u)
+    forcing = np.zeros_like(u)
+    forcing[:g.N + 1] = g.blocks[:n]
+    B_eye, A0_eye = model.minus_identity
+    boundary = B_eye.dot(u[0]) + model.A1.dot(u[1]) + forcing[0]
+    interior = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot(A0_eye.T)
+                + u[2:].dot(model.A1.T) + forcing[1:-1])
+    res = np.abs(np.vstack([boundary, interior])).max(axis=1)
+    norms = np.abs(u).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = 1.0 + norms[:-1] + norms[1:]
+        scales[1:] += norms[:-2]
+        worst = int(np.argmax(res / scales))
+    passed = bool(np.isfinite(norms).all() and np.all(res <= tol * scales))
+    return ResidualReport(boundary_residual=float(res[0]),
+                          interior_residuals=tuple(res[1:].tolist()),
+                          scale=1.0 + float(norms.max()), tol=tol,
+                          passed=passed, worst_equation=worst,
+                          worst_scale=float(scales[worst]))
+
+
+def _assert_same_report(got, want):
+    # bit for bit, field by field: NaN equals NaN, 0.0 is not -0.0
+    for field in dataclasses.fields(ResidualReport):
+        a, b = (np.asarray(getattr(r, field.name)) for r in (got, want))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
+@pytest.mark.parametrize("n", [3, 4, 31, 1001])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_residuals_equal_the_full_forcing_formula_bitwise(m, n):
+    # g's last level N + 1 below, at and above n - 1, the number of equations,
+    # on a solved u (a passing report) and on random levels of mixed scale
+    model = random_model(n, m, Classification.TRANSIENT)
+    rng = np.random.default_rng(100 * m + n)
+    for N in sorted({0, max(0, n - 3), n - 2, n - 1, n + 2}):
+        g = RhsSpec(rng.normal(size=(N + 1, m)))
+        u = solve_poisson(model, g, SolveOptions(R_max=n - 1)).u
+        report = residuals(model, g, u)
+        assert report.passed
+        _assert_same_report(report, _reference_residuals(model, g, u))
+        u = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        _assert_same_report(residuals(model, g, u), _reference_residuals(model, g, u))
+
+
+@pytest.mark.parametrize("bad", ["nan_row", "inf_entry"])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_residuals_of_non_finite_levels_equal_the_reference(m, bad):
+    # level 7 is not finite: equations 6 to 8 see it, and the report names
+    # the first of them, whose residual over its scale is the first NaN
+    model = random_model(1, m, Classification.POSITIVE_RECURRENT)
+    g = RhsSpec(np.random.default_rng(m).normal(size=(4, m)))
+    u = np.random.default_rng(m).normal(size=(31, m))
+    if bad == "nan_row":
+        u[7] = np.nan
+    else:
+        u[7, m // 2] = np.inf
+    report = residuals(model, g, u)
+    assert not report.passed and report.worst_equation == 6
+    _assert_same_report(report, _reference_residuals(model, g, u))
 
 
 def test_forward_oracle_walkthrough(pr1, pr1_rhs):
