@@ -48,15 +48,23 @@ class _CliArgumentError(ModelValidationError):
 
 class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
-        # ahead of the path, an unknown flag's value is read as the path: name the flag
+        # name only the unknown flag: not a negative value, nor the path read as its value
         args, extras = self.parse_known_args(args, namespace)
         if extras:
-            flags = [a for a in extras if a.startswith("-")]
+            flags = [a for a in extras if a.startswith("-") and not _is_number(a)]
             self.error(f"unrecognized arguments: {' '.join(flags or extras)}")
         return args
 
     def error(self, message):
         raise _CliArgumentError(message)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _vector(text: str) -> tuple[float, ...]:
@@ -67,28 +75,19 @@ def _vector(text: str) -> tuple[float, ...]:
             f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _add_solver_flags(sub, *, solves=True):
-    # no defaults here: a flag left out is None, and SolveOptions fills it in
-    sub.add_argument("--null-band", type=float,
-                     help="drift band classified as null recurrent")
-    if solves:
-        sub.add_argument("--levels", dest="R_max", type=int,
-                         help="highest level R_max to evaluate (default N + 10)")
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser: built once, shared by every :func:`run`."""
     parser = _Parser(prog="qbdpoisson", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # no default here: a --levels left out is None, and SolveOptions fills it in
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--levels", dest="R_max", type=int,
+                        help="highest level R_max to evaluate (default N + 10)")
     commands.add_parser("validate", help="check model invariants")
-
-    sub = commands.add_parser("classify", help="recurrence class, drift, roots")
-    _add_solver_flags(sub, solves=False)
-
-    sub = commands.add_parser("solve", help="solve the Poisson equation")
-    _add_solver_flags(sub)
+    commands.add_parser("classify", help="recurrence class, drift, roots")
+    sub = commands.add_parser("solve", parents=[levels], help="solve the Poisson equation")
     sub.add_argument("-o", "--output", type=Path, default=None,
                      help="output path base (default: input stem + '.solution')")
     sub.add_argument("--alpha", type=float,
@@ -103,17 +102,11 @@ def build_parser() -> _Parser:
                      help="free homogeneous parameter y of the transient "
                           "case (default y*; in the split's basis, the "
                           "phases when Ghat is invertible)")
-
-    sub = commands.add_parser("lemmas", help="identity residual report")
-    _add_solver_flags(sub, solves=False)
-
-    sub = commands.add_parser("compare-prob",
-                              help="probabilistic vs analytic solution")
-    _add_solver_flags(sub)
-
-    sub = commands.add_parser("oracle", help="forward-recurrence cross-check "
-                              "(may refuse a correct solution near criticality)")
-    _add_solver_flags(sub)
+    commands.add_parser("lemmas", help="identity residual report")
+    commands.add_parser("compare-prob", parents=[levels],
+                        help="probabilistic vs analytic solution")
+    commands.add_parser("oracle", parents=[levels], help="forward-recurrence cross-check "
+                        "(may refuse a correct solution near criticality)")
     for sub in commands.choices.values():     # each reads one problem file
         sub.add_argument("input", type=Path, help="problem document (JSON)")
     return parser
@@ -212,8 +205,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    model, _ = _load(args)
-    sols = qme.solve_model(model, null_band=_options(args).null_band)
+    sols = qme.solve_model(_load(args)[0])
     payload = {
         "class": sols.classification.value,
         "drift": sols.drift,
@@ -249,8 +241,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    model, _ = _load(args)
-    plan = poisson._plan(model, _options(args))     # the equation solve solves
+    plan = poisson._plan(_load(args)[0])     # the equation solve solves
     sols = plan.sols
     try:
         identities = triple.check_identities(*plan.equation, plan.split,
@@ -266,8 +257,7 @@ def _cmd_compare_prob(args) -> int:
     # the probabilistic solution corresponds to y_perp = 0
     opts = dataclasses.replace(_options(args), y_perp_mode="zero")
     sol = poisson.solve_poisson(model, g, opts)
-    prob = probabilistic.omega_solution(model, g, R_max=sol.R_max,
-                                        null_band=opts.null_band)
+    prob = probabilistic.omega_solution(model, g, R_max=sol.R_max)
     is_match, offset, max_dev = probabilistic.compare_constant_shift(
         sol.u, prob.omega)
     print(_dump({

@@ -57,10 +57,9 @@ class SolveOptions:
     an integer >= 2, so that the residual report sees an interior equation.
     y, y*, ``y_free`` and ``y_perp`` are in the columns of the split's L: the
     phases when Ghat has 1 / ||Ghat^{-1}||_F above the split's cutoff
-    m eps max |Ghat_ij| (L = I), else the ordered Schur basis.  Refused: a
-    ``null_band`` that is None, NaN, infinite or negative.  The residual
-    report checks at the constant :data:`~qbdpoisson.verify.DEFAULT_TOL`,
-    which no caller can widen.
+    m eps max |Ghat_ij| (L = I), else the ordered Schur basis.  No option
+    sets the null band :data:`~qbdpoisson.qme.NULL_BAND` or the residual
+    report's :data:`~qbdpoisson.verify.DEFAULT_TOL`: both are constants.
     """
 
     y_free: tuple | None = None
@@ -68,7 +67,6 @@ class SolveOptions:
     y_perp: tuple | None = None
     alpha: float = 0.0
     R_max: int | None = None
-    null_band: float = qme.NULL_BAND
 
     def __post_init__(self):
         if self.y_perp_mode not in Y_PERP_MODES:
@@ -85,9 +83,6 @@ class SolveOptions:
             if (value is not None or name == "alpha") and not np.isfinite(
                     np.asarray(value, float)).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.null_band is None or not 0.0 <= self.null_band < np.inf:
-            raise ValueError("null_band must be finite and nonnegative, "
-                             f"got {self.null_band!r}")
 
 
 @dataclass(frozen=True)
@@ -335,10 +330,10 @@ class SolvePlan:
     not refer back.
     """
 
-    def __init__(self, model: QbdModel, null_band: float):
+    def __init__(self, model: QbdModel):
         # kept on ``model``: its blocks, not it, and the (B - I, A0 - I) R's gate forms
         self.model = model = QbdModel._adopting(model.B, model.A_neg, model.A0, model.A1)
-        self.sols = sols = qme.solve_model(model, null_band=null_band)
+        self.sols = sols = qme.solve_model(model)
         self.shift = sd = (shift.right_shift(model, sols) if sols.classification
                            is Classification.NULL_RECURRENT else None)
         self.equation = sd.equation if sd else (model, sols)
@@ -424,21 +419,19 @@ class SolvePlan:
                                R_max=R_max, u=frozen(u), diagnostics=report)
 
 
-def _plan(model: QbdModel, opt: SolveOptions) -> SolvePlan:
-    """The plan of ``model`` for opt's null_band, built on first use and kept
-    on the model, whose blocks are read-only.  A plan that fails a gate on a
-    model that is not a QBD is refused with the invariants it breaks first."""
-    plans = vars(model).setdefault("_plans", {})
-    if opt.null_band not in plans:
+def _plan(model: QbdModel) -> SolvePlan:
+    """The one plan of ``model``, built on first use and kept on the model,
+    whose blocks are read-only.  A plan that fails a gate on a model that is
+    not a QBD is refused with the invariants it breaks first."""
+    if "_plan" not in vars(model):
         try:
-            plans[opt.null_band] = SolvePlan(model, opt.null_band)
+            vars(model)["_plan"] = SolvePlan(model)
         except NumericalError as exc:
-            failures = validate(model).failures
-            if failures:
+            if failures := validate(model).failures:
                 raise NumericalError(
                     f"invalid model ({'; '.join(failures)}): {exc}") from exc
             raise
-    return plans[opt.null_band]
+    return vars(model)["_plan"]
 
 
 def solve_poisson(model: QbdModel, g: RhsSpec,
@@ -450,11 +443,10 @@ def solve_poisson(model: QbdModel, g: RhsSpec,
     :mod:`qbdpoisson.shift`.  The work that does not depend on g (QME, W,
     shift, split and all else a :class:`SolvePlan` holds) is done on the
     first call for a :class:`QbdModel` object and reused by later calls on
-    the same object, which is immutable; ``null_band`` selects the plan, the
-    other options apply per call.
+    the same object, which is immutable; the options apply per call.
     """
     opt = options or SolveOptions()
-    return _plan(model, opt).solve(g, opt)
+    return _plan(model).solve(g, opt)
 
 
 def _corollary_split(wdata: ResolventData, R: Array) -> SpectralSplit:
@@ -478,4 +470,4 @@ def solve_nonsingular_a1(model: QbdModel, g: RhsSpec,
     which refuses a null-recurrent chain and cond_F(A1) > 1e12.
     """
     opt = options or SolveOptions()
-    return _plan(model, opt).corollary.solve(g, opt)
+    return _plan(model).corollary.solve(g, opt)

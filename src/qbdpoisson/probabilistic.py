@@ -39,16 +39,15 @@ class ProbSolution(FrozenRecord):
     truncation_K: int
 
 
-def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None, *,
-                   null_band: float = qme.NULL_BAND) -> ProbSolution:
-    """Probabilistic solution omega_0 ... omega_{R_max}, classed at null_band.
+def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None) -> ProbSolution:
+    """Probabilistic solution omega_0 ... omega_{R_max}.
 
     Raises :class:`InfeasibleConstraintError` for a recurrent chain whose
     right-hand side violates the compatibility condition
     pi*^T sum_k R^k g_k = 0 (within 1e-9 (1 + ||g||)).
     """
     g.check_width(model.m)
-    sols = qme.solve_model(model, null_band=null_band)
+    sols = qme.solve_model(model)
     m = model.m
     N = g.N
     if R_max is None:

@@ -265,10 +265,10 @@ def _drift(A_low: Array, A_high: Array, theta: Array) -> float:
     return float(theta @ (A_high - A_low) @ np.ones(A_low.shape[0]))
 
 
-def _classify_drift(d: float, null_band: float) -> Classification:
-    if d < -null_band:
+def _classify_drift(d: float) -> Classification:
+    if d < -NULL_BAND:
         return Classification.POSITIVE_RECURRENT
-    if d > null_band:
+    if d > NULL_BAND:
         return Classification.TRANSIENT
     return Classification.NULL_RECURRENT
 
@@ -310,7 +310,7 @@ def _outside_stacklevel() -> int:
 
 def classify(sols: QmeSolutions) -> Classification:
     """``sols.classification``, the one class :func:`solve_model` decided from
-    the drift against its null band, cross-checked against the row sums of
+    the drift against :data:`NULL_BAND`, cross-checked against the row sums of
     ``sols.G`` and ``sols.Ghat``: G stochastic unless transient, Ghat unless
     positive recurrent.  Reading a null-recurrent ``sols.Ghat`` the first
     time solves it and checks it.  A disagreement with the row sums is
@@ -320,8 +320,7 @@ def classify(sols: QmeSolutions) -> Classification:
     return sols.classification
 
 
-def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
-                ) -> QmeSolutions:
+def solve_model(model: QbdModel) -> QmeSolutions:
     """Solve the quadratic equations for G and Ghat, derive U and R, and
     classify the chain.
 
@@ -334,7 +333,7 @@ def solve_model(model: QbdModel, *, null_band: float = NULL_BAND
     """
     theta = stationary_vector(model.repeating_sum())
     d = _drift(model.A_neg, model.A1, theta)
-    cls = _classify_drift(d, null_band)
+    cls = _classify_drift(d)
     if cls is Classification.NULL_RECURRENT:
         G = frozen(_stochastic_solvent(model.A_neg, model.A0, model.A1))
         Ghat = partial(_in_band_Ghat, model.A_neg, model.A0, model.A1, d)

@@ -82,7 +82,7 @@ def solve_null_recurrent(model: QbdModel, g: RhsSpec,
     Q-correction and checks residuals against the original blocks.
     """
     opt = options or poisson.SolveOptions()
-    plan = poisson._plan(model, opt)
+    plan = poisson._plan(model)
     if plan.shift is None:
         raise ClassificationError("solve_null_recurrent requires a null recurrent "
                                   f"chain, got {plan.sols.classification.value}")

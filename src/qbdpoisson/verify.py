@@ -160,7 +160,7 @@ def random_model(seed: int, m: int,
     exchanging mass between A1 and A_neg until the drift sign is right; the
     null recurrent target sets A1 = A_neg (zero drift by symmetry) with a
     diagonal A0 absorbing the rest of each row.  The classification of the
-    output, at the default null band, is verified before returning; after
+    output, at the null band, is verified before returning; after
     50 draws of the wrong class :class:`NumericalError` is raised.
     """
     if m < 1:
@@ -175,7 +175,7 @@ def random_model(seed: int, m: int,
             if model is None:
                 continue
         d = qme.drift(model)
-        got = qme._classify_drift(d, qme.NULL_BAND)
+        got = qme._classify_drift(d)
         if got is target:
             return model
     raise NumericalError(

@@ -312,7 +312,9 @@ UNREAD_FLAGS = [("classify", "--eps-zero"), ("solve", "--eps-zero"),
                 ("lemmas", "--eps-zero"), ("compare-prob", "--eps-zero"),
                 ("oracle", "--eps-zero"), ("classify", "--residual-tol"),
                 ("lemmas", "--residual-tol"), ("solve", "--residual-tol"),
-                ("validate", "--stochastic-tol")]
+                ("validate", "--stochastic-tol"), ("classify", "--null-band"),
+                ("solve", "--null-band"), ("lemmas", "--null-band"),
+                ("compare-prob", "--null-band"), ("oracle", "--null-band")]
 
 
 def _refused_flag_message(flag):
@@ -324,9 +326,11 @@ def _refused_flag_message(flag):
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
 def test_subcommand_refuses_flag_it_does_not_read(command, flag, tmp_path,
                                                   capsys):
+    # a negative value is a value, not a second unknown flag
     path = write(tmp_path, "pr1.json", PR1)
-    assert run([command, str(path), flag, "1e-9"]) == 1
-    assert capsys.readouterr().err == _refused_flag_message(flag)
+    for value in ("1e-9", "-1"):
+        assert run([command, str(path), flag, value]) == 1
+        assert capsys.readouterr().err == _refused_flag_message(flag)
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
@@ -381,10 +385,9 @@ def test_unset_solver_flags_take_solve_options_defaults(command):
 def test_solver_flags_map_onto_solve_options():
     args = build_parser().parse_args([
         "solve", "p.json", "--levels", "40", "--alpha", "1.5",
-        "--null-band", "1e-9",
         "--y-perp-mode", "explicit", "--y-perp", "1,2", "--y-free", "3"])
     assert _options(args) == SolveOptions(
-        R_max=40, alpha=1.5, null_band=1e-9,
+        R_max=40, alpha=1.5,
         y_perp_mode="explicit", y_perp=(1.0, 2.0), y_free=(3.0,))
     for command in ("compare-prob", "oracle"):
         args = build_parser().parse_args([command, "p.json", "--levels", "7"])
@@ -507,10 +510,10 @@ def test_solve_refuses_non_finite_input(case, tmp_path, capsys):
     # NaN fails every comparison; it is refused before the hyperplane gate
     (["--y-perp-mode", "explicit", "--y-perp", "nan"], "pr1",
      "y_perp must be finite"),
-    # a NaN band classed pr1 (drift -0.4) as null recurrent
-    (["--null-band", "nan"], "pr1", "null_band must be finite"),
-    (["--null-band", "-1"], "pr1", "null_band must be finite"),
-    (["--null-band", "inf"], "pr1", "null_band must be finite"),
+    (["--alpha", "nan"], "pr1", "alpha must be finite"),
+    (["--y-free", "inf"], "tr1", "y_free must be finite"),
+    (["--y-perp-mode", "explicit", "--y-perp", "inf"], "pr1",
+     "y_perp must be finite"),
     (["--y-free", "nan"], "tr1", "y_free must be finite"),
     (["--alpha", "inf"], "pr1", "alpha must be finite"),
     # a parameter the class's solution family does not have is refused
@@ -531,19 +534,6 @@ def test_solve_parameter_errors_are_json(flags, fixture, message, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert message in err["message"]
-
-
-@pytest.mark.parametrize("command, flags", [
-    ("solve", ["--null-band", "nan"]),
-    ("classify", ["--null-band", "nan"]),
-    ("lemmas", ["--null-band", "-1"]),
-])
-def test_meaningless_tolerance_exits_1(command, flags, capsys):
-    # refused as a parameter, not reported as "not strict JSON" (exit 2)
-    assert run([command, *flags, str(MODELS / "pr1.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "ValueError"
 
 
 def test_memory_error_is_json(monkeypatch, capsys):
@@ -587,7 +577,7 @@ def test_validate_reads_g(doc, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["message"] == err["message"]
 
 
-def test_lemmas_with_narrowed_null_band(tmp_path, capsys):
+def test_lemmas_with_narrowed_null_band(tmp_path, capsys, monkeypatch):
     # drift 2e-10 is transient or positive recurrent under a band of 1e-12,
     # so W exists; the class, not a spectral-radius gate, decides that
     for drift in (-2e-10, 2e-10):
@@ -596,7 +586,9 @@ def test_lemmas_with_narrowed_null_band(tmp_path, capsys):
         path = tmp_path / "near.json"
         path.write_text(serialize_problem(model, RhsSpec([[0.0] * 3])),
                         encoding="utf-8")
-        assert run(["lemmas", "--null-band", "1e-12", str(path)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(qme, "NULL_BAND", 1e-12)
+            assert run(["lemmas", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == ("Transient" if drift > 0
                                     else "PositiveRecurrent")
@@ -613,7 +605,7 @@ def _near_critical_file(tmp_path, m, drift, g):
 
 def test_compare_prob_classifies_both_sides_at_the_null_band(tmp_path, capsys,
                                                              monkeypatch):
-    # drift 2e-10 is transient under --null-band 1e-12: the probabilistic
+    # drift 2e-10 is transient under a null band of 1e-12: the probabilistic
     # oracle must take the transient branch too, not the recurrent group
     # inverse of a P* that is stochastic only to O(drift)
     path = _near_critical_file(tmp_path, 3, 2e-10, [[1.0, 0.0, -1.0]])
@@ -625,15 +617,18 @@ def test_compare_prob_classifies_both_sides_at_the_null_band(tmp_path, capsys,
         return group_inverse(Pstar, recurrent=recurrent)
 
     monkeypatch.setattr(poisson, "group_inverse", recorded)
-    assert run(["compare-prob", "--null-band", "1e-12", str(path)]) == 0
+    monkeypatch.setattr(qme, "NULL_BAND", 1e-12)
+    assert run(["compare-prob", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["class"] == "Transient"
     assert branches == [False, False]
 
 
-def test_lemmas_refusal_names_near_critical_cause_and_drift(tmp_path, capsys):
+def test_lemmas_refusal_names_near_critical_cause_and_drift(tmp_path, capsys,
+                                                           monkeypatch):
     # the pair-matrix gate stays at 1e12; its refusal says why and at what drift
     path = _near_critical_file(tmp_path, 8, 2e-11, [[0.0] * 8])
-    assert run(["lemmas", "--null-band", "1e-12", str(path)]) == 2
+    monkeypatch.setattr(qme, "NULL_BAND", 1e-12)
+    assert run(["lemmas", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NumericalError"
     assert "near-critical" in err["message"]
@@ -695,8 +690,8 @@ def test_lemmas_reports_on_the_plan_solve_uses(stem, monkeypatch, capsys):
     plans = []
     plan = poisson._plan
 
-    def recorded(model, opt):
-        plans.append(plan(model, opt))
+    def recorded(model):
+        plans.append(plan(model))
         return plans[-1]
 
     monkeypatch.setattr(poisson, "_plan", recorded)

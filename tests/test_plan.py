@@ -34,9 +34,9 @@ def qme_calls(monkeypatch):
     calls = []
     solve_model = qme.solve_model
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("null_band"))
-        return solve_model(*args, **kwargs)
+    def counted(model):
+        calls.append(model)
+        return solve_model(model)
 
     monkeypatch.setattr(qme, "solve_model", counted)
     return calls
@@ -47,6 +47,7 @@ def test_model_stages_run_once_per_model(cls, qme_calls):
     model = random_model(0, 4, cls)
     for k in range(5):
         assert solve_poisson(model, random_rhs(k, 4)).diagnostics.passed
+    solve_poisson(model, random_rhs(0, 4), SolveOptions(R_max=40))     # options are per call
     if cls is Classification.NULL_RECURRENT:
         solve_null_recurrent(model, random_rhs(5, 4))
     else:
@@ -121,15 +122,6 @@ def test_equal_but_distinct_model_builds_its_own_plan(qme_calls):
     assert len(qme_calls) == 2
 
 
-def test_plan_is_keyed_by_null_band(qme_calls):
-    model = random_model(0, 4, Classification.POSITIVE_RECURRENT)
-    g = random_rhs(0, 4)
-    for opt in (SolveOptions(), SolveOptions(null_band=1e-10),
-                SolveOptions(alpha=2.0, R_max=40), SolveOptions(null_band=1e-10)):
-        solve_poisson(model, g, opt)
-    assert qme_calls == [qme.NULL_BAND, 1e-10]
-
-
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_warm_solve_equals_cold_bitwise(cls):
     model = random_model(1, 5, cls)
@@ -143,7 +135,7 @@ def test_warm_solve_equals_cold_bitwise(cls):
 
 def _zero_target(model, g):
     """g with g_0 moved so that pi^T g = 0 (recurrent model; pi_0 of unit sum)."""
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     blocks = np.array(g.blocks)
     blocks[0] -= poisson.pi_dot_g(plan.pi0, plan.sols.R, g)
     return RhsSpec(blocks)
@@ -195,7 +187,7 @@ def test_warm_solve_equals_fresh_model(case, request):
     model, g, opt, solver = WARM_CASES[case](request.getfixturevalue)
     # the warm plan has grown its stacks past what g and opt need, and has
     # served the corollary or the main path before
-    recurrent = poisson._plan(model, opt).sols.classification is not _TR
+    recurrent = poisson._plan(model).sols.classification is not _TR
     for n_blocks, R_max in ((9, 90), (1, 2), (5, 40)):
         h = random_rhs(10 + n_blocks, model.m, n_blocks)
         h = _zero_target(model, h) if recurrent else h
@@ -214,7 +206,7 @@ def test_plan_stacks_grow_and_serve_prefixes(cls):
     # when a solve needs more, serves a prefix otherwise, and every solve
     # equals the one on a fresh model
     model = random_model(2, 4, cls)
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     recurrent = cls is not _TR
     most_rows, most_powers = 1, 1
     for n_blocks, R_max in ((4, 30), (13, 150), (2, 5), (21, 400), (1, 2),
@@ -289,7 +281,7 @@ def test_cold_plan_on_the_identity_split_forms_no_m_inv_or_j(cls, m, monkeypatch
     # M = I: the backward pass's operators are W and V1, not M^-1 W and J
     calls = _count_split_operators(monkeypatch)
     model = random_model(0, m, cls)
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     assert plan.split.identity
     solve_poisson(model, random_rhs(0, m))
     assert calls == []
@@ -299,9 +291,9 @@ def test_cold_plan_on_the_identity_split_forms_no_m_inv_or_j(cls, m, monkeypatch
 def test_plan_off_the_identity_split_forms_m_inv_and_j(case, monkeypatch):
     calls = _count_split_operators(monkeypatch)
     if case == "schur":
-        plan = poisson._plan(nilpotent_model(0, 4), SolveOptions())
+        plan = poisson._plan(nilpotent_model(0, 4))
     else:
-        plan = poisson._plan(random_model(0, 4, _PR), SolveOptions()).corollary
+        plan = poisson._plan(random_model(0, 4, _PR)).corollary
     assert not plan.split.identity
     assert sorted(calls) == ["j_matrix", "m_inv"]
 
@@ -322,7 +314,7 @@ def test_identity_split_solve_equals_the_generic_formula_bitwise(case):
     # and, with the split's identity withheld, h M^T and t L^T in the evaluator
     cls, m, n_blocks, opt = GENERIC_CASES[case]
     model, g = random_model(3, m, cls), random_rhs(3, m, n_blocks)
-    plan = poisson._plan(model, opt)
+    plan = poisson._plan(model)
     assert plan.split.identity
     sol = plan.solve(g, opt)
     if case in ("y_free", "target"):
@@ -360,7 +352,7 @@ def test_plan_does_not_keep_its_model_alive(cls):
 def _plan_of(seed, m, cls):
     model = random_model(seed, m, cls)
     solve_poisson(model, random_rhs(0, m))
-    return model, poisson._plan(model, SolveOptions())
+    return model, poisson._plan(model)
 
 
 def _buffers(obj, seen):
@@ -449,7 +441,7 @@ def test_cold_plan_runs_one_reduction_outside_the_null_band(cls, reduction_calls
     # one left-shifted reduction gives G and Ghat; a null recurrent plan
     # reduces for G alone, the stochastic Ghat waits for a read the plan
     # does not make, and Gddot comes from the shifted W
-    poisson._plan(random_model(0, 4, cls), SolveOptions())
+    poisson._plan(random_model(0, 4, cls))
     assert len(reduction_calls) == 1
 
 
@@ -463,7 +455,7 @@ def test_cold_plan_in_band_above_zero_drift_runs_one_reduction(
     monkeypatch.setattr(qme, "compute_r_u", mock.Mock(wraps=qme.compute_r_u))
     model = with_drift(random_model(1, 4, Classification.POSITIVE_RECURRENT), 1e-10)
     assert 0.0 < qme.drift(model) <= qme.NULL_BAND
-    poisson._plan(model, SolveOptions())
+    poisson._plan(model)
     assert len(reduction_calls) == 1
     assert qme.compute_r_u.call_count == 1
     assert not triple.compute_w.called

@@ -7,8 +7,8 @@ from qbdpoisson import (Classification, ClassificationError,
                         InfeasibleConstraintError, ModelValidationError,
                         NumericalError, QbdModel, RhsSpec, SolveOptions,
                         compute_sigma, compute_y_star, evaluate_u,
-                        evaluate_u_sequence, group_inverse, pi_dot_g,
-                        random_model, residuals, solve_model,
+                        evaluate_u_sequence, group_inverse, omega_solution,
+                        pi_dot_g, random_model, residuals, solve_model,
                         solve_nonsingular_a1, solve_null_recurrent,
                         solve_poisson, split, stationary, compute_w,
                         validate)
@@ -411,7 +411,7 @@ def test_pi_dot_g_reads_a_prefix_of_longer_rows():
     # a plan passes its stack of rows pi_0 R^k, grown for an earlier, longer
     # g; the first N + 1 of them give pi^T g bit for bit
     model = random_model(1, 4, Classification.POSITIVE_RECURRENT)
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     R = plan.sols.R
     rows = poisson._grown(plan.pi0[None], 30, R.__rmatmul__)
     for n_blocks in (1, 2, 7, 30):
@@ -425,7 +425,7 @@ def test_evaluate_u_sequence_reads_a_prefix_of_longer_powers(cls):
     # a longer stack of powers of G, or a shorter one it extends, gives the
     # levels evaluate_u_sequence builds with none, bit for bit
     model = random_model(1, 4, cls)
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     g = random_rhs(1, 4, 3)
     sol = plan.solve(g, SolveOptions())
     args = (sol.x, sol.y_star, plan.G, plan.split, plan.wdata.W, g)
@@ -481,14 +481,28 @@ def test_sigma1_is_zero_without_nilpotent_part():
     assert count >= 6
 
 
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hyperplane_direction_stands_clear_of_its_gate_outside_the_band(seed, m):
+    # the direction pi_0^T W^-1 L shrinks with the drift; just outside the one
+    # band it stays 1e4 above the absolute 1e-24 test of _solve_hyperplane
+    model = with_drift(random_model(seed, m, Classification.POSITIVE_RECURRENT), -1.01e-9)
+    sol = solve_poisson(model, random_rhs(seed, m))
+    assert sol.classification is Classification.POSITIVE_RECURRENT
+    assert sol.diagnostics.passed
+    direction = poisson._plan(model).direction
+    assert direction @ direction >= 1e4 * 1e-24
+
+
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("d", [-2e-10, 2e-10])
-def test_narrowed_null_band_solves_near_critical_chain(m, d):
-    # under null_band = 1e-12 the drift is outside the band, so the chain is
+def test_narrowed_null_band_solves_near_critical_chain(m, d, monkeypatch):
+    # under a null band of 1e-12 the drift is outside the band, so the chain is
     # solved as positive recurrent or transient: W exists, whatever its size
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
     g = balanced_rhs(model, 3)
-    sol = solve_poisson(model, g, SolveOptions(null_band=1e-12))
+    monkeypatch.setattr(qme, "NULL_BAND", 1e-12)
+    sol = solve_poisson(model, g)
     assert sol.classification is (Classification.TRANSIENT if d > 0
                                   else Classification.POSITIVE_RECURRENT)
     assert sol.diagnostics.passed
@@ -628,19 +642,17 @@ def test_valid_model_refusal_keeps_the_gate_text(monkeypatch):
     ("y_free", dict(y_free=(np.nan, 0.0))),
     ("y_perp", dict(y_perp_mode="explicit", y_perp=(np.nan, 0.0))),
     ("alpha", dict(alpha=np.inf)),
-    # a tolerance that is NaN, infinite or negative makes its check meaningless
-    ("null_band", dict(null_band=np.nan)),
-    ("null_band", dict(null_band=np.inf)),
-    ("null_band", dict(null_band=-1e-9)),
-    ("null_band", dict(null_band=-np.inf)),
-    # and so does a parameter that is not finite
+    # a NaN or infinity in any entry, of either sign
+    ("y_free", dict(y_free=(0.0, -np.inf))),
+    ("y_perp", dict(y_perp_mode="explicit", y_perp=(-np.inf, 0.0))),
+    ("y_free", dict(y_free=(1.0, np.nan))),
+    ("y_perp", dict(y_perp_mode="explicit", y_perp=(0.0, np.nan))),
     ("y_perp", dict(y_perp_mode="explicit", y_perp=(0.0, np.inf))),
     ("alpha", dict(alpha=-np.inf)),
     ("y_free", dict(y_free=(np.inf,))),
     ("alpha", dict(alpha=np.nan)),
     # None is a default only for y_free and y_perp
     ("alpha", dict(alpha=None)),
-    ("null_band", dict(null_band=None)),
 ])
 def test_non_finite_option_is_refused(field, options):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -700,16 +712,16 @@ def test_pstar_row_tolerance_sits_inside_its_tenfold_band(scale):
         assert not gi.recurrent and gi.pi_star is None
 
 
-def test_zero_tolerances_are_allowed():
-    assert SolveOptions(null_band=0.0).null_band == 0.0
-
-
-def test_split_cutoff_is_not_a_setting():
-    # the cutoff is m eps max |C_ij|, worked out by split: no layer takes one
-    with pytest.raises(TypeError):
-        SolveOptions(eps_zero=1e-13)
-    with pytest.raises(TypeError):
-        split(np.eye(2), eps_zero=1e-13)
+def test_split_cutoff_is_not_a_setting(pr1, pr1_rhs):
+    # the cutoff is m eps max |C_ij|, worked out by split: no layer takes one;
+    # nor does any take a null band, the constant qme.NULL_BAND
+    for call in (lambda: SolveOptions(eps_zero=1e-13),
+                 lambda: split(np.eye(2), eps_zero=1e-13),
+                 lambda: SolveOptions(null_band=1e-12),
+                 lambda: solve_model(pr1, null_band=1e-12),
+                 lambda: omega_solution(pr1, pr1_rhs, null_band=1e-12)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_hyperplane_gate_refuses_nan():
@@ -762,7 +774,7 @@ def test_chunked_evaluation_matches_sequential_recursion(kind):
     worst = 0.0
     for m in (3, 8, 64):
         model, g, opt = _agreement_case(kind, m)
-        plan = poisson._plan(model, opt)
+        plan = poisson._plan(model)
         sol = plan.solve(g, opt)
         args = (plan.G, plan.split, plan.wdata.W, g)
         if kind == "tr-fast":
@@ -789,7 +801,7 @@ def test_chunked_evaluation_matches_sequential_recursion(kind):
 def test_overflow_refusal_names_the_sequential_first_level():
     model = random_model(1, 64, Classification.POSITIVE_RECURRENT)
     g = random_rhs(0, 64, 21)
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     sol = plan.solve(g, SolveOptions(R_max=2))
     with np.errstate(over="ignore", invalid="ignore"):
         want = sequential_u(sol.x, sol.y, plan.G, plan.split, plan.wdata.W, g, 1000)

@@ -171,11 +171,12 @@ def test_classify_agrees_with_solve_model(pr1):
 
 
 @pytest.mark.parametrize("d", [-1e-6, 1e-6])
-def test_classify_reads_the_class_solve_model_decided(d):
+def test_classify_reads_the_class_solve_model_decided(d, monkeypatch):
     # inside a null band of 1e-5 the chain is null recurrent whatever the
     # sign of its drift; classify must not decide again at another band
     model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT), d)
-    sols = solve_model(model, null_band=1e-5)
+    monkeypatch.setattr(qme, "NULL_BAND", 1e-5)
+    sols = solve_model(model)
     assert sols.classification is Classification.NULL_RECURRENT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -270,10 +271,11 @@ PAIR_CASES = _pair_cases()
 
 @pytest.mark.parametrize("model, band", [c[1:] for c in PAIR_CASES],
                          ids=[c[0] for c in PAIR_CASES])
-def test_solve_model_agrees_with_one_run_per_orientation(model, band):
+def test_solve_model_agrees_with_one_run_per_orientation(model, band, monkeypatch):
     # outside the band G and Ghat come from one reduction; solve_qme runs
     # one shifted reduction per orientation
-    s = solve_model(model, null_band=band)
+    monkeypatch.setattr(qme, "NULL_BAND", band)
+    s = solve_model(model)
     two_runs = (solve_qme(model.A_neg, model.A0, model.A1),
                 solve_qme(model.A1, model.A0, model.A_neg))
     for X, X_ref, blocks in ((s.G, two_runs[0], (model.A_neg, model.A0, model.A1)),
@@ -455,7 +457,7 @@ def test_cross_check_reads_row_sums():
     # in the null band G owns the unit root at d > 0 too: the minimal G,
     # stochastic only to O(d), contradicts the class
     model = with_drift(random_model(2, 5, Classification.POSITIVE_RECURRENT), 1e-10)
-    s = solve_model(model, null_band=1e-9)
+    s = solve_model(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _cross_checked(s.classification, s.drift, s.G, s.Ghat)
@@ -546,11 +548,12 @@ def test_in_band_solvents_are_stochastic_to_rounding(m, cls):
 
 @pytest.mark.parametrize("drift_, band", [(2e-10, 1e-12), (5e-9, 1e-9)],
                          ids=["narrowed_band", "default_band"])
-def test_stationary_refuses_transient_by_class(drift_, band):
+def test_stationary_refuses_transient_by_class(drift_, band, monkeypatch):
     # P*'s row sums are within 1e-8 of 1 here; the class decides, not they
     model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT),
                        drift_)
-    s = solve_model(model, null_band=band)
+    monkeypatch.setattr(qme, "NULL_BAND", band)
+    s = solve_model(model)
     assert s.classification is Classification.TRANSIENT
     Pstar = model.B + model.A1 @ s.G
     assert np.abs(Pstar.sum(axis=1) - 1.0).max() < 1e-8

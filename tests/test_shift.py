@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, NumericalError,
-                        QbdModel, SolveOptions, check_identities, compute_w,
+                        QbdModel, check_identities, compute_w,
                         pi_dot_g, poisson, qme, random_model, residuals,
                         right_shift, solve_model, solve_null_recurrent,
                         solve_poisson, split, stationary, triple)
@@ -32,7 +32,7 @@ def shift_arrays(sd):
 
 def plan_identities(model):
     """check_identities on the difference equation the model's plan solves."""
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     return check_identities(*plan.equation, plan.split, plan.wdata)
 
 
@@ -131,7 +131,7 @@ def test_gddot_from_the_dual_matches_its_own_reduction(case):
     # the U and R of the stochastic G that solve_model gives and the plan
     # keeps; the plan's shift is the one right_shift builds from them
     model = DUAL_CASES[case]()
-    plan = poisson._plan(model, SolveOptions())
+    plan = poisson._plan(model)
     sd = plan.shift
     eq, eq_sols = sd.equation
     reference = qme._left_shifted(eq.A1, eq.A0, eq.A_neg, None)[0]
@@ -191,7 +191,7 @@ def test_slow_mixing_null_chain_needs_more_than_eight_doublings(monkeypatch):
     # the first 2^8 = 256 terms of the series do not sum it
     monkeypatch.setattr(triple, "W_SERIES_MAX_STEPS", 8)
     with pytest.raises(NumericalError, match="within 8 doubling steps"):
-        poisson._plan(_slow_mixing_null(1e-4), SolveOptions())
+        poisson._plan(_slow_mixing_null(1e-4))
 
 
 def test_right_shift_rejects_wrong_class(pr1):
@@ -204,7 +204,7 @@ def test_right_shift_rejects_wrong_class(pr1):
 def test_shift_invariants_random(seed):
     m = seed % 3 + 1
     model = random_model(seed, m, Classification.NULL_RECURRENT)
-    eq, eq_sols = poisson._plan(model, SolveOptions()).shift.equation
+    eq, eq_sols = poisson._plan(model).shift.equation
     # the plan's equation includes the shifted down equation (pair_down) and
     # the inverse of the shifted W (w_inverse)
     report = plan_identities(model)
@@ -308,13 +308,14 @@ def test_constraint_scale_invariance(nr1, nr1_rhs):
 
 @pytest.mark.parametrize("d", [-1e-6, -1e-7, 1e-7, 1e-6])
 @pytest.mark.parametrize("m", [3, 8])
-def test_widened_null_band_solves_on_shift_path(m, d):
+def test_widened_null_band_solves_on_shift_path(m, d, monkeypatch):
     # a band wider than the drift routes a recurrent or transient chain
     # through the shift; the eigenvalue of Gddot next to 1 is then 1 + O(d),
     # which the kernel does not need to be exactly 1
     model = with_drift(random_model(1, m, Classification.POSITIVE_RECURRENT), d)
     g = balanced_rhs(model, key=m)
-    sol = solve_poisson(model, g, SolveOptions(null_band=1e-5))
+    monkeypatch.setattr(qme, "NULL_BAND", 1e-5)
+    sol = solve_poisson(model, g)
     assert sol.classification is Classification.NULL_RECURRENT
     assert sol.diagnostics.passed
     u = np.asarray(sol.u)
