@@ -143,14 +143,17 @@ def _roots_payload(roots) -> list:
 
 
 def _solution_payload(sol: poisson.PoissonSolution) -> dict:
+    rep = sol.diagnostics
     return {
         "class": sol.classification.value,
         "x": sol.x.tolist(),
         "y": sol.y.tolist(),
         "y_star": sol.y_star.tolist(),
         "alpha": sol.alpha,
-        # the interior list is laid out by _write_solution, as json does
-        "residuals": {**sol.diagnostics.to_dict(), "interior": None},
+        # ResidualReport.to_dict's keys; the interior list is laid out by
+        # _write_solution, as json does
+        "residuals": {"boundary": rep.boundary_residual, "interior": None,
+                      "scale": rep.scale, "tol": rep.tol, "pass": rep.passed},
     }
 
 
@@ -170,7 +173,7 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
                     csv_path: Path) -> None:
     # each distinct value of u and of the interior residuals is formatted once,
     # as its repr: the shortest text that round-trips exactly, as json and csv do
-    interior = np.array(sol.diagnostics.interior_residuals, dtype=float)
+    interior = sol.diagnostics.interior_residuals
     if not (np.isfinite(sol.u).all() and np.isfinite(interior).all()):
         raise NumericalError("output is not strict JSON: u or its residuals are not finite")
     # a level bit-identical to the one before reuses its row text; levels are

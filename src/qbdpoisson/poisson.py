@@ -20,6 +20,7 @@ and y_perp constrained to the hyperplane pi_0^T W^{-1} L y_perp = pi^T g."""
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,13 +209,15 @@ def evaluate_u_sequence(x: Array, y: Array, G: Array, split: SpectralSplit,
     m, n = G.shape[0], min(g.N, R_max)
     Wg, u = g.blocks.dot(W.T), np.empty((R_max + 1, m))
     u[0] = x
+    a = u[0]
     for r in range(1, n + 1):
-        u[r] = G.dot(u[r - 1]) - Wg[r]
+        a = u[r] = G.dot(a) - Wg[r]
     powers, K = _g_powers(G, R_max, n, powers)     # K = 1: G itself
     stack = G if K == 1 else powers[:K].reshape(K * m, m)
+    flat = u.reshape(-1)
     for r in range(n, R_max, K):
         k = min(K, R_max - r)
-        stack[:k * m].dot(u[r], out=u[r + 1:r + k + 1].reshape(-1))
+        stack[:k * m].dot(u[r], out=flat[(r + 1) * m:(r + k + 1) * m])
     u[:n + 1] -= h[:n + 1] if split.identity else h[:n + 1] @ split.M.T
     t = [y + h[0, :split.p]]
     if t[0].any():
@@ -236,7 +239,7 @@ def _grown(stack: Array, n: int, step) -> Array:
 
 def _g_powers(G: Array, R_max: int, n: int, powers: Array | None = None):
     """(``powers`` [G; G^2; ...] grown to K rows, K = max(1, isqrt(R_max - n)))."""
-    K = max(1, int(np.sqrt(R_max - n)))
+    K = max(1, math.isqrt(R_max - n))
     return _grown(np.array([G]) if powers is None else powers, K, G.dot), K
 
 
@@ -249,11 +252,13 @@ def backward_pass(split: SpectralSplit, W: Array, g: RhsSpec, *,
     the paper's sigma_r at r = 1 (exactly zero when p = m).  ``ops``: (M^{-1} W, J)."""
     MW, J = ops or (split.m_inv() @ W, split.j_matrix())
     MWg = g.blocks.dot(MW.T)                # rows M^{-1} W g_k
-    h, s = np.zeros_like(MWg), np.zeros(split.m)
-    for r in range(g.N - 1, -1, -1):
-        s = MWg[r + 1] + h[r + 1]
-        h[r] = J.dot(s)
-    return h, -(split.K @ s[split.p:])
+    s = h_r = np.zeros(split.m)             # h_N
+    h = [h_r]
+    for row in MWg[:0:-1]:                  # M^{-1} W g_N ... M^{-1} W g_1
+        s = row + h_r
+        h_r = J.dot(s)
+        h.append(h_r)
+    return np.array(h[::-1]), -(split.K @ s[split.p:])
 
 
 def compute_y_star(split: SpectralSplit, W: Array, g: RhsSpec) -> Array:
@@ -284,7 +289,7 @@ def _solve_hyperplane(direction: Array, target: float, g_scale: float,
     feas_tol, noise = 1e-8 * (1.0 + g_scale), 1e-12 * (1.0 + g_scale)
     if options.y_perp_mode != "minimal_norm":
         if options.y_perp_mode == "zero":
-            y_perp = np.zeros_like(direction)
+            y_perp = np.zeros(direction.shape)
         else:
             y_perp = np.asarray(options.y_perp, dtype=float)
             if y_perp.shape != direction.shape:
@@ -299,16 +304,16 @@ def _solve_hyperplane(direction: Array, target: float, g_scale: float,
                 f"by {gap:.6e}")
         return y_perp
     # minimal-norm solution of the single linear constraint
+    if abs(target) <= noise:
+        # a target at noise level would seed a spurious growing component
+        return np.zeros(direction.shape)
     nrm2 = float(direction @ direction)
     if nrm2 <= 1e-24:
         if abs(target) > feas_tol:
             raise InfeasibleConstraintError(
                 "boundary constraint infeasible: pi_0^T W^{-1} L = 0 while "
                 f"pi^T g = {target:.6e} != 0")
-        return np.zeros_like(direction)
-    if abs(target) <= noise:
-        # a target at noise level would seed a spurious growing component
-        return np.zeros_like(direction)
+        return np.zeros(direction.shape)
     return (target / nrm2) * direction
 
 
@@ -375,12 +380,13 @@ class SolvePlan:
         split, W, cls = self.split, self.wdata.W, self.sols.classification
         g.check_width(W.shape[0])
         tr = cls is Classification.TRANSIENT
-        for name, refused in (("y_free", not tr and opt.y_free is not None),
-                              ("y_perp", tr and opt.y_perp is not None),
-                              ("alpha", tr and opt.alpha != 0.0)):
-            if refused:
-                raise ValueError(f"{name} is not a free parameter of the "
-                                 f"solutions of a {cls.value} chain")
+        if opt.y_free is not None or opt.y_perp is not None or opt.alpha:
+            for name, refused in (("y_free", not tr and opt.y_free is not None),
+                                  ("y_perp", tr and opt.y_perp is not None),
+                                  ("alpha", tr and opt.alpha != 0.0)):
+                if refused:
+                    raise ValueError(f"{name} is not a free parameter of the "
+                                     f"solutions of a {cls.value} chain")
         h, sigma1 = backward_pass(split, W, g, ops=self._ops)
         y_star = frozen(-h[0, :split.p])
         if cls is Classification.TRANSIENT:
@@ -391,8 +397,8 @@ class SolvePlan:
                     raise ValueError(f"y_free must have length p = {split.p}, "
                                      f"got shape {y.shape}")
         else:
-            self._pi_rows = _grown(self._pi_rows, g.N + 1, lambda r: r.dot(self.sols.R))
-            pig = pi_dot_g(self._pi_rows, self.sols.R, g)
+            self._pi_rows = rows = _grown(self._pi_rows, g.N + 1, lambda r: r.dot(self.sols.R))
+            pig = float(np.vdot(rows[:g.N + 1], g.blocks))     # pi_dot_g on the plan's rows
             y = frozen(y_star + _solve_hyperplane(self.direction, pig,
                                                   norm_inf(g.blocks), opt))
 

@@ -10,13 +10,13 @@ recipe is part of the public test contract: failures reproduce by seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import qme
 # condition_number is unused here but stays bound: bench/spans.py wraps it
-from ._linalg import Array, checked_inverse, condition_number  # noqa: F401
+from ._linalg import Array, as_readonly, checked_inverse, condition_number  # noqa: F401
 from .exceptions import NumericalError
 from .model import QbdModel, RhsSpec
 
@@ -25,7 +25,7 @@ _DRIFT_MARGIN = 1e-6
 _MAX_RETRIES = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Residuals of a candidate solution against the level equations.
 
@@ -33,25 +33,38 @@ class ResidualReport:
     own scale, 1 plus the norms of the blocks it couples, and u is finite.
     ``worst_equation`` is the level whose equation is worst against its scale
     ``worst_scale`` (interior residual r is level r + 1's).  ``scale`` =
-    1 + max_r ||u_r|| is informational only.
+    1 + max_r ||u_r|| is informational only.  ``interior_residuals`` is a
+    read-only float64 array, whatever sequence it is given as; a report
+    equals another field by field (NaN is unequal) and is not hashable.
     """
 
     boundary_residual: float
-    interior_residuals: tuple[float, ...]
+    interior_residuals: Array
     scale: float
     tol: float
     passed: bool
     worst_equation: int
     worst_scale: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "interior_residuals",
+                           as_readonly(self.interior_residuals))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
     @property
     def max_residual(self) -> float:
-        return max(self.boundary_residual, *(self.interior_residuals or (0.0,)))
+        """The largest residual, boundary or interior; NaN if one is NaN."""
+        return float(self.interior_residuals.max(initial=self.boundary_residual))
 
     def to_dict(self) -> dict:
         return {
             "boundary": self.boundary_residual,
-            "interior": list(self.interior_residuals),
+            "interior": self.interior_residuals.tolist(),
             "scale": self.scale,
             "tol": self.tol,
             "pass": self.passed,
@@ -78,21 +91,22 @@ def residuals(model: QbdModel, g: RhsSpec, u, tol: float = DEFAULT_TOL
     B_eye, A0_eye = model.minus_identity
     eqs = np.empty((n - 1, m))          # row 0 the boundary, row r + 1 interior r
     eqs[0] = B_eye.dot(u[0]) + model.A1.dot(u[1]) + g.blocks[0]
-    eqs[1:] = (u[:-2].dot(model.A_neg.T) + u[1:-1].dot(A0_eye.T)
-               + u[2:].dot(model.A1.T))
+    interior = np.add(u[:-2].dot(model.A_neg.T), u[1:-1].dot(A0_eye.T), out=eqs[1:])
+    interior += u[2:].dot(model.A1.T)   # ((X + Y) + Z), as one expression sums
     k = min(g.N + 1, n - 1)             # g_1 ... g_{k-1} reach an equation
     eqs[1:k] += g.blocks[1:k]
     # row maxima along the level axis of a transposed copy: a short last axis reduces slowly
     res = np.abs(eqs.T.copy()).max(axis=0)
     norms = np.abs(u.T.copy()).max(axis=0)
+    top = float(norms.max())                   # NaN or inf unless u is finite
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite u fails
         scales = 1.0 + norms[:-1] + norms[1:]  # equation k couples u_{k-1} ... u_{k+1}
         scales[1:] += norms[:-2]
-        worst = int(np.argmax(res / scales))   # the first NaN, if any
-    passed = bool(np.isfinite(norms).all() and np.all(res <= tol * scales))
+        worst = int((res / scales).argmax())   # the first NaN, if any
+    passed = bool(top < np.inf and (res <= tol * scales).all())
     return ResidualReport(boundary_residual=float(res[0]),
-                          interior_residuals=tuple(res[1:].tolist()),
-                          scale=1.0 + float(norms.max()), tol=tol,
+                          interior_residuals=res[1:],
+                          scale=1.0 + top, tol=tol,
                           passed=passed, worst_equation=worst,
                           worst_scale=float(scales[worst]))
 

@@ -633,6 +633,10 @@ def _gate_cases():
             "a", "Frobenius condition number"),
         "unit_eigenvector": (lambda: _linalg.unit_eigenvector(0.5 * np.eye(2)),
                              "1 is not an eigenvalue", "||A z - z||"),
+        # a stochastic matrix scaled by 1 - 3e-8: ||A z - z|| 2.4x the limit
+        "unit_eigenvector_tenfold": (lambda: _linalg.unit_eigenvector(
+            (1 - 3e-8) * np.array([[0.5, 0.5], [0.3, 0.7]])),
+            "1 is not an eigenvalue", "||A z - z||"),
         "shifted_cr": (lambda: _at_qme_tol(0.0, model.A_neg, model.A0, model.A1),
                        "row-stochastic to rounding", "residual"),
         "shifted_cr_nan": (lambda: _at_qme_tol(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,24 @@ def test_explicit_y_perp_checked_against_constraint(pr1):
                       SolveOptions(y_perp_mode="explicit", y_perp=(1.0,)))
 
 
+@pytest.mark.parametrize("delta, refused", [(2e-8, True), (5e-9, False)])
+def test_explicit_y_perp_within_the_feasibility_tolerance(delta, refused):
+    # y_perp off the hyperplane by delta (1 + ||g||) along the direction: the
+    # tolerance 1e-8 (1 + ||g||) refuses 2e-8, 2.3x past it, and a tolerance
+    # ten times wider would not; 5e-9 is inside and solves
+    model = random_model(0, 3, Classification.POSITIVE_RECURRENT)
+    g = RhsSpec(np.random.default_rng(0).normal(size=(4, 3)))
+    plan = poisson._plan(model)
+    d, target = plan.direction, pi_dot_g(plan.pi0, plan.sols.R, g)
+    y_perp = ((target + delta * (1.0 + np.abs(g.blocks).max())) / (d @ d)) * d
+    opt = SolveOptions(y_perp_mode="explicit", y_perp=tuple(y_perp))
+    if refused:
+        with pytest.raises(InfeasibleConstraintError, match="misses the boundary"):
+            solve_poisson(model, g, opt)
+    else:
+        assert solve_poisson(model, g, opt).diagnostics.passed
+
+
 def _regrouped_case(seed):
     m = seed % 5 + 1
     cls = Classification.POSITIVE_RECURRENT if seed % 2 == 0 else Classification.TRANSIENT
@@ -437,6 +456,22 @@ def test_evaluate_u_sequence_reads_a_prefix_of_longer_powers(cls):
             for powers in (longer, np.array([plan.G])):
                 got = evaluate_u_sequence(*args, R_max, powers=powers)
                 np.testing.assert_array_equal(got, want)
+
+
+def test_chunk_width_by_isqrt_equals_the_float_square_root():
+    # K = isqrt(R_max - n) is int(np.sqrt(R_max - n)) below 2^48: both floor
+    # sqrt are nondecreasing, so they agree below 2^48 when they agree at
+    # s^2 - 1 and s^2 for every s < 2^24.  Those are exact floats, and
+    # sqrt(s^2 - 1) sits more than 1 / (2s) below s, which is at least 16 ulps
+    # of s and fewest for the largest s; past 2^53 the two differ
+    s = np.r_[1:2 ** 16, 2 ** 24 - 2 ** 16:2 ** 24].astype(np.int64)
+    for v, want in ((s * s - 1, s - 1), (s * s, s)):
+        assert np.array_equal(np.sqrt(v.astype(float)).astype(np.int64), want)
+    assert int(np.sqrt(2 ** 54 - 1)) != math.isqrt(2 ** 54 - 1)
+    G = np.array([[0.5]])
+    for R_max, n in ((2, 0), (30, 6), (40, 6), (1000, 6), (1000, 1000)):
+        assert poisson._g_powers(G, R_max, n, np.array([G] * 3))[1] == \
+            max(1, int(np.sqrt(R_max - n)))
 
 
 SIGMA1_CASES = [*((f"nu2-m{m}", m) for m in (3, 4, 6)),
@@ -722,6 +757,16 @@ def test_split_cutoff_is_not_a_setting(pr1, pr1_rhs):
                  lambda: omega_solution(pr1, pr1_rhs, null_band=1e-12)):
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize("target", [0.0, 5e-13, 1e-10, -1e-8])
+def test_hyperplane_with_a_vanishing_direction_takes_no_step(target):
+    # a zero direction meets a target within the feasibility tolerance
+    # 1e-8 (1 + ||g||) by y_perp = 0, at the noise level 1e-12 (1 + ||g||)
+    # and above it; past the tolerance it is refused
+    assert _solve_hyperplane(np.zeros(2), target, 0.0, SolveOptions()).tolist() == [0.0, 0.0]
+    with pytest.raises(InfeasibleConstraintError, match="infeasible"):
+        _solve_hyperplane(np.zeros(2), 2e-8, 0.0, SolveOptions())
 
 
 def test_hyperplane_gate_refuses_nan():

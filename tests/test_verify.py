@@ -162,9 +162,29 @@ def test_residuals_equal_the_full_forcing_formula_bitwise(m, n):
         u = solve_poisson(model, g, SolveOptions(R_max=n - 1)).u
         report = residuals(model, g, u)
         assert report.passed
+        interior = report.interior_residuals
+        assert type(interior) is np.ndarray and interior.dtype == np.float64
+        assert interior.shape == (n - 2,) and not interior.flags.writeable
         _assert_same_report(report, _reference_residuals(model, g, u))
         u = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
         _assert_same_report(residuals(model, g, u), _reference_residuals(model, g, u))
+
+
+def test_residual_report_holds_its_interior_residuals_as_one_array(pr1):
+    # a sequence given in place of the array is kept as a read-only float64
+    # copy; reports compare field by field with NaN unequal, and no report
+    # is hashable; the largest residual is NaN when one is
+    report = residuals(pr1, rhs([0.0]), np.zeros((5, 1)))
+    again = dataclasses.replace(report, interior_residuals=(0.0, 0.0, 0.0))
+    assert type(again.interior_residuals) is np.ndarray
+    assert not again.interior_residuals.flags.writeable
+    assert again == report and report != "report"
+    assert report != dataclasses.replace(report, interior_residuals=(0.0, 0.0))
+    nan = dataclasses.replace(report, interior_residuals=(0.0, np.nan, 0.0))
+    assert nan != nan and np.isnan(nan.max_residual)
+    assert report.max_residual == 0.0 and report.to_dict()["interior"] == [0.0] * 3
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 @pytest.mark.parametrize("bad", ["nan_row", "inf_entry"])
