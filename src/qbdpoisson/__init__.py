@@ -13,13 +13,13 @@ from .exceptions import (ClassificationError, InfeasibleConstraintError,
 from .model import (QbdModel, RhsSpec, ValidationReport, load_problem,
                     serialize_problem, validate)
 from .poisson import (GroupInverseData, PoissonSolution, SolveOptions,
-                      compute_sigma, compute_y_star, evaluate_u,
-                      evaluate_u_sequence, group_inverse, pi_dot_g,
-                      solve_nonsingular_a1, solve_poisson)
+                      compute_sigma, compute_y_star, evaluate_u_sequence,
+                      group_inverse, pi_dot_g, solve_nonsingular_a1,
+                      solve_poisson)
 from .probabilistic import ProbSolution, compare_constant_shift, omega_solution
 from .qme import (Classification, Normalization, QmeSolutions, StationaryData,
-                  char_roots, classify, compute_r_u, drift, solve_model,
-                  solve_qme, stationary)
+                  char_roots, compute_r_u, drift, solve_model, solve_qme,
+                  stationary)
 from .shift import ShiftData, right_shift, solve_null_recurrent
 from .spectral import SpectralSplit, split
 from .triple import (ResolventData, ResolventTriple, build_triple,
@@ -34,13 +34,13 @@ __all__ = [
     "QbdModel", "RhsSpec", "ValidationReport", "load_problem",
     "serialize_problem", "validate",
     "Classification", "Normalization", "QmeSolutions", "StationaryData",
-    "solve_qme", "solve_model", "compute_r_u", "classify", "char_roots",
+    "solve_qme", "solve_model", "compute_r_u", "char_roots",
     "stationary", "drift",
     "SpectralSplit", "split",
     "ResolventData", "ResolventTriple", "compute_w", "w_series",
     "build_triple", "check_identities", "eta",
     "GroupInverseData", "PoissonSolution", "SolveOptions", "group_inverse",
-    "compute_sigma", "compute_y_star", "evaluate_u", "evaluate_u_sequence",
+    "compute_sigma", "compute_y_star", "evaluate_u_sequence",
     "pi_dot_g", "solve_poisson", "solve_nonsingular_a1",
     "ShiftData", "right_shift", "solve_null_recurrent",
     "ProbSolution", "omega_solution", "compare_constant_shift",

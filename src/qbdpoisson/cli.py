@@ -95,13 +95,13 @@ def build_parser() -> _Parser:
     sub.add_argument("--y-perp-mode", choices=poisson.Y_PERP_MODES,
                      help="how to pick y_perp on the constraint hyperplane")
     sub.add_argument("--y-perp", type=_vector,
-                     help="explicit y_perp (comma-separated, with "
-                          "--y-perp-mode explicit; in the split's basis, "
-                          "the phases when Ghat is invertible)")
+                     help="explicit y_perp (comma-separated, with --y-perp-mode explicit; "
+                          "in the basis L of the split of Ghat, of the shifted Gddot if "
+                          "null recurrent: the phases only when that split is the identity)")
     sub.add_argument("--y-free", type=_vector,
-                     help="free homogeneous parameter y of the transient "
-                          "case (default y*; in the split's basis, the "
-                          "phases when Ghat is invertible)")
+                     help="free homogeneous parameter y of the transient case (default "
+                          "y*; in the basis L of the split of Ghat: the phases only when "
+                          "that split is the identity)")
     commands.add_parser("lemmas", help="identity residual report")
     commands.add_parser("compare-prob", parents=[levels],
                         help="probabilistic vs analytic solution")

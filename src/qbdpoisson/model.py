@@ -86,6 +86,12 @@ class QbdModel:
         return tuple(as_readonly(a - np.eye(self.m)) for a in (self.B, self.A0))
 
 
+def is_count(value, least: int) -> bool:
+    """Is ``value`` an integer (numpy's too, not a bool) of at least ``least``?"""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 @dataclass(frozen=True)
 class RhsSpec:
     """Finitely supported right-hand side g_0 ... g_N, one length-m vector per

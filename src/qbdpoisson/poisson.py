@@ -32,7 +32,7 @@ from ._linalg import (Array, FrozenRecord, checked_inverse, condition_number,
                       frozen, norm_inf, stationary_vector)  # noqa: F401
 from .exceptions import (ClassificationError, InfeasibleConstraintError,
                          NumericalError)
-from .model import QbdModel, RhsSpec, validate
+from .model import QbdModel, RhsSpec, is_count, validate
 from .qme import Classification
 from .spectral import SpectralSplit
 from .triple import ResolventData
@@ -56,11 +56,11 @@ class SolveOptions:
     solve refuses ``y_free`` on a recurrent chain, ``y_perp`` and a nonzero
     ``alpha`` on a transient one.  ``R_max`` defaults to N + 10 and must be
     an integer >= 2, so that the residual report sees an interior equation.
-    y, y*, ``y_free`` and ``y_perp`` are in the columns of the split's L: the
-    phases when Ghat has 1 / ||Ghat^{-1}||_F above the split's cutoff
-    m eps max |Ghat_ij| (L = I), else the ordered Schur basis.  No option
-    sets the null band :data:`~qbdpoisson.qme.NULL_BAND` or the residual
-    report's :data:`~qbdpoisson.verify.DEFAULT_TOL`: both are constants.
+    y, y*, ``y_free`` and ``y_perp`` are in the columns of L of the split of
+    Ghat, or of the shifted Gddot on a null-recurrent chain: the phases only
+    when that split is the identity (:attr:`SpectralSplit.identity`), else
+    the ordered Schur basis.  No option sets a tolerance or the null band:
+    :data:`~qbdpoisson.qme.NULL_BAND` and :data:`~qbdpoisson.verify.DEFAULT_TOL` are constants.
     """
 
     y_free: tuple | None = None
@@ -76,9 +76,8 @@ class SolveOptions:
         if (self.y_perp_mode == "explicit") != (self.y_perp is not None):
             raise ValueError("y_perp_mode 'explicit' requires a y_perp vector, "
                              "and a y_perp requires y_perp_mode 'explicit'")
-        R_max = self.R_max      # a bool is an int below 2
-        if R_max is not None and not (isinstance(R_max, (int, np.integer)) and R_max >= 2):
-            raise ValueError(f"R_max must be at least 2 and an integer, got {R_max!r}")
+        if self.R_max is not None and not is_count(self.R_max, 2):
+            raise ValueError(f"R_max must be at least 2 and an integer, got {self.R_max!r}")
         for name in ("y_free", "y_perp", "alpha"):
             value = getattr(self, name)     # np.asarray(None, float) is NaN
             if (value is not None or name == "alpha") and not np.isfinite(
@@ -96,7 +95,6 @@ class GroupInverseData(FrozenRecord):
     ``pi_star`` is None.
     """
 
-    Pstar: Array
     sharp: Array
     pi_star: Array | None
     recurrent: bool
@@ -151,7 +149,7 @@ def group_inverse(Pstar: Array, *,
     sharp = checked_inverse(np.eye(m) - Pstar + one_pi, 1e14,
                             "group inverse: I - P* + 1 pi^T is numerically "
                             "singular (P* appears reducible)") - one_pi
-    return GroupInverseData(Pstar=Pstar, sharp=frozen(sharp), recurrent=recurrent,
+    return GroupInverseData(sharp=frozen(sharp), recurrent=recurrent,
                             pi_star=frozen(pi) if recurrent else None)
 
 
@@ -163,17 +161,11 @@ def compute_sigma(G: Array, split: SpectralSplit, W: Array, g: RhsSpec,
                   + L V1^{-r} sum_{k=1}^{r} V1^k E W g_k
                   - sum_{j=1}^{nu-1} K V0^j F W g_{j+r}.
 
-    Equals the general solution at x = 0, y = 0 (:func:`evaluate_u`).
+    Equals the general solution at x = 0, y = 0 (:func:`evaluate_u_sequence`).
     """
     if r < 0:
         raise ValueError(f"level index must be nonnegative, got {r}")
-    return evaluate_u(np.zeros(G.shape[0]), np.zeros(split.p), G, split, W, g, r)
-
-
-def evaluate_u(x: Array, y: Array, G: Array, split: SpectralSplit, W: Array,
-               g: RhsSpec, r: int) -> Array:
-    """u_r = G^r x + L V1^{-r} y + sigma_r for a single level r."""
-    return evaluate_u_sequence(x, y, G, split, W, g, r)[r]
+    return evaluate_u_sequence(np.zeros(G.shape[0]), np.zeros(split.p), G, split, W, g, r)[r]
 
 
 # The per-g path multiplies by ndarray.dot: on C-ordered operands it makes @'s

@@ -23,20 +23,18 @@ import numpy as np
 from . import poisson, qme
 from ._linalg import Array, FrozenRecord, norm_inf, solve
 from .exceptions import InfeasibleConstraintError
-from .model import QbdModel, RhsSpec
+from .model import QbdModel, RhsSpec, is_count
 
 _COMPAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ProbSolution(FrozenRecord):
-    """omega_r = G^r gamma + y_r + c 1 with c fixed to 0 by convention."""
+    """omega_r = G^r gamma + y_r, the solution with the constant c fixed to 0."""
 
     gamma: Array
     y_seq: Array
     omega: Array
-    c: float
-    truncation_K: int
 
 
 def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None) -> ProbSolution:
@@ -44,9 +42,12 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None) -> Pro
 
     Raises :class:`InfeasibleConstraintError` for a recurrent chain whose
     right-hand side violates the compatibility condition
-    pi*^T sum_k R^k g_k = 0 (within 1e-9 (1 + ||g||)).
+    pi*^T sum_k R^k g_k = 0 (within 1e-9 (1 + ||g||)), and ValueError for an
+    ``R_max`` that is not a nonnegative integer.
     """
     g.check_width(model.m)
+    if R_max is not None and not is_count(R_max, 0):
+        raise ValueError(f"R_max must be a nonnegative integer, got {R_max!r}")
     sols = qme.solve_model(model)
     m = model.m
     N = g.N
@@ -80,8 +81,7 @@ def omega_solution(model: QbdModel, g: RhsSpec, R_max: int | None = None) -> Pro
         y_seq[r] = sols.G @ y_seq[r - 1] + (z[r] if r <= N else 0.0)
         g_pow = sols.G @ g_pow
         omega[r] = g_pow + y_seq[r]
-    return ProbSolution(gamma=gamma, y_seq=y_seq, omega=omega, c=0.0,
-                        truncation_K=N)
+    return ProbSolution(gamma=gamma, y_seq=y_seq, omega=omega)
 
 
 def compare_constant_shift(u, omega, tol: float = 1e-7

@@ -76,21 +76,13 @@ class QmeSolutions(FrozenRecord):
 class StationaryData(FrozenRecord):
     """Boundary stationary vector pi_0 with its normalization mode.
 
-    Level vectors follow as pi_i^T = pi_0^T R^i; in Probability mode
-    (positive recurrent chains only) pi_0^T (I - R)^{-1} 1 = 1, in UnitSum
-    mode pi_0^T 1 = 1.
+    Level vectors follow as pi_i^T = pi_0^T R^i (:func:`~qbdpoisson.poisson.pi_dot_g`);
+    in Probability mode (positive recurrent chains only) pi_0^T (I - R)^{-1} 1 = 1,
+    in UnitSum mode pi_0^T 1 = 1.
     """
 
     pi0: Array
     mode: Normalization
-    R: Array
-
-    def level(self, i: int) -> Array:
-        """pi_i^T = pi_0^T R^i."""
-        v = self.pi0
-        for _ in range(i):
-            v = v @ self.R
-        return v
 
 
 def qme_residual(A_low: Array, A_mid: Array, A_high: Array, X: Array) -> float:
@@ -308,18 +300,6 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def classify(sols: QmeSolutions) -> Classification:
-    """``sols.classification``, the one class :func:`solve_model` decided from
-    the drift against :data:`NULL_BAND`, cross-checked against the row sums of
-    ``sols.G`` and ``sols.Ghat``: G stochastic unless transient, Ghat unless
-    positive recurrent.  Reading a null-recurrent ``sols.Ghat`` the first
-    time solves it and checks it.  A disagreement with the row sums is
-    reported as a :class:`RuntimeWarning`, not an error.
-    """
-    _cross_checked(sols.classification, sols.drift, sols.G, sols.Ghat)
-    return sols.classification
-
-
 def solve_model(model: QbdModel) -> QmeSolutions:
     """Solve the quadratic equations for G and Ghat, derive U and R, and
     classify the chain.
@@ -395,4 +375,4 @@ def stationary(model: QbdModel, sols: QmeSolutions,
                 f"got {sols.classification.value}")
         mass = float(pi0 @ solve(np.eye(model.m) - sols.R, np.ones(model.m)))
         pi0 = pi0 / mass
-    return StationaryData(pi0=pi0, mode=mode, R=sols.R)
+    return StationaryData(pi0=pi0, mode=mode)

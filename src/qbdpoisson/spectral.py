@@ -68,10 +68,6 @@ class SpectralSplit(FrozenRecord):
         """M^{-1} = [E; F]."""
         return np.vstack([self.E, self.F])
 
-    def recompose(self) -> Array:
-        """M diag(V1, V0) M^{-1}; reproduces the split target."""
-        return self.M @ self.j_matrix() @ self.m_inv()
-
     @cached_property
     def v1_inv(self) -> Array:
         """V1^{-1}, inverted once per split."""

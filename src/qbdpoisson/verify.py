@@ -18,7 +18,7 @@ from . import qme
 # condition_number is unused here but stays bound: bench/spans.py wraps it
 from ._linalg import Array, as_readonly, checked_inverse, condition_number  # noqa: F401
 from .exceptions import NumericalError
-from .model import QbdModel, RhsSpec
+from .model import QbdModel, RhsSpec, is_count
 
 DEFAULT_TOL = 1e-7
 _DRIFT_MARGIN = 1e-6
@@ -126,8 +126,9 @@ def forward_oracle(model: QbdModel, g: RhsSpec, u0, u1, R_max: int) -> Array:
             raise ValueError(f"{name} has length {np.size(seed)}, the model has m = {model.m}")
     A1_inv = checked_inverse(model.A1, 1e12,
                              "forward recurrence requires a nonsingular A1")
-    if R_max < 1:
-        raise ValueError(f"horizon must cover both seeds, got R_max = {R_max}")
+    if not is_count(R_max, 1):
+        raise ValueError(f"horizon must cover both seeds, got R_max = {R_max!r} "
+                         "(an integer of at least 1)")
     A0_eye = model.minus_identity[1]
     out = np.empty((R_max + 1, model.m))
     out[:2] = u0, u1

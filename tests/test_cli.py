@@ -14,7 +14,8 @@ from qbdpoisson import (Classification, NumericalError, RhsSpec, SolveOptions,
                         solve_poisson)
 from qbdpoisson import cli, poisson, qme, shift, spectral, triple, verify
 from qbdpoisson.cli import _dump, _options, _write_solution, build_parser, run
-from conftest import balanced_rhs, nilpotent_model, random_rhs, with_drift
+from conftest import (balanced_rhs, near_singular_model, nilpotent_model, random_rhs,
+                      with_drift)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -633,6 +634,19 @@ def test_lemmas_refusal_names_near_critical_cause_and_drift(tmp_path, capsys,
     assert err["error"] == "NumericalError"
     assert "near-critical" in err["message"]
     assert "drift 2.000e-11" in err["message"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: at drift -1e-4 the pair matrix of a nearly singular Ghat has "
+    "condition number 1.8e12 ... 2.9e12, above build_triple's 1e12 gate, which stays"))
+@pytest.mark.parametrize("seed", range(3))
+def test_lemmas_reports_where_solve_answers_near_a_singular_ghat(seed, tmp_path, capsys):
+    model = with_drift(near_singular_model(seed, 8, 1e-7), -1e-4)
+    path = tmp_path / "near.json"
+    path.write_text(serialize_problem(model, random_rhs(0, 8)), encoding="utf-8")
+    assert run(["solve", "-o", str(tmp_path / "out"), str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["residual_pass"]
+    assert run(["lemmas", str(path)]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),

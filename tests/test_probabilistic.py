@@ -16,7 +16,6 @@ def test_omega_scalar_walkthrough(pr1, pr1_rhs):
     assert prob.gamma[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(prob.omega[:4, 0], [0.0, -5.0, -5.0, -5.0],
                                atol=1e-10)
-    assert prob.c == 0.0
 
 
 def test_omega_transient(tr1, tr1_rhs):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qbdpoisson import (Classification, ClassificationError, Normalization,
-                        NumericalError, QbdModel, char_roots, classify,
-                        drift, qme, random_model, solve_model, solve_poisson,
-                        solve_qme, stationary)
+                        NumericalError, QbdModel, char_roots, drift, qme,
+                        random_model, solve_model, solve_poisson, solve_qme,
+                        stationary)
 from qbdpoisson._linalg import spectral_radius
 from qbdpoisson.qme import (NULL_BAND, _cross_checked, _cyclic_reduction,
                             qme_residual)
@@ -165,22 +165,18 @@ def test_classification_by_drift(pr1, tr1, nr1):
     assert solve_model(nr1).classification is Classification.NULL_RECURRENT
 
 
-def test_classify_agrees_with_solve_model(pr1):
-    s = solve_model(pr1)
-    assert classify(s) is Classification.POSITIVE_RECURRENT
-
-
 @pytest.mark.parametrize("d", [-1e-6, 1e-6])
 def test_classify_reads_the_class_solve_model_decided(d, monkeypatch):
     # inside a null band of 1e-5 the chain is null recurrent whatever the
-    # sign of its drift; classify must not decide again at another band
+    # sign of its drift; the row-sum cross-checks, of G in solve_model and of
+    # Ghat on its first read, must not decide again at another band
     model = with_drift(random_model(1, 3, Classification.POSITIVE_RECURRENT), d)
     monkeypatch.setattr(qme, "NULL_BAND", 1e-5)
-    sols = solve_model(model)
-    assert sols.classification is Classification.NULL_RECURRENT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert classify(sols) is sols.classification
+        sols = solve_model(model)
+        assert sols.Ghat.shape == (3, 3)
+    assert sols.classification is Classification.NULL_RECURRENT
 
 
 def test_char_roots_scalar(pr1, tr1, nr1):
@@ -205,7 +201,7 @@ def test_stationary_probability_mode(pr1):
     st = stationary(pr1, s, Normalization.PROBABILITY)
     # scalar: pi0 / (1 - 1/3) = 1  =>  pi0 = 2/3
     assert st.pi0[0] == pytest.approx(2.0 / 3.0, abs=1e-13)
-    assert st.level(1)[0] == pytest.approx(2.0 / 9.0, abs=1e-13)
+    assert (st.pi0 @ s.R)[0] == pytest.approx(2.0 / 9.0, abs=1e-13)
 
 
 def test_stationary_unit_sum_and_errors(nr1, tr1):
@@ -471,7 +467,7 @@ def test_cross_check_reads_row_sums():
 def test_in_band_ghat_is_solved_on_first_read(d, nr1, reduction_calls):
     # solve_model reduces for G alone; the first read of Ghat runs the one
     # reduction of the reversed equation, later reads none, and the value
-    # is the eager one bit for bit, so classify and char_roots are too
+    # is the eager one bit for bit, so char_roots is too
     model = nr1 if d is None else with_drift(
         random_model(1, 4, Classification.POSITIVE_RECURRENT), d)
     s = solve_quietly(model)
@@ -487,8 +483,7 @@ def test_in_band_ghat_is_solved_on_first_read(d, nr1, reduction_calls):
     built = dataclasses.replace(solve_quietly(model), Ghat=eager)
     reduction_calls.clear()
     assert np.array_equal(char_roots(solve_quietly(model)), char_roots(built))
-    assert classify(solve_quietly(model)) is classify(built)
-    assert len(reduction_calls) == 4    # per fresh record: G, then Ghat's read
+    assert len(reduction_calls) == 2    # the fresh record's G, then its Ghat's read
 
 
 def test_in_band_ghat_row_sums_are_checked_on_first_read(monkeypatch):
@@ -507,7 +502,7 @@ def test_in_band_ghat_row_sums_are_checked_on_first_read(monkeypatch):
         assert s.Ghat.shape == (5, 5)
 
 
-@pytest.mark.parametrize("entry", ["Ghat", "classify", "char_roots",
+@pytest.mark.parametrize("entry", ["Ghat", "solve_model", "char_roots",
                                    "solve_poisson"])
 def test_cross_check_warning_names_the_callers_line(entry, monkeypatch):
     # no row sum is within a negative tolerance of 1, so every cross-check
@@ -515,10 +510,10 @@ def test_cross_check_warning_names_the_callers_line(entry, monkeypatch):
     # package, here, whatever qbdpoisson frames lie in between
     pr = random_model(2, 5, Classification.POSITIVE_RECURRENT)
     in_band = with_drift(pr, 1e-10)
-    s_pr, s_band = solve_quietly(pr), solve_quietly(in_band)
+    s_band = solve_quietly(in_band)
     monkeypatch.setattr(qme, "_UNIT_TOL", -1.0)
     calls = {"Ghat": lambda: s_band.Ghat,
-             "classify": lambda: classify(s_pr),
+             "solve_model": lambda: solve_model(pr),
              "char_roots": lambda: char_roots(s_band),
              "solve_poisson": lambda: solve_poisson(pr, balanced_rhs(pr, 3))}
     with warnings.catch_warnings(record=True) as caught:

@@ -49,8 +49,7 @@ def test_record_keeps_readonly_copies_of_its_arrays(cls):
 
 
 def test_optional_array_field_stays_none():
-    gi = poisson.GroupInverseData(Pstar=np.eye(2), sharp=np.eye(2),
-                                  pi_star=None, recurrent=False)
+    gi = poisson.GroupInverseData(sharp=np.eye(2), pi_star=None, recurrent=False)
     assert gi.pi_star is None
 
 

@@ -33,7 +33,7 @@ def test_canonical_nilpotent_block():
     assert sp.nu == 2
     np.testing.assert_array_equal(sp.V0 @ sp.V0, np.zeros((2, 2)))
     # V0 is similar to the target
-    np.testing.assert_allclose(sp.recompose(), target, atol=1e-14)
+    np.testing.assert_allclose(sp.power(1), target, atol=1e-14)
 
 
 def test_split_partition_identities(pr1):
@@ -67,7 +67,7 @@ def test_split_invariants_on_random_targets(seed):
     assert not np.any(v0_nu) if sp.p < m else True
     if sp.p:
         assert np.min(np.abs(np.linalg.eigvals(sp.V1))) > sp.eps_zero
-    np.testing.assert_allclose(sp.recompose(), target, atol=1e-10 * scale)
+    np.testing.assert_allclose(sp.power(1), target, atol=1e-10 * scale)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -105,7 +105,7 @@ def test_structurally_singular_up_block():
     s = solve_model(model)
     sp = split(s.Ghat)
     assert sp.p < 2
-    np.testing.assert_allclose(sp.recompose(), s.Ghat, atol=1e-10)
+    np.testing.assert_allclose(sp.power(1), s.Ghat, atol=1e-10)
 
 
 def _invertible_target(kind, m, seed):
@@ -142,7 +142,7 @@ def test_invertible_target_is_split_by_identity(kind, m, seed, monkeypatch):
     assert sp.K.shape == (m, 0) and sp.V0.shape == (0, 0)
     np.testing.assert_array_equal(sp.M, np.eye(m))
     np.testing.assert_array_equal(sp.V1, target)
-    np.testing.assert_array_equal(sp.recompose(), target)
+    np.testing.assert_array_equal(sp.power(1), target)
     # V1^{-1} by LU solves: backward stable also at cond_F 1e8 (near-singular),
     # where the dense inverse leaves a relative residual of 1e-9
     z = np.random.default_rng(seed).normal(size=m)
@@ -161,7 +161,7 @@ def test_singular_target_keeps_the_schur_route(m):
     sp = split(target)
     assert (sp.p, sp.nu) == (m - 2, 2)
     assert not np.array_equal(sp.M, np.eye(m))
-    np.testing.assert_allclose(sp.recompose(), target, atol=1e-12)
+    np.testing.assert_allclose(sp.power(1), target, atol=1e-12)
     z = np.random.default_rng(m).normal(size=m - 2)
     np.testing.assert_allclose(sp.v1_solve(sp.V1 @ z), z, rtol=1e-10)
 
@@ -193,4 +193,4 @@ def test_huge_targets_split_without_overflow(scale):
     target = np.full((3, 3), scale)
     sp = split(target)
     assert sp.p == 1
-    assert np.abs(sp.recompose() - target).max() <= 1e-14 * scale
+    assert np.abs(sp.power(1) - target).max() <= 1e-14 * scale

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ def test_residuals_requires_three_blocks(pr1):
 def test_bad_argument_is_refused(call, message, pr1):
     with pytest.raises(ValueError, match=message):
         call(pr1)
+
+
+LEVEL_COUNTS = {
+    "omega_solution": lambda model, R_max: omega_solution(model, rhs([0.0]), R_max).omega,
+    "forward_oracle": lambda model, R_max: forward_oracle(model, rhs([0.0]), [0.0],
+                                                          [0.0], R_max),
+}
+
+
+@pytest.mark.parametrize("R_max", [-1, True, False, 2.5, 3.0, np.inf, "3"])
+@pytest.mark.parametrize("oracle", sorted(LEVEL_COUNTS))
+def test_level_count_that_is_no_count_is_refused(oracle, R_max, pr1):
+    # a bool is not taken as 1 or 0, a float is not truncated, and a
+    # negative count is no IndexError: each is named, as SolveOptions does
+    with pytest.raises(ValueError, match=rf"R_max\b.*{re.escape(repr(R_max))}"):
+        LEVEL_COUNTS[oracle](pr1, R_max)
+
+
+@pytest.mark.parametrize("oracle, least", [("omega_solution", 0), ("forward_oracle", 1)])
+def test_least_level_count_is_taken_as_a_numpy_integer(oracle, least, pr1):
+    assert LEVEL_COUNTS[oracle](pr1, np.int64(least)).shape == (least + 1, 1)
 
 
 ORACLES = {

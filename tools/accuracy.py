@@ -1,6 +1,6 @@
 """Solve a fixed corpus of 480 problems and report the error distribution.
 
-    python tools/accuracy.py [--against REV]
+    python tools/accuracy.py [--against REV] [--check] [--write-baseline]
 
 The corpus is built by ``bench/problems``, so a library change cannot change
 its inputs: ``make_problem(rng_for(7, m, i), m, 6, kind)`` for m in
@@ -26,6 +26,20 @@ tree over REV) per kind, and lists the draws whose error rose more than 10x.
 A solve that raises stops the tool with its traceback (exit 1).  The
 library is imported from the ``src/`` beside this file; nothing beyond
 numpy is needed.
+
+``--check`` gates the tree on ``accuracy_baseline.json`` beside this file:
+the baseline's sha256 and, per (kind, m), the count, mean, p99 and max of
+the errors.  It prints each cell's p99 and max against its limit,
+max(10 x baseline, 8 eps), and exits 1 when one exceeds it, or when a
+cell's count differs from the baseline's (the corpus changed).  Cells, not
+single draws: one near-critical draw rose 15x in a change that improved
+every cell.  The floor is there because the transient cells sit at a
+fraction of eps (max 0.58): a rounding move of a few ulps in one solve
+would cross 10x of that without any loss of accuracy, while the smallest
+real regression seen, cyclic reduction stopped early, took that max to
+50 eps.  ``--write-baseline`` writes this tree's cells and hash to the
+baseline: a change that moves answers on purpose does so, and a cell that
+rises there is a loosened check.
 """
 
 from __future__ import annotations
@@ -52,6 +66,8 @@ EPS = np.finfo(float).eps
 R_MAX = {3: 40, 8: 1000, 32: 30, 64: 30}
 DRAWS = 40
 RISE = 10.0
+FLOOR = 8.0          # eps; the reason is in the module docstring
+BASELINE = HERE / "accuracy_baseline.json"
 
 
 def corpus():
@@ -90,6 +106,40 @@ def ledger() -> dict:
         records.append({"m": m, "i": i, "k": k, "kind": problem.kind,
                         "error": error(problem, sol.u)})
     return {"sha256": digest.hexdigest(), "records": records}
+
+
+def cells(records) -> list[dict]:
+    """Count, mean, p99 and max of the errors per (kind, m), as :func:`table` orders them."""
+    out = []
+    for kind in dict.fromkeys(r["kind"] for r in records):
+        for m in R_MAX:
+            e = np.array([r["error"] for r in records if (r["kind"], r["m"]) == (kind, m)])
+            if e.size:
+                out.append({"kind": kind, "m": m, "count": len(e),
+                            "mean": float(e.mean()), "p99": float(np.percentile(e, 99)),
+                            "max": float(e.max())})
+    return out
+
+
+def check(records, baseline) -> tuple[bool, str]:
+    """(passed, table): each cell's p99 and max against max(RISE x baseline, FLOOR)."""
+    now = {(c["kind"], c["m"]): c for c in cells(records)}
+    passed = set(now) == {(b["kind"], b["m"]) for b in baseline["cells"]}
+    lines = ["| kind | m | count | p99 | limit | max | limit | verdict |",
+             "|---|---|---|---|---|---|---|---|"]
+    for b in baseline["cells"]:
+        c = now.get((b["kind"], b["m"]), {"count": 0, "p99": np.nan, "max": np.nan})
+        limits = [max(RISE * b[stat], FLOOR) for stat in ("p99", "max")]
+        ok = c["count"] == b["count"] and all(
+            c[stat] <= limit for stat, limit in zip(("p99", "max"), limits))
+        passed &= ok
+        lines.append(f"| {b['kind']} | {b['m']} | {c['count']}/{b['count']} | "
+                     f"{c['p99']:.3g} | {limits[0]:.3g} | {c['max']:.3g} | "
+                     f"{limits[1]:.3g} | {'ok' if ok else 'FAIL'} |")
+    if not passed:
+        lines.append("\nThe ledger check failed: a cell rose above its limit, or the "
+                     "corpus no longer matches the baseline.")
+    return passed, "\n".join(lines)
 
 
 def table(records) -> str:
@@ -148,6 +198,10 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV",
                         help="compare with the library of git revision REV")
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 when a cell rises above {BASELINE.name}'s limits")
+    parser.add_argument("--write-baseline", action="store_true",
+                        help=f"write this tree's cells and hash to {BASELINE.name}")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     this = ledger()
@@ -157,6 +211,16 @@ def main(argv: list[str]) -> int:
         print(f"\n{args.against} sha256 {base['sha256']}"
               + (" (equal)" if base["sha256"] == this["sha256"] else "")
               + f"\n\n{comparison(this['records'], base['records'], args.against)}")
+    if args.write_baseline:
+        BASELINE.write_text(json.dumps({"sha256": this["sha256"],
+                                        "cells": cells(this["records"])}, indent=1) + "\n")
+    if args.check:
+        baseline = json.loads(BASELINE.read_text())
+        passed, report = check(this["records"], baseline)
+        print(f"\nbaseline sha256 {baseline['sha256']}"
+              + (" (equal)" if baseline["sha256"] == this["sha256"] else "")
+              + f"\n\n{report}")
+        return 0 if passed else 1
     return 0
 
 
