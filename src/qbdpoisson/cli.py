@@ -11,7 +11,9 @@ drift, characteristic roots), ``solve`` (full pipeline, JSON + CSV output),
 in both is the shortest text that round-trips exactly, byte for byte its
 ``repr``: from ``_KERNEL_MIN`` distinct values on it is computed for all of
 them at once in numpy (:mod:`qbdpoisson._floattext`), below that by ``repr``.
-The outputs are byte-identical across runs for identical inputs.
+The text is laid out as ASCII bytes and both files are written as bytes, with
+no newline translation on any platform.  The outputs are byte-identical across
+runs for identical inputs.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 infeasible
 constraint.  Errors are written to stderr as a JSON object.
@@ -24,6 +26,7 @@ import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,11 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_INFEASIBLE = 3
 
-# distinct values from which the float text kernel beats one repr each
+# distinct values from which the float text kernel beats one repr each.  Its
+# time over repr's (interleaved medians of 200 rounds on 3 draws of 17-digit
+# values, 2-core Xeon VM) was 2.3 at 100 values, 1.3 at 200, 1.0 at 300, 0.72
+# at 500 and 0.55 at 1,000.  The break-even lies near 300, but 1,000-level
+# m = 8 recurrent solves reach 322 values, so the kernel starts at 500
 _KERNEL_MIN = 500
 
 
@@ -158,12 +165,13 @@ def _solution_payload(sol: poisson.PoissonSolution) -> dict:
 
 
 def _reprs(a) -> list:
-    """The reprs of the values of a flat array, formatted once per bit
-    pattern (-0.0 is not 0.0): by ``repr`` below ``_KERNEL_MIN`` distinct
-    values, where the kernel's fixed cost is larger, else by the kernel."""
+    """The reprs of the values of a flat array as ASCII bytes, formatted once
+    per bit pattern (-0.0 is not 0.0): by ``repr`` below ``_KERNEL_MIN``
+    distinct values, where the kernel's fixed cost is larger, else by the
+    kernel."""
     bits, index = np.unique(a.view(np.int64), return_inverse=True)
     if len(bits) < _KERNEL_MIN:
-        texts = [repr(v) for v in bits.view(float).tolist()]
+        texts = list(map(str.encode, map(repr, bits.view(float).tolist())))
     else:
         texts = _floattext.reprs(bits.view(float))
     return np.array(texts, dtype=object)[index].tolist()
@@ -184,19 +192,19 @@ def _write_solution(sol: poisson.PoissonSolution, json_path: Path,
     levels = sol.u[new].ravel()
     numbers = _reprs(np.concatenate([levels, interior]))
     m = sol.u.shape[1]
-    texts = np.array(list(map(",".join, zip(*[iter(numbers[:len(levels)])] * m))),
+    texts = np.array(list(map(b",".join, zip(*[iter(numbers[:len(levels)])] * m))),
                      dtype=object)
     rows = texts[np.cumsum(new) - 1].tolist()
-    items = ",\n      ".join(numbers[len(levels):])
-    head = _dump(_solution_payload(sol))[:-2].replace(  # reopen: drop "\n}"
-        '"interior": null', f'"interior": [\n      {items}\n    ]', 1)
-    body = "],\n    [".join(rows)
-    header = ",".join(["level"] + [f"u{i}" for i in range(m)])
-    # the csv module's dialect: no field needs quoting, lines end in \r\n
-    lines = [f"{header}\r\n"] + [f"{r},{row}\r\n" for r, row in enumerate(rows)]
-    json_path.write_text(f'{head},\n  "u": [\n    [{body}]\n  ]\n}}\n',
-                         encoding="utf-8")
-    csv_path.write_text("".join(lines), encoding="utf-8", newline="")
+    items = b",\n      ".join(numbers[len(levels):])
+    head = _dump(_solution_payload(sol))[:-2].encode().replace(  # reopen: drop "\n}"
+        b'"interior": null', b'"interior": [\n      %s\n    ]' % items, 1)
+    body = b"],\n    [".join(rows)
+    header = ",".join(["level"] + [f"u{i}" for i in range(m)]).encode()
+    # the csv module's dialect: no field needs quoting, lines end in \r\n; all
+    # lines in one format call, which is faster than a call per line
+    lines = b"%d,%s\r\n" * len(rows) % tuple(chain.from_iterable(enumerate(rows)))
+    json_path.write_bytes(b'%s,\n  "u": [\n    [%s]\n  ]\n}\n' % (head, body))
+    csv_path.write_bytes(b"%s\r\n%s" % (header, lines))
 
 
 def _cmd_validate(args) -> int:

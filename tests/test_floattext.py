@@ -1,11 +1,11 @@
-"""The float text kernel against ``repr``, value for value."""
+"""The float text kernel against ``repr``, value for value, as ASCII bytes."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from qbdpoisson._floattext import reprs
+from qbdpoisson._floattext import _CHUNK, reprs
 
 
 def _signed(values):
@@ -43,12 +43,15 @@ def test_text_is_repr(name):
         warnings.simplefilter("always")
         got = reprs(values)
     assert caught == []                 # no uint64 scalar overflow, no warning
-    want = [repr(v) for v in values.tolist()]
+    want = [repr(v).encode("ascii") for v in values.tolist()]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert bad == [] and len(got) == len(want)
 
 
-@pytest.mark.parametrize("shape", [(0,), (1,), (2, 3), ()], ids=str)
+# around the pass width: one pass a value short, one full pass, a one-value
+# last pass, two full passes
+@pytest.mark.parametrize("shape", [(0,), (1,), (2, 3), (), (_CHUNK - 1,), (_CHUNK,),
+                                   (_CHUNK + 1,), (2 * _CHUNK,)], ids=str)
 def test_any_shape_in_ravel_order(shape):
     values = np.arange(1, 1 + int(np.prod(shape))).reshape(shape) / 7.0
-    assert reprs(values) == [repr(v) for v in values.ravel().tolist()]
+    assert reprs(values) == [repr(v).encode("ascii") for v in values.ravel().tolist()]
