@@ -2,13 +2,11 @@
 
     python tools/abtime.py --against REV [--rounds 30]
 
-REV's ``src/qbdpoisson`` is taken from ``git archive`` into a temporary
-directory and imported as ``qbdpoisson_base``; the package imports itself only
-relatively, so both libraries load side by side and share the process, its
-BLAS and its caches.  Problems are drawn as ``tools/accuracy.py`` draws its
-corpus, ``make_problem(rng_for(7, m, i), m, 6, kind)`` with i the kind's first
-index and R_max 40, 1000, 30 and 30 for m 3, 8, 32 and 64; the solves cycle
-through the draw's g and two ``with_new_rhs(rng_for(8, m, i, k), ...)``.
+REV's library is loaded by ``accuracy.load_revision`` and imported as
+``qbdpoisson_base`` beside this tree's, so both share the process, its BLAS
+and its caches.  The problems are the first ``len(KINDS)`` draws per m of
+``accuracy.corpus``, one per kind, each with its three g and the ledger's
+R_max.
 
 Each round times, per (kind, m), a batch of cold solves (a fresh ``QbdModel``
 per solve, so its plan is built) and a batch of warm solves (one planned
@@ -27,35 +25,17 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import io
-import shutil
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-from problems import KINDS, make_problem, rng_for, with_new_rhs  # noqa: E402
+from accuracy import KINDS, R_MAX, ROOT, corpus, load_revision
 
-R_MAX = {3: 40, 8: 1000, 32: 30, 64: 30}
 WRITE_M = 8                         # the m whose solutions the write rows write
 BATCH = {"cold": 3, "warm": 30, "write": 3}     # solves or writes per timed batch
-
-
-def load_base(rev: str, tmp: str):
-    """REV's library, imported as ``qbdpoisson_base`` from ``tmp``."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/qbdpoisson"],
-                             check=True, stdout=subprocess.PIPE).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(tmp, filter="data")
-    shutil.move(str(Path(tmp) / "src" / "qbdpoisson"), str(Path(tmp) / "qbdpoisson_base"))
-    sys.path.insert(0, tmp)
-    return importlib.import_module("qbdpoisson_base")
 
 
 def batches(lib, problems, R_max, out) -> dict:
@@ -88,20 +68,22 @@ def main(argv: list[str]) -> int:
                         help="the git revision whose library is the base")
     parser.add_argument("--rounds", type=int, default=30)
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"argument --rounds: {args.rounds} is below 1")
     sys.path.insert(0, str(ROOT / "src"))
     import qbdpoisson as this
+    problems = {}                   # (kind, m) -> the draw and its two fresh g
+    for m, i, _, problem in corpus():
+        if i < len(KINDS):
+            problems.setdefault((problem.kind, m), []).append(problem)
     with tempfile.TemporaryDirectory() as tmp:
-        libs = (this, load_base(args.against, tmp))
+        libs = (this, load_revision(args.against, tmp))
         outs = [Path(tmp) / f"out_{lib.__name__}" for lib in libs]
         for out in outs:
             out.mkdir()
-        cells = {}
-        for m, R_max in R_MAX.items():
-            for i, kind in enumerate(KINDS):
-                first = make_problem(rng_for(7, m, i), m, 6, kind)
-                problems = [first] + [with_new_rhs(rng_for(8, m, i, k), first) for k in (0, 1)]
-                cells[kind, m] = [batches(lib, problems, R_max, out if m == WRITE_M else None)
-                                  for lib, out in zip(libs, outs)]
+        cells = {(kind, m): [batches(lib, draws, R_MAX[m], out if m == WRITE_M else None)
+                             for lib, out in zip(libs, outs)]
+                 for (kind, m), draws in problems.items()}
         times = {(cell, mode): ([], []) for cell in cells for mode in cells[cell][0]}
         for rnd in range(args.rounds):
             for (cell, mode), pair in times.items():

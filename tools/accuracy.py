@@ -19,13 +19,15 @@ Each solve gets one error, in units of machine epsilon:
 The tool prints the sha256 over u, x, y, y*, sigma1 and the interior
 residuals of every solve, in corpus order, so that "the answers are bitwise
 equal" is one command; then a Markdown table of count, mean, p50, p99 and
-max per kind and per (kind, m).  ``--against REV`` solves the same corpus
-with the library of REV (its ``src/`` from ``git archive``, in a temporary
-directory and a subprocess), prints REV's hash, the paired ratios (this
-tree over REV) per kind, and lists the draws whose error rose more than 10x.
-A solve that raises stops the tool with its traceback (exit 1).  The
-library is imported from the ``src/`` beside this file; nothing beyond
-numpy is needed.
+max per kind and per (kind, m).  ``--against REV`` solves the same corpus,
+in this process, with the library of REV: :func:`load_revision` takes REV's
+``src/qbdpoisson`` from ``git archive`` (the one process the tool starts)
+into a temporary directory and imports it as ``qbdpoisson_base``, which
+works because the package imports itself only relatively.  The tool then
+prints REV's hash, the paired ratios (this tree over REV) per kind, and
+lists the draws whose error rose more than 10x.  A solve that raises stops
+the tool with its traceback (exit 1).  This tree's library is imported from
+the ``src/`` beside this file; nothing beyond numpy is needed.
 
 ``--check`` gates the tree on ``accuracy_baseline.json`` beside this file:
 the baseline's sha256 and, per (kind, m), the count, mean, p99 and max of
@@ -37,17 +39,21 @@ every cell.  The floor is there because the transient cells sit at a
 fraction of eps (max 0.58): a rounding move of a few ulps in one solve
 would cross 10x of that without any loss of accuracy, while the smallest
 real regression seen, cyclic reduction stopped early, took that max to
-50 eps.  ``--write-baseline`` writes this tree's cells and hash to the
-baseline: a change that moves answers on purpose does so, and a cell that
-rises there is a loosened check.
+50 eps.  This tree's ledger is solved before REV is imported, and the gate
+reads only it and the checked-in baseline, so ``--against`` changes the
+printed comparison and nothing the gate decides.  ``--write-baseline``
+writes this tree's cells and hash to the baseline: a change that moves
+answers on purpose does so, and a cell that rises there is a loosened check.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -91,15 +97,26 @@ def error(problem, u) -> float:
     return float(np.abs(u - h - c).max() / (1.0 + np.abs(problem.h).max()) / EPS)
 
 
-def ledger() -> dict:
-    """{"sha256": ..., "records": [{m, i, k, kind, error}, ...]} of this library."""
-    from qbdpoisson import QbdModel, RhsSpec, SolveOptions, solve_poisson
+def load_revision(rev: str, tmp: str):
+    """REV's library, imported as ``qbdpoisson_base`` from ``tmp``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/qbdpoisson"],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tmp, filter="data")
+    shutil.move(str(Path(tmp) / "src" / "qbdpoisson"), str(Path(tmp) / "qbdpoisson_base"))
+    sys.path.insert(0, tmp)
+    return importlib.import_module("qbdpoisson_base")
+
+
+def ledger(lib) -> dict:
+    """{"sha256": ..., "records": [{m, i, k, kind, error}, ...]} of library ``lib``."""
     digest, records, model = hashlib.sha256(), [], None
     for m, i, k, problem in corpus():
         if k == 0:
             b = problem.blocks
-            model = QbdModel(b.B, b.A_neg, b.A0, b.A1)
-        sol = solve_poisson(model, RhsSpec(problem.g), SolveOptions(R_max=R_MAX[m]))
+            model = lib.QbdModel(b.B, b.A_neg, b.A0, b.A1)
+        sol = lib.solve_poisson(model, lib.RhsSpec(problem.g),
+                                lib.SolveOptions(R_max=R_MAX[m]))
         for a in (sol.u, sol.x, sol.y, sol.y_star, sol.sigma1,
                   sol.diagnostics.interior_residuals):
             digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
@@ -157,20 +174,6 @@ def table(records) -> str:
     return "\n".join(lines)
 
 
-def against(rev: str) -> dict:
-    """The ledger of REV's library, solved in a subprocess on its src/."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             check=True, stdout=subprocess.PIPE).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        code = (f"import json, sys; sys.path[:0] = {[str(Path(tmp) / 'src'), str(HERE)]}; "
-                "import accuracy; print(json.dumps(accuracy.ledger()))")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out)
-
-
 def comparison(records, base, rev: str) -> str:
     """Paired ratios, this tree over REV, per kind; the draws that rose > 10x."""
     ratios = []
@@ -204,10 +207,12 @@ def main(argv: list[str]) -> int:
                         help=f"write this tree's cells and hash to {BASELINE.name}")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    this = ledger()
+    import qbdpoisson
+    this = ledger(qbdpoisson)
     print(f"sha256 {this['sha256']}\n\n{table(this['records'])}")
     if args.against:
-        base = against(args.against)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = ledger(load_revision(args.against, tmp))
         print(f"\n{args.against} sha256 {base['sha256']}"
               + (" (equal)" if base["sha256"] == this["sha256"] else "")
               + f"\n\n{comparison(this['records'], base['records'], args.against)}")
